@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -231,8 +232,7 @@ def _cmd_harmonic(args, cfg):
 
 def _cmd_eval(args, cfg):
     term = parse_term(args.term)
-    r = eval_series(term, args.z1, args.z2,
-                    args.terms or cfg.series_terms)
+    r = eval_series(term, args.z1, args.z2, cfg.series_terms)
     payload = {"term": term.render(),
                "value": [r.value.real, r.value.imag],
                "bound": r.truncation_bound,
@@ -392,6 +392,9 @@ def run(argv):
         args = parser.parse_args(argv)
         if not hasattr(args, "jobs"):
             args.jobs = 1
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise ValueError(f"--jobs must lie in [1, {cpus}]")
         cfg = Config()
         if getattr(args, "config", None):
             cfg = replace(cfg, **load_config(args.config))
@@ -402,9 +405,9 @@ def run(argv):
             overrides["degree_cap"] = args.degree_cap
         if getattr(args, "radius", None) is not None:
             overrides["radius"] = args.radius
-        if getattr(args, "terms", None):
+        if getattr(args, "terms", None) is not None:
             overrides["series_terms"] = args.terms
-        if getattr(args, "tol", None):
+        if getattr(args, "tol", None) is not None:
             overrides["tolerance"] = args.tol
         cfg = replace(cfg, **overrides)
         cfg.validate()

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphabetError, DomainError, NotInImageError
+from .errors import (AlphabetError, BarlogError, DomainError,
+                     NotInImageError)
 from .formspace import bar_basis, chen_defect
 from .linalg import RowReducer
 from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
@@ -146,7 +147,9 @@ def _iota_solver(direction, s, cap=None):
     red = RowReducer()
     for i, b in enumerate(basis):
         dep = red.add(_tensor_vector(d, iota(b, d)), i)
-        assert dep is None, "tensor splitting is not injective on the basis"
+        if dep is not None:
+            raise BarlogError(
+                "tensor splitting is not injective on the basis")
     _IOTA_SOLVERS[key] = (red, basis)
     return red, basis
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergentTermError
-from .hyperlog import MplIndex, eval_series
+from .hyperlog import MplIndex, eval_series, nested_sum
 
 
 def _merge(acc, idx, coeff):
@@ -292,19 +292,7 @@ def mzv_truncated(index, max_n=100000):
     if index[0] < 2:
         raise DivergentTermError(
             f"zeta{index} diverges: leading entry must be >= 2")
-    T = [0.0] * r
-    C = [0.0] * max(r - 1, 1)
-    total = 0.0
-    for n in range(1, max_n + 1):
-        newC = [C[q] + T[q + 1] for q in range(r - 1)]
-        newT = [0.0] * r
-        newT[r - 1] = 1.0 / n ** index[r - 1]
-        for q in range(r - 1):
-            newT[q] = newC[q] / n ** index[q]
-        T = newT
-        if r > 1:
-            C = newC
-        total += T[0]
+    total, _ = nested_sum([1.0] * r, index, 1.0, max_n)
     # I(m) = integral_N^inf (1 + ln t)^m t^(-(a+1)) dt with a = k1 - 1:
     # I(m) = (1 + ln N)^m / (a N^a) + (m / a) I(m - 1).
     a = index[0] - 1

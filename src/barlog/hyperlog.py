@@ -20,6 +20,7 @@ for iterated integrals of form words along polyline contours.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -136,50 +137,65 @@ class EvalResult:
     terms_used: int
 
 
-def eval_series(t, z1, z2, max_n=100000):
-    """Truncated nested series of a term.
+def nested_sum(alphas, ks, z, max_n):
+    """(sum over n <= max_n of z^n T[0](n), max |T[0](n)|) on floats or
+    complex numbers, z's type setting the type of the running sums.
 
-    Requires |z_main| < 1 and |param| <= 1.  The inner sums are kept as
-    cumulative quantities, so the cost is O(depth * max_n).  The tail
-    bound is geometric: (max inner magnitude seen) * |z|^(N+1)/(1-|z|).
+    T[j](n) is the inner sum with the j-th summation index fixed at n,
+    including its own 1/n^k_j and geometric factors; C[j] accumulates
+    sum_{m<n} alpha_j^(n-m) T[j+1](m).  Both are updated in place.
     """
-    z = complex(z1 if t.main_var == 1 else z2)
-    param = complex(z2 if t.main_var == 1 else z1)
-    r = t.depth
-    if r == 0:
-        return EvalResult(complex(1.0), 0.0, 0)
-    if abs(z) >= 1:
-        raise DomainError(f"|z{t.main_var}| = {abs(z)} must be < 1")
-    if abs(param) > 1 + 1e-15:
-        raise DomainError(f"|parameter| = {abs(param)} must be <= 1")
-    alphas = [1.0 + 0j if a == ONE else param for a in t.letters]
-    ks = t.index
-    # T[j](n): inner sum with the j-th summation index fixed at n,
-    # including its own 1/n^k and geometric factors.  C[j] accumulates
-    # sum_{m<n} alpha_j^(n-m) T[j+1](m).
-    T = [0.0 + 0j] * r
-    C = [0.0 + 0j] * max(r - 1, 1)
-    ar_pow = 1.0 + 0j
-    z_pow = 1.0 + 0j
-    total = 0.0 + 0j
+    r = len(ks)
+    zero, one = type(z)(0.0), type(z)(1.0)
+    T = [zero] * r
+    C = [zero] * (r - 1)
+    inner = range(r - 1)
+    a_last, k_last = alphas[r - 1], ks[r - 1]
+    ar_pow = z_pow = one
+    total = zero
     inner_max = 0.0
     for n in range(1, max_n + 1):
-        newC = [alphas[j] * (C[j] + T[j + 1]) for j in range(r - 1)]
-        ar_pow *= alphas[r - 1]
-        newT = [0.0 + 0j] * r
-        newT[r - 1] = ar_pow / n ** ks[r - 1]
-        for j in range(r - 1):
-            newT[j] = newC[j] / n ** ks[j]
-        T = newT
-        if r > 1:
-            C = newC
+        for j in inner:
+            C[j] = alphas[j] * (C[j] + T[j + 1])
+            T[j] = C[j] / n ** ks[j]
+        ar_pow *= a_last
+        T[r - 1] = ar_pow / n ** k_last
         z_pow *= z
         total += z_pow * T[0]
         mag = abs(T[0])
         if mag > inner_max:
             inner_max = mag
+    return total, inner_max
+
+
+@lru_cache(maxsize=4096)
+def _series(ks, letters, z, param, max_n):
+    alphas = [1.0 + 0j if a == ONE else param for a in letters]
+    total, inner_max = nested_sum(alphas, ks, z, max_n)
     bound = inner_max * abs(z) ** (max_n + 1) / (1 - abs(z))
     return EvalResult(total, bound, max_n)
+
+
+def eval_series(t, z1, z2, max_n=100000):
+    """Truncated nested series of a term, summed by nested_sum.
+
+    Requires |z_main| < 1 and |param| <= 1.  The tail bound is geometric:
+    (max inner magnitude seen) * |z|^(N+1)/(1-|z|).  Identical (index,
+    letters, z, param, max_n) evaluations are cached in a bounded LRU of
+    4096 entries; _series.cache_clear() empties it, and each --jobs
+    worker process has its own.  -0.0 and +0.0 share an entry safely:
+    signed zeros change no nonzero part, and the running sum, which
+    starts at +0.0, never ends at -0.0.
+    """
+    z = complex(z1 if t.main_var == 1 else z2)
+    param = complex(z2 if t.main_var == 1 else z1)
+    if t.depth == 0:
+        return EvalResult(complex(1.0), 0.0, 0)
+    if abs(z) >= 1:
+        raise DomainError(f"|z{t.main_var}| = {abs(z)} must be < 1")
+    if abs(param) > 1 + 1e-15:
+        raise DomainError(f"|parameter| = {abs(param)} must be <= 1")
+    return _series(tuple(t.index), tuple(t.letters), z, param, max_n)
 
 
 # -- differential recursion ------------------------------------------------

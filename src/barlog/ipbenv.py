@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitError
+from .errors import BarlogError, ResourceLimitError
 from .formspace import DEFAULT_DEGREE_CAP
 from .words import LIE_BASE, WordPoly, word_sort_key
 
@@ -187,8 +187,8 @@ def _split_pair(word, d):
             cut = i
             break
     w1, w2 = word[:cut], word[cut:]
-    assert all(x not in right for x in w1) and all(x in right for x in w2), \
-        f"word {word} is not in {d.name} normal form"
+    if any(x not in right for x in w2):
+        raise BarlogError(f"word {word} is not in {d.name} normal form")
     return w1, w2
 
 
@@ -334,7 +334,7 @@ def omega_decomposition(s, direction="1x2", cap=None):
     """Exact expansion of the degree-s kernel over the alpha images of
     the admissible pairs: {(W', W''): form-word polynomial}.
 
-    The alpha images are linearly independent (asserted), so the
+    The alpha images are linearly independent (checked), so the
     expansion is unique; a solve failure would mean the kernel leaves
     their span.
     """
@@ -349,7 +349,9 @@ def omega_decomposition(s, direction="1x2", cap=None):
     pairs = w0_pairs(s, d.name)
     for p in pairs:
         dep = red.add(normal_form(alpha_pair(*p), d).terms, p)
-        assert dep is None, "alpha images of admissible pairs are dependent"
+        if dep is not None:
+            raise BarlogError(
+                "alpha images of admissible pairs are dependent")
     by_form = {}
     for (fw, pair), c in kernel.terms.items():
         by_form.setdefault(fw, {})[pair] = c

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -133,3 +134,30 @@ def test_jobs_flag(capsys):
         "relations", "--degree", "1", "--verify", "--jobs", "1",
         "--terms", "500"])
     assert out == out1
+
+
+def test_zero_terms_and_tol_are_rejected(capsys):
+    code, out, err = capture(capsys, [
+        "eval", "--term", "L[2|one]@z1", "--z1", "0.3", "--z2", "0.4",
+        "--terms", "0"])
+    assert (code, out) == (2, "")
+    assert "must be positive" in err
+    code, out, err = capture(capsys, [
+        "verify", "--degree", "1", "--terms", "500", "--tol", "0"])
+    assert (code, out) == (2, "")
+    assert "must be positive" in err
+
+
+def test_jobs_out_of_range_is_rejected(capsys, monkeypatch):
+    # Only the rejection path runs: no pool of these sizes is started.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for jobs in (0, -1, (os.cpu_count() or 1) + 1):
+        code, out, err = capture(capsys, [
+            "relations", "--degree", "1", "--verify", "--terms", "50",
+            "--jobs", str(jobs)])
+        assert (code, out) == (2, "")
+        assert "--jobs must lie in" in err

@@ -122,3 +122,16 @@ def test_phi_split_image():
         (("z2", "z12_2"), ()): Fraction(-1),
         (("z22", "z12_2"), ()): Fraction(-1),
     }
+
+
+def test_iota_solver_rejects_dependent_basis(monkeypatch):
+    from barlog import duality
+    from barlog.errors import BarlogError
+    from barlog.linalg import RowReducer
+
+    bar_basis(1)  # built before add is broken
+    monkeypatch.setattr(duality, "_IOTA_SOLVERS", {})
+    monkeypatch.setattr(RowReducer, "add",
+                        lambda self, vec, tag: {tag: Fraction(1)})
+    with pytest.raises(BarlogError, match="not injective"):
+        duality._iota_solver("1x2", 1)

@@ -145,3 +145,13 @@ def test_bracket_closure_low():
 def test_degree_cap():
     with pytest.raises(ResourceLimitError):
         omega_power(4, cap=3)
+
+
+def test_split_pair_rejects_words_out_of_normal_form():
+    from barlog.errors import BarlogError
+    from barlog.ipbenv import _split_pair
+
+    assert _split_pair(("Z11", "Z2", "Z22"), DIRECTIONS["1x2"]) == (
+        ("Z11",), ("Z2", "Z22"))
+    with pytest.raises(BarlogError, match="normal form"):
+        _split_pair(("Z2", "Z1"), DIRECTIONS["1x2"])
