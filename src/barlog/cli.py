@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BarlogError
-from .formspace import bar0_basis, bar_basis
+from .formspace import (DEFAULT_DEGREE_CAP, bar0_basis, bar_basis,
+                        check_degree)
 from .harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
                        recursion_expand)
 from .hyperlog import ONE, PARAM, HyperlogTerm, eval_series
@@ -31,18 +32,15 @@ from .words import poly_to_dict
 
 @dataclass(frozen=True)
 class Config:
-    degree_cap: int = 5
+    degree_cap: int = DEFAULT_DEGREE_CAP
     series_terms: int = 100000
     tolerance: float = 1e-8
-    radius: float = 0.7
     format: str = "json"
 
     def validate(self):
         if self.degree_cap <= 0 or self.series_terms <= 0 \
                 or self.tolerance <= 0:
             raise ValueError("caps and tolerance must be positive")
-        if not 0 < self.radius < 1:
-            raise ValueError("radius must lie in (0, 1)")
         if self.format not in ("json", "text"):
             raise ValueError("format must be json or text")
 
@@ -51,7 +49,6 @@ _CONFIG_FIELDS = {
     "degree_cap": int,
     "series_terms": int,
     "tolerance": float,
-    "radius": float,
     "format": str,
 }
 
@@ -155,8 +152,6 @@ def _verify_many(relations, points, max_n, tol, jobs):
 
 
 def _cmd_relations(args, cfg):
-    if args.degree > cfg.degree_cap:
-        raise ValueError(f"degree {args.degree} exceeds cap")
     relations = generate_all(args.degree)
     failed = False
     records = []
@@ -244,8 +239,6 @@ def _cmd_eval(args, cfg):
 
 
 def _cmd_decompose(args, cfg):
-    if args.degree > cfg.degree_cap:
-        raise ValueError(f"degree {args.degree} exceeds cap")
     decomposition = omega_decomposition(args.degree, args.direction,
                                         cap=cfg.degree_cap)
     pairs = []
@@ -316,7 +309,6 @@ def build_parser():
                         default=argparse.SUPPRESS)
     common.add_argument("--degree-cap", type=int, dest="degree_cap",
                         default=argparse.SUPPRESS)
-    common.add_argument("--radius", type=float, default=argparse.SUPPRESS)
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
 
     parser = _Parser(prog="barlog", description=__doc__, parents=[common])
@@ -386,6 +378,13 @@ _HANDLERS = {
 }
 
 
+def _command_degree(args):
+    """The degree a command works at, or None for harmonic and eval."""
+    if args.command == "phi":
+        return len(parse_z_word(args.w1)) + len(parse_z_word(args.w2))
+    return getattr(args, "degree", None)
+
+
 def run(argv):
     parser = build_parser()
     try:
@@ -403,14 +402,15 @@ def run(argv):
             overrides["format"] = args.format
         if getattr(args, "degree_cap", None) is not None:
             overrides["degree_cap"] = args.degree_cap
-        if getattr(args, "radius", None) is not None:
-            overrides["radius"] = args.radius
         if getattr(args, "terms", None) is not None:
             overrides["series_terms"] = args.terms
         if getattr(args, "tol", None) is not None:
             overrides["tolerance"] = args.tol
         cfg = replace(cfg, **overrides)
         cfg.validate()
+        degree = _command_degree(args)
+        if degree is not None:
+            check_degree(degree, cfg.degree_cap)
         return _HANDLERS[args.command](args, cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 the enveloping algebra: the letterwise theta substitution, the tensor
 splitting isomorphisms iota (deconcatenation followed by the two
 letter projections), their inverses by exact linear solve against the
-bar bases, and the construction of the canonical integrable
-representative phi(W', W'') of a product-basis pair.
+bar bases, and the canonical integrable representative phi(W', W'')
+of a product-basis pair, read from the decomposition of the solution
+kernel and certified by its splitting.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from .errors import (AlphabetError, BarlogError, DomainError,
                      NotInImageError)
 from .formspace import bar_basis, chen_defect
+from .ipbenv import omega_decomposition
 from .linalg import RowReducer
 from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
                     FORM_PURE2, TensorPoly, WordPoly)
@@ -162,7 +164,8 @@ def iota_rank(direction, s, cap=None):
 
 def iota_inv(t, direction="1x2", cap=None):
     """The unique integrable preimage of a tensor polynomial, solved
-    exactly degree by degree against the bar basis."""
+    exactly degree by degree against the bar basis.  It does not use
+    the kernel decomposition, so it is an independent check of phi."""
     d = _as_form_direction(direction)
     result = WordPoly.zero(FORM_BASE)
     for s, part in t.degree_parts().items():
@@ -176,14 +179,37 @@ def iota_inv(t, direction="1x2", cap=None):
     return result
 
 
+def splits_as_pair(p, w1, w2, direction="1x2"):
+    """Whether p is integrable and its tensor splitting is exactly the
+    theta monomial theta(W') x theta(W'') of the pair."""
+    d = _as_form_direction(direction)
+    t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
+                            theta(w1, d, "left"), theta(w2, d, "right"))
+    try:
+        return iota(p, d) == t
+    except DomainError:
+        return False
+
+
 def phi(w1, w2, direction="1x2", cap=None):
     """The integrable representative of a product-basis pair: the
-    preimage of theta(W') x theta(W'') under the splitting."""
+    preimage of theta(W') x theta(W'') under the splitting.
+
+    By the tensor splitting of the normalized fundamental solution it
+    is the pair's coefficient in the kernel decomposition; the
+    coefficient is returned only once its splitting is checked."""
     d = _as_form_direction(direction)
     w1, w2 = tuple(w1), tuple(w2)
     for w in (w1, w2):
         if w and w[-1] in ("Z1", "Z2"):
             raise ValueError(f"word {w} ends in Z1/Z2 and is not allowed")
-    t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
-                            theta(w1, d, "left"), theta(w2, d, "right"))
-    return iota_inv(t, d, cap=cap)
+    # Letters outside the splitting raise AlphabetError before any
+    # kernel is built.
+    theta(w1, d, "left"), theta(w2, d, "right")
+    coeff = omega_decomposition(len(w1) + len(w2), d.name,
+                                cap=cap)[(w1, w2)]
+    if not splits_as_pair(coeff, w1, w2, d):
+        raise BarlogError(
+            f"kernel coefficient of {(w1, w2)} in {d.name} does not "
+            "split as its theta monomial")
+    return coeff

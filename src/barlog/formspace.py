@@ -336,7 +336,11 @@ def _vector_poly(vec, s):
     return WordPoly(FORM_BASE, terms)
 
 
-def _check_cap(s, cap):
+def check_degree(s, cap=None):
+    """Raise ValueError for a negative degree s, and ResourceLimitError
+    when s exceeds the cap (the default cap when cap is None)."""
+    if s < 0:
+        raise ValueError("degree must be nonnegative")
     if cap is None:
         cap = DEFAULT_DEGREE_CAP
     if s > cap:
@@ -351,9 +355,7 @@ def bar_basis(s, cap=None):
     is not yet automatic; its kernel is extracted exactly and put into
     reduced row echelon form over the lexicographic word order.
     """
-    if s < 0:
-        raise ValueError("degree must be nonnegative")
-    _check_cap(s, cap)
+    check_degree(s, cap)
     if s in _BAR_CACHE:
         return _BAR_CACHE[s]
     if s == 0:
@@ -399,7 +401,7 @@ def bar_basis(s, cap=None):
 def bar0_basis(s, cap=None):
     """Canonical basis of the subspace of bar_basis(s) spanned by
     combinations with no word ending in z1 or z2."""
-    _check_cap(s, cap)
+    check_degree(s, cap)
     if s in _BAR0_CACHE:
         return _BAR0_CACHE[s]
     basis = bar_basis(s, cap=cap)

@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BarlogError, ResourceLimitError
-from .formspace import DEFAULT_DEGREE_CAP
+from .errors import BarlogError
+from .formspace import check_degree
 from .words import LIE_BASE, WordPoly, word_sort_key
 
 # The six quadratic relators generating the two-sided ideal, as
@@ -304,10 +304,7 @@ _OMEGA_CACHE = {}
 
 def omega_power(s, direction="1x2", cap=None):
     """Symbolic degree-s kernel, Z parts in normal form."""
-    if cap is None:
-        cap = DEFAULT_DEGREE_CAP
-    if s > cap:
-        raise ResourceLimitError(f"degree {s} exceeds cap {cap}")
+    check_degree(s, cap)
     d = _as_direction(direction)
     key = (s, d.name)
     if key in _OMEGA_CACHE:
@@ -340,6 +337,7 @@ def omega_decomposition(s, direction="1x2", cap=None):
     """
     from .linalg import RowReducer
     from .words import FORM_BASE
+    check_degree(s, cap)
     d = _as_direction(direction)
     key = (s, d.name)
     if key in _DECOMP_CACHE:

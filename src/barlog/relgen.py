@@ -12,13 +12,11 @@ hyperlogarithm and a main-z1 one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .duality import FORM_DIRECTIONS, iota, phi, theta
+from .duality import iota, phi, splits_as_pair, theta
 from .hyperlog import eval_series, word_to_term
 from .ipbenv import alpha_pair, omega_power, w0_pairs, _reduce_word, \
     _split_pair, DIRECTIONS
-from .words import TensorPoly, WordPoly, FORM_BASE
 
 
 @dataclass(frozen=True)
@@ -158,18 +156,17 @@ def _numeric_coeffs(s, direction, z1, z2, max_n):
 
 def _symbolic_direction_check(s, direction):
     """Certify that the degree-s kernel in one direction is exactly the
-    sum over admissible pairs of (split integrable form) x (pair): each
-    pair's form coefficient is integrable and its tensor splitting is
-    the theta monomial of the pair."""
+    sum over admissible pairs of (split integrable form) x (pair): its
+    pairs are admissible, and each admissible pair's form coefficient
+    is integrable with the theta monomial of the pair as its tensor
+    splitting."""
     kernel = omega_power(s, direction)
-    pairs = set(w0_pairs(s, direction))
-    if not kernel.pairs() <= pairs:
+    pairs = w0_pairs(s, direction)
+    if not kernel.pairs() <= set(pairs):
         return False
-    for pair in kernel.pairs():
-        coeff = kernel.form_coefficient(*pair)
-        if coeff != phi(pair[0], pair[1], direction=direction):
-            return False
-    return True
+    return all(splits_as_pair(kernel.form_coefficient(*pair), *pair,
+                              direction)
+               for pair in pairs)
 
 
 def decompose_check(s, point=(0.3, 0.4), max_n=10000, tol=1e-8):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import pytest
 
 from barlog.cli import Config, load_config, parse_term, run
+from barlog.formspace import DEFAULT_DEGREE_CAP
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
 
 
@@ -113,7 +115,7 @@ def test_config_file(tmp_path, capsys):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        Config(radius=1.5).validate()
+        Config(degree_cap=0).validate()
     with pytest.raises(ValueError):
         Config(tolerance=-1).validate()
 
@@ -161,3 +163,49 @@ def test_jobs_out_of_range_is_rejected(capsys, monkeypatch):
             "--jobs", str(jobs)])
         assert (code, out) == (2, "")
         assert "--jobs must lie in" in err
+
+
+def test_degree_out_of_range_is_rejected_by_every_degree_command(capsys):
+    for argv in (["basis", "--degree", "2"],
+                 ["phi", "--w1", "Z11", "--w2", "Z22"],
+                 ["relations", "--degree", "2"],
+                 ["decompose", "--degree", "2"],
+                 ["verify", "--degree", "2", "--terms", "50"]):
+        code, out, err = capture(capsys, argv + ["--degree-cap", "1"])
+        assert (code, out) == (2, ""), argv
+        assert "exceeds cap 1" in err
+        if "--degree" in argv:
+            argv[argv.index("--degree") + 1] = "-1"
+            code, out, err = capture(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert "degree must be nonnegative" in err
+
+
+def test_one_default_degree_cap(capsys):
+    assert Config().degree_cap == DEFAULT_DEGREE_CAP == 6
+    for command in ("basis", "relations", "decompose", "verify"):
+        code, out, err = capture(capsys, [command, "--degree", "7"])
+        assert (code, out) == (2, ""), command
+        assert f"exceeds cap {DEFAULT_DEGREE_CAP}" in err
+
+
+def test_radius_is_not_an_option(tmp_path, capsys):
+    code, out, _ = capture(capsys, ["basis", "--degree", "1",
+                                    "--radius", "0.5"])
+    assert (code, out) == (2, "")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("radius = 0.5\n")
+    code, out, err = capture(capsys, ["basis", "--degree", "1",
+                                      "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "unknown key 'radius'" in err
+
+
+def test_relations_degree_5_golden(capsys):
+    # SHA-256 of the stdout of the bar-basis route, which solved each
+    # pair's preimage against the Chen-condition nullspace.
+    code, out, _ = capture(capsys, ["relations", "--degree", "5"])
+    assert code == 0
+    assert json.loads(out)["count"] == 308
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b7a712563ecdcd320c0bc79cf45ec080a84af6738bb93b64cfc2702270c05ba8")

@@ -5,8 +5,9 @@ import pytest
 
 from barlog.duality import (FORM_DIRECTIONS, iota, iota_inv, iota_rank, phi,
                             theta)
-from barlog.errors import AlphabetError, DomainError
+from barlog.errors import AlphabetError, BarlogError, DomainError
 from barlog.formspace import bar_basis
+from barlog.ipbenv import w0_pairs
 from barlog.words import FORM_BASE, TensorPoly, WordPoly
 
 
@@ -135,3 +136,49 @@ def test_iota_solver_rejects_dependent_basis(monkeypatch):
                         lambda self, vec, tag: {tag: Fraction(1)})
     with pytest.raises(BarlogError, match="not injective"):
         duality._iota_solver("1x2", 1)
+
+
+@pytest.mark.parametrize("direction", ["1x2", "2x1"])
+def test_phi_matches_bar_basis_oracle(direction):
+    """phi, read from the kernel decomposition, equals the preimage of
+    the theta monomial solved against the Chen-condition bar basis."""
+    d = FORM_DIRECTIONS[direction]
+    for s in range(5):
+        for w1, w2 in w0_pairs(s, direction):
+            t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
+                                    theta(w1, direction, "left"),
+                                    theta(w2, direction, "right"))
+            assert phi(w1, w2, direction) == iota_inv(t, direction), \
+                (w1, w2)
+
+
+def test_phi_certifies_the_kernel_coefficient(monkeypatch):
+    from barlog import duality, ipbenv
+
+    decomposition = dict(ipbenv.omega_decomposition(2, "1x2"))
+    pair = (("Z11", "Z12"), ())
+    good = decomposition[pair]
+    monkeypatch.setattr(duality, "omega_decomposition",
+                        lambda s, direction, cap=None: decomposition)
+    for bad in (good.scale(2),  # integrable, wrong splitting
+                good + WordPoly.monomial(FORM_BASE, ("z1", "z2"))):
+        decomposition[pair] = bad
+        with pytest.raises(BarlogError, match="does not split"):
+            phi(*pair)
+    decomposition[pair] = good
+    assert phi(*pair) == good
+
+
+def test_phi_checks_letters_before_the_kernel(monkeypatch):
+    from barlog import duality
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built for invalid input")
+
+    monkeypatch.setattr(duality, "omega_decomposition", no_kernel)
+    with pytest.raises(ValueError, match="ends in Z1/Z2"):
+        phi(("Z11", "Z1"), ())
+    with pytest.raises(AlphabetError):
+        phi(("Z22",), ())
+    with pytest.raises(AlphabetError):
+        phi((), ("Z12",), "2x1")

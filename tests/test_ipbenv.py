@@ -145,6 +145,11 @@ def test_bracket_closure_low():
 def test_degree_cap():
     with pytest.raises(ResourceLimitError):
         omega_power(4, cap=3)
+    omega_decomposition(2)  # cached: the cap is checked before the cache
+    with pytest.raises(ResourceLimitError):
+        omega_decomposition(2, cap=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        omega_power(-1)
 
 
 def test_split_pair_rejects_words_out_of_normal_form():

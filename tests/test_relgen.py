@@ -110,3 +110,20 @@ def test_weight_homogeneous():
         lhs_weight = sum(t.weight for t in r.lhs)
         for _, t2, t1 in r.rhs:
             assert t2.weight + t1.weight == lhs_weight == 3
+
+
+def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
+    from barlog import ipbenv
+    from barlog.relgen import _symbolic_direction_check
+    from barlog.words import FORM_BASE, WordPoly
+
+    good = ipbenv.omega_decomposition(2, "1x2")
+    assert _symbolic_direction_check(2, "1x2")
+    pair = (("Z11", "Z12"), ())
+    for change in ({pair: good[pair].scale(2)},
+                   {pair: WordPoly.zero(FORM_BASE)},
+                   {(("Z1",), ("Z2",)): good[pair]}):
+        monkeypatch.setitem(ipbenv._DECOMP_CACHE, (2, "1x2"),
+                            {**good, **change})
+        assert not _symbolic_direction_check(2, "1x2"), change
+        assert _symbolic_direction_check(2, "2x1")
