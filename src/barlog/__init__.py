@@ -15,7 +15,8 @@ from .formspace import (bar0_basis, bar_basis, chen_defect, in_bar_span,
                         is_integrable, wedge_relation_space)
 from .ipbenv import (alpha_eval, alpha_pair, enumerate_w0, normal_form,
                      omega_decomposition, omega_power, w0_pairs)
-from .duality import iota, iota_inv, iota_rank, phi, theta
+from .duality import (iota, iota_inv, iota_rank, phi, tensor_split,
+                      theta)
 from .hyperlog import (EvalResult, HyperlogTerm, MplIndex, eval_mpl,
                        eval_quadrature, eval_series, partial_derivative,
                        term_to_word, word_to_term)
@@ -37,7 +38,7 @@ __all__ = [
     "is_integrable", "wedge_relation_space",
     "alpha_eval", "alpha_pair", "enumerate_w0", "normal_form",
     "omega_decomposition", "omega_power", "w0_pairs",
-    "iota", "iota_inv", "iota_rank", "phi", "theta",
+    "iota", "iota_inv", "iota_rank", "phi", "tensor_split", "theta",
     "EvalResult", "HyperlogTerm", "MplIndex", "eval_mpl",
     "eval_quadrature", "eval_series", "partial_derivative",
     "term_to_word", "word_to_term",

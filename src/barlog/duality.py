@@ -97,8 +97,9 @@ def _project(word, table):
 
 
 def iota(p, direction="1x2"):
-    """Tensor splitting of an integrable form polynomial: sum over all
-    deconcatenation cuts of (left projection) x (right projection)."""
+    """Tensor splitting of an integrable form polynomial: rejects a
+    polynomial that fails the integrability condition, then returns
+    tensor_split(p, direction)."""
     d = _as_form_direction(direction)
     for s, part in p.degree_parts().items():
         for l in range(1, s):
@@ -106,6 +107,13 @@ def iota(p, direction="1x2"):
                 raise DomainError(
                     "polynomial does not satisfy the integrability "
                     f"condition at degree {s}, cut {l}")
+    return tensor_split(p, d)
+
+
+def tensor_split(p, direction="1x2"):
+    """Sum over all deconcatenation cuts of (left projection) x (right
+    projection), without the integrability check of iota."""
+    d = _as_form_direction(direction)
     acc = {}
     for w, c in p.terms.items():
         for l in range(len(w) + 1):

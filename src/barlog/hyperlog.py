@@ -15,6 +15,13 @@ terms and back, evaluates truncated series with an explicit tail
 bound, implements the exact differential recursion of the numbering
 calculus, and provides an adaptive Gauss-Legendre quadrature oracle
 for iterated integrals of form words along polyline contours.
+
+The quadrature works level by level.  A level holds each path segment's
+16-node panels as arrays, pulls each letter back once over all panels,
+and integrates each word suffix once, in one array pass over all
+panels, so the words of a polynomial share their common suffixes.
+Levels double the panels until two successive values agree to tol / 2,
+and a quadrature that does not get there raises DomainError.
 """
 
 from __future__ import annotations
@@ -338,38 +345,56 @@ def _panel_breaks(graded, pieces):
     return breaks
 
 
-def _word_integral(word, panels):
-    """Iterated integral of one word over precomputed panels.
-
-    panels: list of (z1 nodes, z2 nodes, dz1, dz2, half-width) in path
-    order.  The innermost letter is the last one.
-    """
-    level_vals = [np.ones(_GL_N, dtype=complex) for _ in panels]
-    start = 1.0 + 0j
-    # Iterate outward over the word's letters.
-    for tag in reversed(word):
-        new_vals = []
-        start = 0.0 + 0j
-        for (z1n, z2n, dz1, dz2, half), inner in zip(panels, level_vals):
-            g = _form_pullback(tag, z1n, z2n, dz1, dz2) * inner
-            new_vals.append(start + half * (_GL_CUM @ g))
-            start = start + half * np.dot(_GL_W, g)
-        level_vals = new_vals
-    return start
-
-
 def _build_panels(path, pieces, graded_first):
-    panels = []
+    """Gauss-Legendre panels of each path segment, in path order: one
+    (z1 nodes, z2 nodes, dz1, dz2, half-widths) tuple per segment, with
+    node arrays of shape (P, 16) and half-widths of shape (P,)."""
+    segments = []
     for seg, (p0, p1) in enumerate(zip(path[:-1], path[1:])):
         z10, z20 = complex(p0[0]), complex(p0[1])
-        z11_, z21 = complex(p1[0]), complex(p1[1])
-        dz1, dz2 = z11_ - z10, z21 - z20
-        breaks = _panel_breaks(graded_first and seg == 0, pieces)
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            half = (b - a) / 2.0
-            tn = (a + b) / 2.0 + half * _GL_X
-            panels.append((z10 + tn * dz1, z20 + tn * dz2, dz1, dz2, half))
-    return panels
+        dz1, dz2 = complex(p1[0]) - z10, complex(p1[1]) - z20
+        breaks = np.array(_panel_breaks(graded_first and seg == 0, pieces))
+        a, b = breaks[:-1], breaks[1:]
+        half = (b - a) / 2.0
+        tn = ((a + b) / 2.0)[:, None] + half[:, None] * _GL_X
+        segments.append((z10 + tn * dz1, z20 + tn * dz2, dz1, dz2, half))
+    return segments
+
+
+def _level_integrals(words, segments):
+    """Iterated integrals of words over one level's panels, as a dict
+    word -> value.  The innermost letter is the last one.
+
+    Each letter is pulled back once over all panels, and each word
+    suffix is integrated once, in one array pass over all panels: its
+    node values are the panel start values plus the local integrals
+    g @ _GL_CUM.T, and the start values are the exclusive cumulative
+    sum of the panel totals g @ _GL_W.  Words are taken in the order of
+    their reversed letters, so the words sharing a suffix come together
+    and only the node values of the current suffix chain are kept.
+    """
+    half = np.concatenate([s[4] for s in segments])
+    pullbacks = {}
+    # chain[j] = (letter, node values, integral) of a suffix of length j
+    chain = [(None, np.ones((len(half), _GL_N), dtype=complex), 1.0 + 0j)]
+    out = {}
+    for word in sorted(words, key=lambda w: w[::-1]):
+        k = 0
+        while (k < len(word) and k + 1 < len(chain)
+               and chain[k + 1][0] == word[-1 - k]):
+            k += 1
+        del chain[k + 1:]
+        for tag in reversed(word[:len(word) - k]):
+            if tag not in pullbacks:
+                pullbacks[tag] = np.concatenate(
+                    [_form_pullback(tag, *s[:4]) for s in segments])
+            g = pullbacks[tag] * chain[-1][1]
+            ends = np.cumsum(half * (g @ _GL_W))
+            starts = np.concatenate(([0j], ends[:-1]))
+            nodes = starts[:, None] + half[:, None] * (g @ _GL_CUM.T)
+            chain.append((tag, nodes, ends[-1]))
+        out[word] = chain[-1][2]
+    return out
 
 
 def _check_contour(path, atoms, skip_start):
@@ -379,8 +404,6 @@ def _check_contour(path, atoms, skip_start):
         dz2 = complex(p1[1]) - z20
         for t in np.linspace(0.0, 1.0, 33):
             if seg == 0 and skip_start and t < 0.05:
-                continue
-            if seg == 0 and t == 0.0 and skip_start:
                 continue
             z1 = z10 + t * dz1
             z2 = z20 + t * dz2
@@ -394,11 +417,14 @@ def _check_contour(path, atoms, skip_start):
 def eval_quadrature(p, path, tol=1e-10, max_refine=7):
     """Iterated integral of a form polynomial along a polyline.
 
-    path is a sequence of (z1, z2) points.  Panels are refined (doubled)
-    until two successive evaluations differ by less than tol.  A start
-    at a singular point (such as the origin) is handled by geometric
-    grading of the first segment; words whose innermost letter is a
-    pure-log letter are rejected there as divergent.
+    path is a sequence of (z1, z2) points.  Each level integrates all
+    words at once (see _level_integrals); panels are refined (doubled)
+    until two successive evaluations differ by less than tol / 2, and
+    DomainError, giving the last difference and tol, is raised when
+    max_refine doublings do not reach that.  A start at a singular
+    point (such as the origin) is handled by geometric grading of the
+    first segment; words whose innermost letter is a pure-log letter
+    are rejected there as divergent.
     """
     path = [(complex(a), complex(b)) for a, b in path]
     if len(path) < 2:
@@ -417,15 +443,20 @@ def eval_quadrature(p, path, tol=1e-10, max_refine=7):
                 raise DivergentTermError(
                     f"word {w} ends in a pure-log letter; its integral "
                     "from a singular base point diverges")
-    prev = None
+    prev, diff = None, float("inf")
     pieces = 2
     for _ in range(max_refine + 1):
-        panels = _build_panels(path, pieces, graded_first=start_singular)
+        values = _level_integrals(
+            p.terms, _build_panels(path, pieces, graded_first=start_singular))
         total = 0.0 + 0j
         for w, c in p.terms.items():
-            total += complex(c) * _word_integral(w, panels)
-        if prev is not None and abs(total - prev) < tol / 2:
-            return total
+            total += complex(c) * values[w]
+        if prev is not None:
+            diff = abs(total - prev)
+            if diff < tol / 2:
+                return total
         prev = total
         pieces *= 2
-    return prev
+    raise DomainError(
+        f"quadrature did not converge in {max_refine} refinements: "
+        f"last difference {diff:.3g}, tol {tol:.3g}")

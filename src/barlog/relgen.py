@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import iota, phi, splits_as_pair, theta
+from .duality import phi, splits_as_pair, tensor_split, theta
 from .hyperlog import eval_series, word_to_term
 from .ipbenv import alpha_pair, omega_power, w0_pairs, _reduce_word, \
     _split_pair, DIRECTIONS
@@ -71,7 +71,8 @@ def generate_relation(w1, w2):
     w1, w2 = tuple(w1), tuple(w2)
     lhs = (word_to_term(theta(w1, "1x2", "left")),
            word_to_term(theta(w2, "1x2", "right")))
-    split = iota(phi(w1, w2, direction="1x2"), "2x1")
+    # phi's certification checked integrability, which no direction changes.
+    split = tensor_split(phi(w1, w2, direction="1x2"), "2x1")
     rhs = []
     for (u, v), c in split.sorted_terms():
         rhs.append((c, word_to_term(u), word_to_term(v)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from barlog.duality import (FORM_DIRECTIONS, iota, iota_inv, iota_rank, phi,
-                            theta)
+                            tensor_split, theta)
 from barlog.errors import AlphabetError, BarlogError, DomainError
 from barlog.formspace import bar_basis
 from barlog.ipbenv import w0_pairs
@@ -23,6 +23,17 @@ def test_iota_requires_integrability():
     w = WordPoly.monomial(FORM_BASE, ("z1", "z2"))
     with pytest.raises(DomainError):
         iota(w, "1x2")
+
+
+@pytest.mark.parametrize("direction", ["1x2", "2x1"])
+def test_tensor_split_is_iota_without_the_check(direction):
+    for s in range(4):
+        for b in bar_basis(s):
+            assert tensor_split(b, direction) == iota(b, direction)
+    w = WordPoly.monomial(FORM_BASE, ("z12", "z1"))
+    assert tensor_split(w, direction).terms
+    with pytest.raises(DomainError):
+        iota(w, direction)
 
 
 def test_iota_simple():

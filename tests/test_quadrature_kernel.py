@@ -1,0 +1,208 @@
+"""The batched quadrature kernel against the per-panel loop it replaced.
+
+reference_build_panels and reference_word_integral are verbatim copies
+of the per-panel code that eval_quadrature used before it integrated
+all panels of a letter in one array pass; both share the unchanged
+letter pullback, Gauss-Legendre tables and panel breaks of hyperlog.
+reference_eval_quadrature is that version's refinement loop, reduced to
+a graded-start flag and a count of the levels it built.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from barlog import hyperlog
+from barlog.duality import phi
+from barlog.errors import DomainError
+from barlog.hyperlog import (_GL_CUM, _GL_N, _GL_W, _GL_X, _form_pullback,
+                             _panel_breaks, eval_quadrature)
+from barlog.ipbenv import w0_pairs
+from barlog.words import FORM_BASE, WordPoly
+
+LETTERS = ("z1", "z11", "z2", "z22", "z12", "z12_1", "z12_2")
+
+
+def reference_word_integral(word, panels):
+    """Iterated integral of one word over precomputed panels.
+
+    panels: list of (z1 nodes, z2 nodes, dz1, dz2, half-width) in path
+    order.  The innermost letter is the last one.
+    """
+    level_vals = [np.ones(_GL_N, dtype=complex) for _ in panels]
+    start = 1.0 + 0j
+    # Iterate outward over the word's letters.
+    for tag in reversed(word):
+        new_vals = []
+        start = 0.0 + 0j
+        for (z1n, z2n, dz1, dz2, half), inner in zip(panels, level_vals):
+            g = _form_pullback(tag, z1n, z2n, dz1, dz2) * inner
+            new_vals.append(start + half * (_GL_CUM @ g))
+            start = start + half * np.dot(_GL_W, g)
+        level_vals = new_vals
+    return start
+
+
+def reference_build_panels(path, pieces, graded_first):
+    panels = []
+    for seg, (p0, p1) in enumerate(zip(path[:-1], path[1:])):
+        z10, z20 = complex(p0[0]), complex(p0[1])
+        z11_, z21 = complex(p1[0]), complex(p1[1])
+        dz1, dz2 = z11_ - z10, z21 - z20
+        breaks = _panel_breaks(graded_first and seg == 0, pieces)
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            half = (b - a) / 2.0
+            tn = (a + b) / 2.0 + half * _GL_X
+            panels.append((z10 + tn * dz1, z20 + tn * dz2, dz1, dz2, half))
+    return panels
+
+
+def reference_eval_quadrature(p, path, graded, tol=1e-10, max_refine=7):
+    """(value, levels built) of the per-panel refinement loop."""
+    prev = None
+    pieces = 2
+    for level in range(1, max_refine + 2):
+        panels = reference_build_panels(path, pieces, graded_first=graded)
+        total = 0.0 + 0j
+        for w, c in p.terms.items():
+            total += complex(c) * reference_word_integral(w, panels)
+        if prev is not None and abs(total - prev) < tol / 2:
+            return total, level
+        prev = total
+        pieces *= 2
+    return prev, max_refine + 1
+
+
+def batched_word_integral(word, path, pieces, graded):
+    segments = hyperlog._build_panels(path, pieces, graded_first=graded)
+    return hyperlog._level_integrals([word], segments)[word]
+
+
+# -- paths inside the polydisc and the words they can integrate ----------
+
+_coord = st.builds(complex, st.floats(0.05, 0.6), st.floats(-0.2, 0.2))
+_point = st.one_of(
+    st.tuples(_coord, _coord),                  # generic
+    st.tuples(_coord, st.just(0j)),             # on the axis z2 = 0
+    st.tuples(st.just(0j), _coord))             # on the axis z1 = 0
+
+
+@st.composite
+def paths(draw):
+    """Two- and three-leg polylines.  The start is the origin (graded)
+    or a generic point; later points may lie on either axis, so legs
+    can ride an axis (dz1 = 0 with z1 = 0, or dz2 = 0 with z2 = 0)."""
+    graded = draw(st.booleans())
+    start = (0j, 0j) if graded else draw(st.tuples(_coord, _coord))
+    rest = draw(st.lists(_point, min_size=2, max_size=3))
+    return [start] + rest, graded
+
+
+def allowed_letters(path, graded):
+    """All letters but a pure-log one whose pole a leg reaches while
+    moving in that variable (other than at a graded start), where the
+    integral is improper and neither kernel resolves it."""
+    out = set(LETTERS)
+    for seg, (p0, p1) in enumerate(zip(path[:-1], path[1:])):
+        for var, letter in ((0, "z1"), (1, "z2")):
+            ends = [p1[var]] if graded and seg == 0 else [p0[var], p1[var]]
+            if p1[var] != p0[var] and 0 in ends:
+                out.discard(letter)
+    return sorted(out)
+
+
+@st.composite
+def path_and_words(draw):
+    path, graded = draw(paths())
+    word = st.lists(st.sampled_from(allowed_letters(path, graded)),
+                    max_size=3).map(tuple)
+    if graded:
+        # A pure-log innermost letter diverges at the origin.
+        word = word.filter(lambda w: not w or w[-1] not in ("z1", "z2"))
+    words = draw(st.lists(word, min_size=1, max_size=4, unique=True))
+    return path, graded, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(path_and_words(), st.sampled_from((1, 2, 4)))
+def test_batched_kernel_matches_per_panel_loop(case, pieces):
+    path, graded, words = case
+    segments = hyperlog._build_panels(path, pieces, graded_first=graded)
+    panels = reference_build_panels(path, pieces, graded_first=graded)
+    values = hyperlog._level_integrals(words, segments)
+    assert sorted(values) == sorted(words)
+    for w in words:
+        assert abs(values[w] - reference_word_integral(w, panels)) <= 1e-12
+
+
+def test_axis_riding_legs_skip_the_vanishing_derivative():
+    # dz1 = 0 on z1 = 0 and dz2 = 0 on z2 = 0: the z1 (z2) component is
+    # skipped, not 0/0, so a word that moves only in the other variable
+    # integrates to zero.
+    on_z1_axis = [(0j, 0.1 + 0j), (0j, 0.5 + 0j)]
+    on_z2_axis = [(0.1 + 0j, 0j), (0.5 + 0j, 0j)]
+    for path, word in ((on_z1_axis, ("z1", "z11")),
+                       (on_z2_axis, ("z2", "z22"))):
+        assert batched_word_integral(word, path, 2, False) == 0
+        assert batched_word_integral(word[1:], path, 2, False) == 0
+
+
+# -- suffix sharing ------------------------------------------------------
+
+def test_shared_suffixes_change_no_value():
+    path = [(0j, 0j), (0.3 + 0j, 0.1 + 0j), (0.4 + 0j, 0.35 + 0j)]
+    words = [("z11", "z12_1", "z11"), ("z12_1", "z11"), ("z1", "z12_1",
+             "z11"), ("z11",), ("z22", "z11"), ("z12_2", "z22"), ()]
+    segments = hyperlog._build_panels(path, 4, graded_first=True)
+    together = hyperlog._level_integrals(words, segments)
+    for w in words:
+        assert together[w] == hyperlog._level_integrals([w], segments)[w]
+
+
+def test_integral_of_sum_is_sum_of_monomial_integrals():
+    path = [(0, 0), (0.2, 0.4), (0.45, 0.3)]
+    p = phi(("Z11", "Z12"), ("Z22",), direction="1x2")
+    assert len(p.terms) > 1
+    total = eval_quadrature(p, path, tol=1e-12)
+    parts = sum(complex(c) * eval_quadrature(
+        WordPoly.monomial(FORM_BASE, w), path, tol=1e-12)
+        for w, c in p.terms.items())
+    assert abs(total - parts) < 1e-12
+
+
+# -- refinement ----------------------------------------------------------
+
+def test_non_convergence_raises():
+    # The leg ends 0.01 from the pole of z11, so two levels differ by
+    # about 3e-6; a single level has no difference to compare.
+    p = WordPoly.monomial(FORM_BASE, ("z1", "z11"))
+    path = [(0.1, 0.1), (0.99, 0.1)]
+    with pytest.raises(DomainError,
+                       match=r"last difference [\d.]+e-\d+, tol 1e-30"):
+        eval_quadrature(p, path, tol=1e-30, max_refine=1)
+    with pytest.raises(DomainError, match="last difference inf"):
+        eval_quadrature(p, path, max_refine=0)
+
+
+def test_refinement_levels_match_per_panel_loop(monkeypatch):
+    # The phi pairs of degree <= 3 of the 1x2 splitting along two-leg
+    # contours from the origin, as the quadrature-of-phi check runs them.
+    levels = []
+    build = hyperlog._build_panels
+
+    def counted(*args, **kwargs):
+        levels[-1] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hyperlog, "_build_panels", counted)
+    pairs = [pair for s in (1, 2, 3) for pair in w0_pairs(s, "1x2")][::3]
+    for i, (w1, w2) in enumerate(pairs):
+        p = phi(w1, w2, direction="1x2")
+        path = [(0j, 0j), (0.05 + 0.04 * i, 0.3 + 0j),
+                (0.4 + 0j, 0.2 + 0.01 * i)]
+        levels.append(0)
+        value = eval_quadrature(p, path)
+        ref_value, ref_levels = reference_eval_quadrature(p, path, True)
+        assert levels[-1] == ref_levels, (w1, w2)
+        assert abs(value - ref_value) <= 1e-12, (w1, w2)

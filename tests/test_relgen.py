@@ -127,3 +127,25 @@ def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
                             {**good, **change})
         assert not _symbolic_direction_check(2, "1x2"), change
         assert _symbolic_direction_check(2, "2x1")
+
+
+def test_generate_relation_checks_integrability_once(monkeypatch):
+    # phi certifies integrability; splitting its result in the other
+    # direction must not check it again.
+    from barlog import duality
+    from barlog.duality import phi
+
+    calls = []
+    chen_defect = duality.chen_defect
+
+    def counted(*args):
+        calls.append(args)
+        return chen_defect(*args)
+
+    monkeypatch.setattr(duality, "chen_defect", counted)
+    w1, w2 = ("Z11", "Z12"), ("Z22",)
+    phi(w1, w2, direction="1x2")
+    by_phi = len(calls)
+    calls.clear()
+    generate_relation(w1, w2)
+    assert by_phi > 0 and len(calls) == by_phi
