@@ -10,13 +10,13 @@ kernel and certified by its splitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 from .errors import (AlphabetError, BarlogError, DomainError,
                      NotInImageError)
 from .formspace import bar_basis, chen_defect
 from .ipbenv import omega_decomposition
-from .linalg import RowReducer
+from .linalg import RowReducer, vec_add_into
 from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
                     FORM_PURE2, TensorPoly, WordPoly)
 
@@ -116,19 +116,15 @@ def tensor_split(p, direction="1x2"):
     d = _as_form_direction(direction)
     acc = {}
     for w, c in p.terms.items():
+        cuts = {}
         for l in range(len(w) + 1):
             left = _project(w[:l], d.left_map)
             if left is None:
                 continue
             right = _project(w[l:], d.right_map)
-            if right is None:
-                continue
-            key = (left, right)
-            v = acc.get(key, Fraction(0)) + c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
+            if right is not None:
+                cuts[(left, right)] = 1
+        vec_add_into(acc, cuts, c)
     return TensorPoly(d.left_alphabet, d.right_alphabet, acc)
 
 
@@ -145,14 +141,12 @@ def _tensor_vector(d, t):
     return {_tensor_key(d, w1, w2): c for (w1, w2), c in t.terms.items()}
 
 
-_IOTA_SOLVERS = {}
-
-
+@cache
 def _iota_solver(direction, s, cap=None):
-    d = _as_form_direction(direction)
-    key = (d.name, s)
-    if key in _IOTA_SOLVERS:
-        return _IOTA_SOLVERS[key]
+    """(reducer over the splittings of bar_basis(s), that basis) for
+    the named direction; the cap is part of the cache key, so a cached
+    solver never slips past a lower cap."""
+    d = FORM_DIRECTIONS[direction]
     basis = bar_basis(s, cap=cap)
     red = RowReducer()
     for i, b in enumerate(basis):
@@ -160,13 +154,12 @@ def _iota_solver(direction, s, cap=None):
         if dep is not None:
             raise BarlogError(
                 "tensor splitting is not injective on the basis")
-    _IOTA_SOLVERS[key] = (red, basis)
     return red, basis
 
 
 def iota_rank(direction, s, cap=None):
     """Rank of the tensor splitting restricted to the degree-s basis."""
-    red, basis = _iota_solver(direction, s, cap=cap)
+    red, basis = _iota_solver(_as_form_direction(direction).name, s, cap)
     return red.rank, len(basis)
 
 
@@ -177,7 +170,7 @@ def iota_inv(t, direction="1x2", cap=None):
     d = _as_form_direction(direction)
     result = WordPoly.zero(FORM_BASE)
     for s, part in t.degree_parts().items():
-        red, basis = _iota_solver(d, s, cap=cap)
+        red, basis = _iota_solver(d.name, s, cap)
         rep = red.solve(_tensor_vector(d, part))
         if rep is None:
             raise NotInImageError(

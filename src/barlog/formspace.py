@@ -8,7 +8,10 @@ The letters of the base form alphabet are interpreted as one-forms on
     z12  -> d(z1*z2)/(1-z1*z2)
 
 together with the projected letters z12_1 = z2*dz1/(1-z1*z2) and
-z12_2 = z1*dz2/(1-z1*z2), with z12 = z12_1 + z12_2.
+z12_2 = z1*dz2/(1-z1*z2), with z12 = z12_1 + z12_2.  Each letter is
+held once, exactly, as its dz1 and dz2 components (a polynomial
+numerator over one atom); the wedge of two letters is the polynomial
+numerator of a1*b2 - a2*b1 over one common denominator.
 
 From these the module derives, by exact linear algebra on polynomial
 numerators, the relation space of the ten wedge products, the adjacent
@@ -22,105 +25,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import ResourceLimitError
-from .linalg import RowReducer, canonical_basis, nullspace_combos
+from .linalg import (RowReducer, canonical_basis, nullspace_combos,
+                     vec_add_into)
 from .words import FORM_BASE, WordPoly
 
 DEFAULT_DEGREE_CAP = 6
 
 # -- bivariate polynomials: {(i, j): coeff} for z1^i z2^j ---------------
 
-P_ONE = {(0, 0): Fraction(1)}
-
-
-def p_add(a, b, coeff=1):
-    out = dict(a)
-    coeff = Fraction(coeff)
-    for m, c in b.items():
-        v = out.get(m, Fraction(0)) + coeff * c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
 def p_mul(a, b):
     out = {}
     for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            m = (i1 + i2, j1 + j2)
-            v = out.get(m, Fraction(0)) + c1 * c2
-            if not v:
-                out.pop(m, None)
-            else:
-                out[m] = v
+        vec_add_into(out, {(i1 + i2, j1 + j2): c2
+                           for (i2, j2), c2 in b.items()}, c1)
     return out
-
-
-def p_scale(a, coeff):
-    coeff = Fraction(coeff)
-    if not coeff:
-        return {}
-    return {m: c * coeff for m, c in a.items()}
-
-
-def p_eval(a, z1, z2):
-    return sum(complex(c) * z1 ** i * z2 ** j for (i, j), c in a.items())
-
-
-class RationalFunction2:
-    """A fraction of bivariate polynomials with exact coefficients."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        self.num = {m: Fraction(c) for m, c in num.items() if c}
-        self.den = dict(P_ONE) if den is None else \
-            {m: Fraction(c) for m, c in den.items() if c}
-        if not self.den:
-            raise ZeroDivisionError("zero denominator")
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        return RationalFunction2(
-            p_add(p_mul(self.num, other.den), p_mul(other.num, self.den)),
-            p_mul(self.den, other.den))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        return RationalFunction2(p_mul(self.num, other.num),
-                                 p_mul(self.den, other.den))
-
-    def scale(self, coeff):
-        return RationalFunction2(p_scale(self.num, coeff), self.den)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction2):
-            return NotImplemented
-        return p_add(p_mul(self.num, other.den),
-                     p_mul(other.num, self.den), -1) == {}
-
-    def __hash__(self):
-        raise TypeError("RationalFunction2 is unhashable")
-
-    def evaluate(self, z1, z2):
-        return p_eval(self.num, z1, z2) / p_eval(self.den, z1, z2)
-
-    def __repr__(self):
-        return f"RationalFunction2({self.num!r}, {self.den!r})"
 
 
 # -- the one-forms ------------------------------------------------------
@@ -146,28 +67,6 @@ _FORM_COMPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class OneForm:
-    coeff_dz1: RationalFunction2
-    coeff_dz2: RationalFunction2
-
-
-def _component_rf(component):
-    if component is None:
-        return RationalFunction2.zero()
-    num, atom = component
-    return RationalFunction2(num, _ATOMS[atom])
-
-
-FORMS = {tag: OneForm(_component_rf(c1), _component_rf(c2))
-         for tag, (c1, c2) in _FORM_COMPONENTS.items()}
-
-
-def wedge(a, b):
-    """The coefficient of dz1^dz2 in a ^ b."""
-    return (a.coeff_dz1 * b.coeff_dz2) - (a.coeff_dz2 * b.coeff_dz1)
-
-
 # The common denominator of all pairwise wedges, as a multiset of atoms:
 # each dz1-component denominator divides z1(1-z1)(1-z1z2) and each
 # dz2-component denominator divides z2(1-z2)(1-z1z2).
@@ -175,8 +74,8 @@ _WEDGE_DEN_ATOMS = ("z1", "1-z1", "z2", "1-z2", "1-z1z2", "1-z1z2")
 
 
 def _wedge_numerator(tag_a, tag_b):
-    """Polynomial numerator of wedge(a, b) over the fixed common
-    denominator above."""
+    """Polynomial numerator of the dz1^dz2 coefficient of a ^ b over
+    the fixed common denominator above."""
 
     def cross(comp1, comp2):
         if comp1 is None or comp2 is None:
@@ -192,7 +91,7 @@ def _wedge_numerator(tag_a, tag_b):
 
     a1, a2 = _FORM_COMPONENTS[tag_a]
     b1, b2 = _FORM_COMPONENTS[tag_b]
-    return p_add(cross(a1, b2), cross(b1, a2), -1)
+    return vec_add_into(cross(a1, b2), cross(b1, a2), -1)
 
 
 @dataclass(frozen=True)
@@ -213,14 +112,8 @@ class WedgeSpace:
     coords: dict
 
 
-_WEDGE_SPACE = None
-
-
+@cache
 def wedge_relation_space():
-    global _WEDGE_SPACE
-    if _WEDGE_SPACE is not None:
-        return _WEDGE_SPACE
-
     pairs = tuple((a, b)
                   for i, a in enumerate(FORM_BASE)
                   for b in FORM_BASE[i + 1:])
@@ -248,14 +141,13 @@ def wedge_relation_space():
         coords[pair] = {slot: c for slot, c in rep.items() if c}
         coords[(pair[1], pair[0])] = {slot: -c for slot, c in rep.items() if c}
 
-    _WEDGE_SPACE = WedgeSpace(
+    return WedgeSpace(
         pairs=pairs,
         dimension=len(basis_pairs),
         relations=tuple(relations),
         basis_pairs=tuple(basis_pairs),
         coords=coords,
     )
-    return _WEDGE_SPACE
 
 
 def relation_space_contains(candidate):
@@ -266,13 +158,7 @@ def relation_space_contains(candidate):
             continue
         key = (a, b) if FORM_BASE.index(a) < FORM_BASE.index(b) else (b, a)
         sign = 1 if key == (a, b) else -1
-        vec = _wedge_numerator(*key)
-        for m, c in vec.items():
-            v = acc.get(m, Fraction(0)) + sign * Fraction(coeff) * c
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+        vec_add_into(acc, _wedge_numerator(*key), sign * coeff)
     return not acc
 
 
@@ -292,17 +178,13 @@ def chen_defect(p, l):
     if not 1 <= l < s:
         raise ValueError(f"cut position {l} out of range for degree {s}")
     coords = wedge_relation_space().coords
-    out = {}
+    by_cut = {}
     for w, c in p.terms.items():
-        prefix, suffix = w[:l - 1], w[l + 1:]
-        for slot, x in coords[(w[l - 1], w[l])].items():
-            key = (prefix, slot, suffix)
-            v = out.get(key, Fraction(0)) + c * x
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+        vec_add_into(by_cut.setdefault((w[:l - 1], w[l + 1:]), {}),
+                     coords[(w[l - 1], w[l])], c)
+    return {(prefix, slot, suffix): x
+            for (prefix, suffix), vec in by_cut.items()
+            for slot, x in vec.items()}
 
 
 def is_integrable(p):
@@ -319,9 +201,6 @@ def is_integrable(p):
 
 _LETTER_INDEX = {a: i for i, a in enumerate(FORM_BASE)}
 
-_BAR_CACHE = {}
-_BAR0_CACHE = {}
-
 
 def _word_key(word):
     return tuple(_LETTER_INDEX[x] for x in word)
@@ -331,9 +210,21 @@ def _poly_vector(p):
     return {_word_key(w): c for w, c in p.terms.items()}
 
 
-def _vector_poly(vec, s):
+def _vector_poly(vec):
     terms = {tuple(FORM_BASE[i] for i in key): c for key, c in vec.items()}
     return WordPoly(FORM_BASE, terms)
+
+
+def _kernel_basis(polys, images):
+    """Canonical basis of the combinations of polys whose images (one
+    sparse vector per poly) cancel."""
+    vectors = []
+    for combo in nullspace_combos(images):
+        vec = {}
+        for idx, coeff in combo.items():
+            vec_add_into(vec, _poly_vector(polys[idx]), coeff)
+        vectors.append(vec)
+    return [_vector_poly(vec) for vec in canonical_basis(vectors)]
 
 
 def check_degree(s, cap=None):
@@ -356,78 +247,42 @@ def bar_basis(s, cap=None):
     reduced row echelon form over the lexicographic word order.
     """
     check_degree(s, cap)
-    if s in _BAR_CACHE:
-        return _BAR_CACHE[s]
+    return _bar_basis(s)
+
+
+@cache
+def _bar_basis(s):
     if s == 0:
-        basis = [WordPoly.unit(FORM_BASE)]
-    elif s == 1:
-        basis = [WordPoly.monomial(FORM_BASE, (a,)) for a in FORM_BASE]
-    else:
-        prev = bar_basis(s - 1, cap=cap)
-        coords = wedge_relation_space().coords
-        candidates = []
-        defects = []
-        for a in FORM_BASE:
-            for b in prev:
-                candidates.append(WordPoly(
-                    FORM_BASE, {(a,) + w: c for w, c in b.terms.items()}))
-                defect = {}
-                for w, c in b.terms.items():
-                    for slot, x in coords[(a, w[0])].items():
-                        key = (slot, _word_key(w[1:]))
-                        v = defect.get(key, Fraction(0)) + c * x
-                        if v:
-                            defect[key] = v
-                        else:
-                            defect.pop(key, None)
-                defects.append(defect)
-        combos = nullspace_combos(defects)
-        kernel_vectors = []
-        for combo in combos:
-            vec = {}
-            for idx, coeff in combo.items():
-                for key, c in _poly_vector(candidates[idx]).items():
-                    v = vec.get(key, Fraction(0)) + coeff * c
-                    if v:
-                        vec[key] = v
-                    else:
-                        vec.pop(key, None)
-            kernel_vectors.append(vec)
-        basis = [_vector_poly(vec, s) for vec in canonical_basis(kernel_vectors)]
-    _BAR_CACHE[s] = basis
-    return basis
+        return [WordPoly.unit(FORM_BASE)]
+    if s == 1:
+        return [WordPoly.monomial(FORM_BASE, (a,)) for a in FORM_BASE]
+    candidates = [WordPoly(FORM_BASE,
+                           {(a,) + w: c for w, c in b.terms.items()})
+                  for a in FORM_BASE for b in _bar_basis(s - 1)]
+    # Key the defect columns in letter order, as _poly_vector keys words:
+    # chen_defect's string order picks other pivots and costs about 5 %
+    # more Fraction arithmetic at degree 5.
+    return _kernel_basis(candidates, [
+        {(slot, _word_key(suffix)): x
+         for (_, slot, suffix), x in chen_defect(b, 1).items()}
+        for b in candidates])
 
 
 def bar0_basis(s, cap=None):
     """Canonical basis of the subspace of bar_basis(s) spanned by
     combinations with no word ending in z1 or z2."""
     check_degree(s, cap)
-    if s in _BAR0_CACHE:
-        return _BAR0_CACHE[s]
-    basis = bar_basis(s, cap=cap)
+    return _bar0_basis(s)
+
+
+@cache
+def _bar0_basis(s):
+    basis = _bar_basis(s)
     if s == 0:
-        result = list(basis)
-    else:
-        restrictions = []
-        for b in basis:
-            vec = {_word_key(w): c for w, c in b.terms.items()
-                   if w[-1] in ("z1", "z2")}
-            restrictions.append(vec)
-        combos = nullspace_combos(restrictions)
-        vectors = []
-        for combo in combos:
-            vec = {}
-            for idx, coeff in combo.items():
-                for key, c in _poly_vector(basis[idx]).items():
-                    v = vec.get(key, Fraction(0)) + coeff * c
-                    if v:
-                        vec[key] = v
-                    else:
-                        vec.pop(key, None)
-            vectors.append(vec)
-        result = [_vector_poly(vec, s) for vec in canonical_basis(vectors)]
-    _BAR0_CACHE[s] = result
-    return result
+        return list(basis)
+    return _kernel_basis(basis, [
+        {_word_key(w): c for w, c in b.terms.items() if w[-1] in ("z1", "z2")}
+        for b in basis])
 
 
 def in_bar_span(p, cap=None):

@@ -18,14 +18,11 @@ from fractions import Fraction
 
 from .errors import DivergentTermError
 from .hyperlog import MplIndex, eval_series, nested_sum
+from .linalg import vec_add_into
 
 
-def _merge(acc, idx, coeff):
-    v = acc.get(idx, 0) + coeff
-    if v:
-        acc[idx] = v
-    else:
-        acc.pop(idx, None)
+def _prefixed(head, product):
+    return {head + idx: c for idx, c in product.items()}
 
 
 def index_harmonic(k, l):
@@ -35,14 +32,10 @@ def index_harmonic(k, l):
         return {l: 1}
     if not l:
         return {k: 1}
-    acc = {}
-    for idx, c in index_harmonic(k[1:], l).items():
-        _merge(acc, (k[0],) + idx, c)
-    for idx, c in index_harmonic(k, l[1:]).items():
-        _merge(acc, (l[0],) + idx, c)
-    for idx, c in index_harmonic(k[1:], l[1:]).items():
-        _merge(acc, (k[0] + l[0],) + idx, c)
-    return acc
+    acc = _prefixed((k[0],), index_harmonic(k[1:], l))
+    vec_add_into(acc, _prefixed((l[0],), index_harmonic(k, l[1:])))
+    return vec_add_into(acc, _prefixed((k[0] + l[0],),
+                                       index_harmonic(k[1:], l[1:])))
 
 
 def closed_harmonic_expand(k, l):
@@ -53,16 +46,12 @@ def closed_harmonic_expand(k, l):
     if not k:
         return {l: 1}
     acc = {}
-    j = len(l)
-    for p in range(j):
-        head = l[:p] + (k[0],)
-        for idx, c in index_harmonic(k[1:], l[p:]).items():
-            _merge(acc, head + idx, c)
-        head = l[:p] + (k[0] + l[p],)
-        for idx, c in index_harmonic(k[1:], l[p + 1:]).items():
-            _merge(acc, head + idx, c)
-    _merge(acc, l + k, 1)
-    return acc
+    for p in range(len(l)):
+        vec_add_into(acc, _prefixed(l[:p] + (k[0],),
+                                    index_harmonic(k[1:], l[p:])))
+        vec_add_into(acc, _prefixed(l[:p] + (k[0] + l[p],),
+                                    index_harmonic(k[1:], l[p + 1:])))
+    return vec_add_into(acc, {l + k: 1})
 
 
 # -- tagged 2MPL sums -------------------------------------------------------
@@ -96,17 +85,10 @@ class TaggedMplSum:
         return cls({_tag(index, numbering, orientation): Fraction(coeff)})
 
     def add(self, tag, coeff):
-        v = self.terms.get(tag, Fraction(0)) + coeff
-        if v:
-            self.terms[tag] = v
-        else:
-            self.terms.pop(tag, None)
+        vec_add_into(self.terms, {tag: coeff})
 
     def __add__(self, other):
-        out = TaggedMplSum(self.terms)
-        for t, c in other.terms.items():
-            out.add(t, c)
-        return out
+        return TaggedMplSum(vec_add_into(dict(self.terms), other.terms))
 
     def scale(self, coeff):
         coeff = Fraction(coeff)
@@ -212,7 +194,7 @@ def apply_operator(s, k):
     term of a tagged sum."""
     out = TaggedMplSum()
     for (index, (i, j), orientation), c in s.terms.items():
-        if orientation == "12" or (orientation == "prod" and True):
+        if orientation in ("12", "prod"):
             # A "prod" term is the numbering-(0, j) case of either
             # orientation; treat it as orientation 12 with i = 0.
             piece = prepare2(index, (i, j), k)

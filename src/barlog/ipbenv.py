@@ -19,10 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import BarlogError
 from .formspace import check_degree
-from .words import LIE_BASE, WordPoly, word_sort_key
+from .linalg import RowReducer, vec_add_into
+from .words import FORM_BASE, LIE_BASE, WordPoly, word_sort_key
 
 # The six quadratic relators generating the two-sided ideal, as
 # {word: coeff} maps ([A,B] written out as AB - BA).
@@ -30,26 +32,14 @@ def _bracket(a, b):
     return {(a, b): Fraction(1), (b, a): Fraction(-1)}
 
 
-def _combine(*weighted):
-    out = {}
-    for coeff, term in weighted:
-        for w, c in term.items():
-            v = out.get(w, Fraction(0)) + coeff * c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    return out
-
-
 RELATORS = (
     _bracket("Z1", "Z2"),
     _bracket("Z1", "Z22"),
     _bracket("Z11", "Z2"),
-    _combine((1, _bracket("Z11", "Z22")), (1, _bracket("Z11", "Z12"))),
-    _combine((1, _bracket("Z11", "Z22")), (1, _bracket("Z12", "Z22"))),
-    _combine((1, _bracket("Z11", "Z22")),
-             (1, _bracket("Z1", "Z12")), (-1, _bracket("Z2", "Z12"))),
+    vec_add_into(_bracket("Z11", "Z22"), _bracket("Z11", "Z12")),
+    vec_add_into(_bracket("Z11", "Z22"), _bracket("Z12", "Z22")),
+    vec_add_into(vec_add_into(_bracket("Z11", "Z22"), _bracket("Z1", "Z12")),
+                 _bracket("Z2", "Z12"), -1),
 )
 
 # Rewriting rules: (mover, target) -> replacement for the two-letter
@@ -114,40 +104,26 @@ def _as_direction(direction):
     return DIRECTIONS[direction]
 
 
-_NF_CACHE = {}
-
-
-def _reduce_word(word, d, strategy):
-    """Rewrite a single word to the product basis; returns
-    {normal word: coeff}."""
-    key = (d.name, strategy, word)
-    got = _NF_CACHE.get(key)
-    if got is not None:
-        return got
+@cache
+def _reduce_word(word, direction, strategy):
+    """Rewrite a single word to the product basis of the named
+    direction; returns {(W', W''): coeff}."""
+    d = DIRECTIONS[direction]
     movers = set(d.right_letters)
     positions = range(len(word) - 1)
     if strategy == "rightmost":
         positions = reversed(positions)
     elif strategy != "leftmost":
         raise ValueError(f"unknown strategy {strategy!r}")
-    hit = None
     for i in positions:
         if word[i] in movers and word[i + 1] not in movers:
-            hit = i
             break
-    if hit is None:
-        out = {word: Fraction(1)}
     else:
-        out = {}
-        for repl, coeff in d.rules[(word[hit], word[hit + 1])]:
-            new_word = word[:hit] + repl + word[hit + 2:]
-            for w, c in _reduce_word(new_word, d, strategy).items():
-                v = out.get(w, Fraction(0)) + coeff * c
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
-    _NF_CACHE[key] = out
+        return {_split_pair(word, d): Fraction(1)}
+    out = {}
+    for repl, coeff in d.rules[(word[i], word[i + 1])]:
+        vec_add_into(out, _reduce_word(word[:i] + repl + word[i + 2:],
+                                       direction, strategy), coeff)
     return out
 
 
@@ -192,20 +168,20 @@ def _split_pair(word, d):
     return w1, w2
 
 
+def _normalize(terms, direction, strategy="leftmost"):
+    """{word: coeff} rewritten to {(W', W''): coeff} in the product
+    basis of the named direction."""
+    acc = {}
+    for word, coeff in terms.items():
+        vec_add_into(acc, _reduce_word(word, direction, strategy), coeff)
+    return acc
+
+
 def normal_form(p, direction="1x2", strategy="leftmost"):
     """Rewrite a polynomial over the Z letters into the product basis
     of the requested direction."""
-    d = _as_direction(direction)
-    acc = {}
-    for word, coeff in p.terms.items():
-        for w, c in _reduce_word(word, d, strategy).items():
-            pair = _split_pair(w, d)
-            v = acc.get(pair, Fraction(0)) + coeff * c
-            if v:
-                acc[pair] = v
-            else:
-                acc.pop(pair, None)
-    return NormalForm(d.name, acc)
+    name = _as_direction(direction).name
+    return NormalForm(name, _normalize(p.terms, name, strategy))
 
 
 # -- the alpha action ---------------------------------------------------
@@ -237,37 +213,22 @@ def alpha_pair(w1, w2):
 
 # -- the symbolic solution kernel ----------------------------------------
 
-_OMEGA_RAW_CACHE = {}
-
-
+@cache
 def _omega_raw(s):
     """(ad(Omega0) + mu(Omega'))^s applied to 1 (x) I, before any
-    normal-form reduction: {(form word, Z word): coeff}."""
-    if s in _OMEGA_RAW_CACHE:
-        return _OMEGA_RAW_CACHE[s]
+    normal-form reduction: {form word: {Z word: coeff}}."""
     if s == 0:
-        out = {((), ()): Fraction(1)}
-    else:
-        prev = _omega_raw(s - 1)
-        out = {}
-
-        def put(fw, lw, c):
-            key = (fw, lw)
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-
-        for (fw, lw), c in prev.items():
-            for ftag, ztag in (("z1", "Z1"), ("z2", "Z2")):
-                nfw = (ftag,) + fw
-                put(nfw, (ztag,) + lw, c)
-                put(nfw, lw + (ztag,), -c)
-            for ftag, ztag in (("z11", "Z11"), ("z22", "Z22"),
-                               ("z12", "Z12")):
-                put((ftag,) + fw, (ztag,) + lw, c)
-    _OMEGA_RAW_CACHE[s] = out
+        return {(): {(): Fraction(1)}}
+    out = {}
+    for fw, vec in _omega_raw(s - 1).items():
+        for ftag, ztag in (("z1", "Z1"), ("z2", "Z2"), ("z11", "Z11"),
+                           ("z22", "Z22"), ("z12", "Z12")):
+            new = {(ztag,) + lw: c for lw, c in vec.items()}
+            if ztag in _AD_LETTERS:
+                vec_add_into(new, {lw + (ztag,): c for lw, c in vec.items()},
+                             -1)
+            if new:
+                out[(ftag,) + fw] = new
     return out
 
 
@@ -294,37 +255,22 @@ class OmegaKernel:
         return {p for p, c in self.decomposition().items() if c}
 
     def form_coefficient(self, w1, w2):
-        from .words import FORM_BASE
         pair = (tuple(w1), tuple(w2))
         return self.decomposition().get(pair, WordPoly.zero(FORM_BASE))
-
-
-_OMEGA_CACHE = {}
 
 
 def omega_power(s, direction="1x2", cap=None):
     """Symbolic degree-s kernel, Z parts in normal form."""
     check_degree(s, cap)
-    d = _as_direction(direction)
-    key = (s, d.name)
-    if key in _OMEGA_CACHE:
-        return _OMEGA_CACHE[key]
-    acc = {}
-    for (fw, lw), c in _omega_raw(s).items():
-        for w, cc in _reduce_word(lw, d, "leftmost").items():
-            pair = _split_pair(w, d)
-            k = (fw, pair)
-            v = acc.get(k, Fraction(0)) + c * cc
-            if v:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
-    kernel = OmegaKernel(degree=s, direction=d.name, terms=acc)
-    _OMEGA_CACHE[key] = kernel
-    return kernel
+    return _omega_power(s, _as_direction(direction).name)
 
 
-_DECOMP_CACHE = {}
+@cache
+def _omega_power(s, direction):
+    terms = {(fw, pair): c
+             for fw, vec in _omega_raw(s).items()
+             for pair, c in _normalize(vec, direction).items()}
+    return OmegaKernel(degree=s, direction=direction, terms=terms)
 
 
 def omega_decomposition(s, direction="1x2", cap=None):
@@ -335,23 +281,21 @@ def omega_decomposition(s, direction="1x2", cap=None):
     expansion is unique; a solve failure would mean the kernel leaves
     their span.
     """
-    from .linalg import RowReducer
-    from .words import FORM_BASE
     check_degree(s, cap)
-    d = _as_direction(direction)
-    key = (s, d.name)
-    if key in _DECOMP_CACHE:
-        return _DECOMP_CACHE[key]
-    kernel = omega_power(s, d, cap=cap)
+    return _omega_decomposition(s, _as_direction(direction).name)
+
+
+@cache
+def _omega_decomposition(s, direction):
     red = RowReducer()
-    pairs = w0_pairs(s, d.name)
+    pairs = w0_pairs(s, direction)
     for p in pairs:
-        dep = red.add(normal_form(alpha_pair(*p), d).terms, p)
+        dep = red.add(normal_form(alpha_pair(*p), direction).terms, p)
         if dep is not None:
             raise BarlogError(
                 "alpha images of admissible pairs are dependent")
     by_form = {}
-    for (fw, pair), c in kernel.terms.items():
+    for (fw, pair), c in _omega_power(s, direction).terms.items():
         by_form.setdefault(fw, {})[pair] = c
     coeffs = {p: {} for p in pairs}
     for fw, vec in by_form.items():
@@ -362,9 +306,7 @@ def omega_decomposition(s, direction="1x2", cap=None):
         for p, c in rep.items():
             if c:
                 coeffs[p][fw] = c
-    result = {p: WordPoly(FORM_BASE, terms) for p, terms in coeffs.items()}
-    _DECOMP_CACHE[key] = result
-    return result
+    return {p: WordPoly(FORM_BASE, terms) for p, terms in coeffs.items()}
 
 
 # -- word enumeration -----------------------------------------------------

@@ -22,11 +22,13 @@ def vec_scale(vec, coeff):
 
 def vec_add_into(target, vec, coeff=1):
     """target += coeff * vec, dropping zeros; mutates and returns target."""
-    coeff = Fraction(coeff)
+    if type(coeff) is not Fraction:
+        coeff = Fraction(coeff)
     if not coeff:
         return target
     for k, v in vec.items():
-        c = target.get(k, Fraction(0)) + coeff * v
+        c = target.get(k)
+        c = coeff * v if c is None else c + coeff * v
         if c:
             target[k] = c
         else:

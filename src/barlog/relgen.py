@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .duality import phi, splits_as_pair, tensor_split, theta
 from .hyperlog import eval_series, word_to_term
-from .ipbenv import alpha_pair, omega_power, w0_pairs, _reduce_word, \
-    _split_pair, DIRECTIONS
+from .ipbenv import alpha_pair, omega_power, w0_pairs, _reduce_word
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,7 @@ def _numeric_coeffs(s, direction, z1, z2, max_n):
         v, b = _theta_eval(pair, direction, z1, z2, max_n)
         lie = alpha_pair(*pair)
         for w, c in lie.terms.items():
-            for nw, nc in _reduce_word(w, DIRECTIONS["1x2"],
-                                       "leftmost").items():
-                key = _split_pair(nw, DIRECTIONS["1x2"])
+            for key, nc in _reduce_word(w, "1x2", "leftmost").items():
                 acc[key] = acc.get(key, 0j) + v * float(c) * float(nc)
                 bound += b * abs(float(c) * float(nc))
     return acc, bound

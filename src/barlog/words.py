@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from .errors import AlphabetError
 
@@ -255,9 +256,7 @@ class TensorPoly:
 
 # -- word-level products ----------------------------------------------
 
-_SHUFFLE_CACHE = {}
-
-
+@cache
 def _shuffle_words(u, v):
     """Shuffle two words; returns {word: integer multiplicity}.
 
@@ -267,10 +266,6 @@ def _shuffle_words(u, v):
         return {v: 1}
     if not v:
         return {u: 1}
-    key = (u, v)
-    got = _SHUFFLE_CACHE.get(key)
-    if got is not None:
-        return got
     out = {}
     for w, m in _shuffle_words(u[:-1], v).items():
         wu = w + (u[-1],)
@@ -278,7 +273,6 @@ def _shuffle_words(u, v):
     for w, m in _shuffle_words(u, v[:-1]).items():
         wv = w + (v[-1],)
         out[wv] = out.get(wv, 0) + m
-    _SHUFFLE_CACHE[key] = out
     return out
 
 

@@ -143,7 +143,7 @@ def test_criterion_07_rewriting_soundness():
     for _ in range(1000):
         word = tuple(rng.choice(LIE_BASE)
                      for _ in range(rng.randrange(1, 6)))
-        for d in DIRECTIONS.values():
+        for d in DIRECTIONS:
             assert _reduce_word(word, d, "leftmost") == \
                 _reduce_word(word, d, "rightmost"), word
     # bracket closure: [y, W] stays in the left factor, exhaustively to

@@ -127,7 +127,10 @@ def test_parse_term():
         parse_term("L[2|bogus]@z1")
 
 
-def test_jobs_flag(capsys):
+def test_jobs_flag(capsys, monkeypatch):
+    # --jobs is bounded by the CPU count; claim two so that the pool
+    # path runs on any machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, _ = capture(capsys, [
         "relations", "--degree", "1", "--verify", "--jobs", "2",
         "--terms", "500"])
@@ -209,3 +212,17 @@ def test_relations_degree_5_golden(capsys):
     assert json.loads(out)["count"] == 308
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b7a712563ecdcd320c0bc79cf45ec080a84af6738bb93b64cfc2702270c05ba8")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["basis", "--degree", "4"],
+     "c9f459c98a2a51213d5a4668c31fdf4c0d5212dffd2039482a3bacb671f60f50"),
+    (["basis", "--degree", "4", "--b0"],
+     "d30aa01d5892ad2e4dc34e10371a750ec1cc2852bdb6c511c81e72cae0eaf1a0"),
+])
+def test_basis_degree_4_golden(capsys, argv, digest):
+    # SHA-256 of the stdout of the canonical RREF bases before their
+    # construction shared chen_defect and one kernel-to-basis step.
+    code, out, _ = capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

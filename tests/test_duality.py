@@ -5,7 +5,8 @@ import pytest
 
 from barlog.duality import (FORM_DIRECTIONS, iota, iota_inv, iota_rank, phi,
                             tensor_split, theta)
-from barlog.errors import AlphabetError, BarlogError, DomainError
+from barlog.errors import (AlphabetError, BarlogError, DomainError,
+                           ResourceLimitError)
 from barlog.formspace import bar_basis
 from barlog.ipbenv import w0_pairs
 from barlog.words import FORM_BASE, TensorPoly, WordPoly
@@ -65,6 +66,15 @@ def test_iota_inv_round_trip():
             t = iota(p, direction)
             assert iota_inv(t, direction) == p
             assert iota(iota_inv(t, direction), direction) == t
+
+
+def test_iota_inv_checks_the_cap_of_a_cached_solver():
+    t = iota(bar_basis(2)[0], "1x2")
+    iota_inv(t, "1x2")  # caches the degree-2 solver under the default cap
+    with pytest.raises(ResourceLimitError):
+        iota_inv(t, "1x2", cap=1)
+    with pytest.raises(ResourceLimitError):
+        iota_rank("1x2", 2, cap=1)
 
 
 def test_iota_is_onto_tensor_space():
@@ -142,11 +152,14 @@ def test_iota_solver_rejects_dependent_basis(monkeypatch):
     from barlog.linalg import RowReducer
 
     bar_basis(1)  # built before add is broken
-    monkeypatch.setattr(duality, "_IOTA_SOLVERS", {})
+    duality._iota_solver.cache_clear()
     monkeypatch.setattr(RowReducer, "add",
                         lambda self, vec, tag: {tag: Fraction(1)})
-    with pytest.raises(BarlogError, match="not injective"):
-        duality._iota_solver("1x2", 1)
+    try:
+        with pytest.raises(BarlogError, match="not injective"):
+            duality._iota_solver("1x2", 1)
+    finally:
+        duality._iota_solver.cache_clear()
 
 
 @pytest.mark.parametrize("direction", ["1x2", "2x1"])

@@ -1,11 +1,14 @@
+import math
+
 import pytest
 
 from barlog.errors import ResourceLimitError
-from barlog.formspace import (FORMS, bar0_basis, bar_basis, chen_defect,
-                              in_bar_span, is_integrable,
-                              relation_space_contains, wedge,
-                              wedge_relation_space)
-from barlog.linalg import RowReducer
+from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
+                              _wedge_numerator, bar0_basis, bar_basis,
+                              chen_defect, in_bar_span, is_integrable,
+                              relation_space_contains, wedge_relation_space)
+from barlog.hyperlog import _form_pullback
+from barlog.linalg import RowReducer, vec_add_into
 from barlog.words import FORM_BASE, WordPoly, concat, shuffle
 
 # The four relations spanning the kernel of the wedge map: the two
@@ -49,19 +52,45 @@ def test_known_relations_span_relation_space():
     assert count == 4
 
 
-def test_wedge_values_numeric():
+ATOM_VALUES = {
+    "z1": lambda z1, z2: z1,
+    "1-z1": lambda z1, z2: 1 - z1,
+    "z2": lambda z1, z2: z2,
+    "1-z2": lambda z1, z2: 1 - z2,
+    "1-z1z2": lambda z1, z2: 1 - z1 * z2,
+}
+
+
+@pytest.mark.parametrize("z1, z2", [(0.3, 0.4), (0.35 + 0.2j, -0.5 + 0.1j),
+                                    (-0.7j, 0.6 - 0.45j)],
+                         ids=["real", "complex", "imaginary"])
+def test_wedge_numerator_matches_the_pulled_back_forms(z1, z2):
+    """The exact numerator over the common denominator agrees with
+    a1*b2 - a2*b1 built from the quadrature's own table of the forms."""
+    den = math.prod(ATOM_VALUES[atom](z1, z2) for atom in _WEDGE_DEN_ATOMS)
+
+    def dz(tag):
+        return (complex(_form_pullback(tag, z1, z2, 1, 0)),
+                complex(_form_pullback(tag, z1, z2, 0, 1)))
+
+    for a in _FORM_COMPONENTS:
+        for b in _FORM_COMPONENTS:
+            value = sum(complex(c) * z1 ** i * z2 ** j
+                        for (i, j), c in _wedge_numerator(a, b).items())
+            (a1, a2), (b1, b2) = dz(a), dz(b)
+            expected = a1 * b2 - a2 * b1
+            assert abs(value / den - expected) <= 1e-13 * max(
+                1.0, abs(expected)), (a, b)
+
+
+def test_wedge_numerator_exact_cases():
     # z1 ^ z11 = dz1/z1 ^ dz1/(1-z1) = 0.
-    w = wedge(FORMS["z1"], FORMS["z11"])
-    assert w.is_zero()
-    w = wedge(FORMS["z1"], FORMS["z2"])
-    assert abs(w.evaluate(0.3, 0.4) - 1 / (0.3 * 0.4)) < 1e-12
-
-
-def test_z12_splits():
-    for comp in ("coeff_dz1", "coeff_dz2"):
-        total = getattr(FORMS["z12"], comp)
-        split = getattr(FORMS["z12_1"], comp) + getattr(FORMS["z12_2"], comp)
-        assert total == split
+    assert _wedge_numerator("z1", "z11") == {}
+    # z12 = z12_1 + z12_2, so its wedge with any letter splits too.
+    for b in _FORM_COMPONENTS:
+        split = vec_add_into(dict(_wedge_numerator("z12_1", b)),
+                             _wedge_numerator("z12_2", b))
+        assert _wedge_numerator("z12", b) == split, b
 
 
 def test_chen_defect_errors():
@@ -108,6 +137,13 @@ def test_non_integrable_word():
 def test_degree_cap():
     with pytest.raises(ResourceLimitError):
         bar_basis(3, cap=2)
+    # Cached bases: the cap is checked before the cache.
+    for basis in (bar_basis, bar0_basis):
+        basis(2)
+        with pytest.raises(ResourceLimitError):
+            basis(2, cap=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            basis(-1)
 
 
 def _m(*letters):

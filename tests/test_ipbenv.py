@@ -60,11 +60,10 @@ def test_normal_form_idempotent():
 
 def test_strategies_agree_sample():
     rng = random.Random(5)
-    d = DIRECTIONS["1x2"]
     for _ in range(100):
         word = tuple(rng.choice(LIE_BASE) for _ in range(rng.randrange(1, 6)))
-        assert _reduce_word(word, d, "leftmost") == \
-            _reduce_word(word, d, "rightmost")
+        assert _reduce_word(word, "1x2", "leftmost") == \
+            _reduce_word(word, "1x2", "rightmost")
 
 
 def test_split_shape():

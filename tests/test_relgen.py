@@ -117,16 +117,23 @@ def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
     from barlog.relgen import _symbolic_direction_check
     from barlog.words import FORM_BASE, WordPoly
 
-    good = ipbenv.omega_decomposition(2, "1x2")
+    real = ipbenv.omega_decomposition
+    good = real(2, "1x2")
     assert _symbolic_direction_check(2, "1x2")
     pair = (("Z11", "Z12"), ())
     for change in ({pair: good[pair].scale(2)},
                    {pair: WordPoly.zero(FORM_BASE)},
                    {(("Z1",), ("Z2",)): good[pair]}):
-        monkeypatch.setitem(ipbenv._DECOMP_CACHE, (2, "1x2"),
-                            {**good, **change})
+        def wrong(s, direction="1x2", cap=None, change=change):
+            if (s, direction) == (2, "1x2"):
+                return {**good, **change}
+            return real(s, direction, cap)
+
+        monkeypatch.setattr(ipbenv, "omega_decomposition", wrong)
         assert not _symbolic_direction_check(2, "1x2"), change
         assert _symbolic_direction_check(2, "2x1")
+    monkeypatch.undo()
+    assert real(2, "1x2") == good and _symbolic_direction_check(2, "1x2")
 
 
 def test_generate_relation_checks_integrability_once(monkeypatch):
