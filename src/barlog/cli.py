@@ -342,6 +342,7 @@ def build_parser():
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--numeric", help="z1,z2 evaluation point")
+    p.add_argument("--terms", type=int)
     p.add_argument("--out")
 
     p = add("eval", help="evaluate one term by series")

@@ -165,8 +165,8 @@ def iota_rank(direction, s, cap=None):
 
 def iota_inv(t, direction="1x2", cap=None):
     """The unique integrable preimage of a tensor polynomial, solved
-    exactly degree by degree against the bar basis.  It does not use
-    the kernel decomposition, so it is an independent check of phi."""
+    exactly degree by degree against the bar basis.  That basis comes
+    from the kernel decomposition, so this is no independent check of phi."""
     d = _as_form_direction(direction)
     result = WordPoly.zero(FORM_BASE)
     for s, part in t.degree_parts().items():

@@ -10,8 +10,8 @@ factor over the complementary one), in either of the two directions.
 
 Also provides the alpha action (Z1, Z2 act by commutator, the other
 letters by left multiplication), the symbolic degree-s kernel of the
-normalized fundamental solution, and enumeration of the words not
-ending in Z1 or Z2.
+normalized fundamental solution, enumeration of the words not ending
+in Z1 or Z2, and the degree cap.
 """
 
 from __future__ import annotations
@@ -21,10 +21,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import BarlogError
-from .formspace import check_degree
+from .errors import BarlogError, ResourceLimitError
 from .linalg import RowReducer, vec_add_into
 from .words import FORM_BASE, LIE_BASE, WordPoly, word_sort_key
+
+DEFAULT_DEGREE_CAP = 6
+
+
+def check_degree(s, cap=None):
+    """Raise ValueError for a negative degree s, and ResourceLimitError
+    when s exceeds the cap (the default cap when cap is None)."""
+    if s < 0:
+        raise ValueError("degree must be nonnegative")
+    if cap is None:
+        cap = DEFAULT_DEGREE_CAP
+    if s > cap:
+        raise ResourceLimitError(f"degree {s} exceeds cap {cap}")
+
 
 # The six quadratic relators generating the two-sided ideal, as
 # {word: coeff} maps ([A,B] written out as AB - BA).
@@ -189,21 +202,22 @@ def normal_form(p, direction="1x2", strategy="leftmost"):
 _AD_LETTERS = {"Z1", "Z2"}
 
 
-def alpha_eval(word, start=None):
-    """alpha(word) applied to the identity (or to `start`), the letters
-    acting right to left: Z1 and Z2 by commutator, the others by left
-    multiplication."""
-    result = WordPoly.unit(LIE_BASE) if start is None else start
+def _alpha_letter(x, vec):
+    """One letter's action on {Z word: coeff}: Z1 and Z2 by
+    commutator, the others by left multiplication."""
+    out = {(x,) + w: c for w, c in vec.items()}
+    if x in _AD_LETTERS:
+        vec_add_into(out, {w + (x,): c for w, c in vec.items()}, -1)
+    return out
+
+
+def alpha_eval(word):
+    """alpha(word) applied to the identity, the letters acting right to
+    left: Z1 and Z2 by commutator, the others by left multiplication."""
+    vec = {(): Fraction(1)}
     for x in reversed(tuple(word)):
-        acc = {}
-        for w, c in result.terms.items():
-            key = (x,) + w
-            acc[key] = acc.get(key, Fraction(0)) + c
-            if x in _AD_LETTERS:
-                key = w + (x,)
-                acc[key] = acc.get(key, Fraction(0)) - c
-        result = WordPoly(LIE_BASE, acc)
-    return result
+        vec = _alpha_letter(x, vec)
+    return WordPoly(LIE_BASE, vec)
 
 
 def alpha_pair(w1, w2):
@@ -223,10 +237,7 @@ def _omega_raw(s):
     for fw, vec in _omega_raw(s - 1).items():
         for ftag, ztag in (("z1", "Z1"), ("z2", "Z2"), ("z11", "Z11"),
                            ("z22", "Z22"), ("z12", "Z12")):
-            new = {(ztag,) + lw: c for lw, c in vec.items()}
-            if ztag in _AD_LETTERS:
-                vec_add_into(new, {lw + (ztag,): c for lw, c in vec.items()},
-                             -1)
+            new = _alpha_letter(ztag, vec)
             if new:
                 out[(ftag,) + fw] = new
     return out

@@ -113,8 +113,8 @@ def canonical_basis(vectors):
     """Reduced row echelon basis of the span of the given sparse
     vectors, as a list of dicts ordered by pivot."""
     red = RowReducer()
-    for i, vec in enumerate(vectors):
-        red.add(vec, i)
+    for vec in vectors:
+        red.add(vec, 0)  # one shared tag: each combination stays one entry
     return [row for _, row, _ in red.rows()]
 
 

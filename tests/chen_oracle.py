@@ -1,0 +1,55 @@
+"""Reference construction of the bar bases by Chen's condition.
+
+The library builds bar0_basis from the kernel decomposition and
+bar_basis from shuffles of it.  This module keeps the construction
+that does not use the kernel at all, so the tests can check both bases,
+and phi, against it: the degree-s space is the kernel of the first-cut
+defect inside (letters) o (degree s-1 space), and the bar0 space is
+the kernel of the projection onto words ending in z1 or z2.
+"""
+
+from functools import cache
+
+from barlog.formspace import _poly_vector, _vector_poly, _word_key, chen_defect
+from barlog.linalg import canonical_basis, nullspace_combos, vec_add_into
+from barlog.words import FORM_BASE, WordPoly
+
+
+def _kernel_basis(polys, images):
+    """Canonical basis of the combinations of polys whose images (one
+    sparse vector per poly) cancel."""
+    vectors = []
+    for combo in nullspace_combos(images):
+        vec = {}
+        for idx, coeff in combo.items():
+            vec_add_into(vec, _poly_vector(polys[idx]), coeff)
+        vectors.append(vec)
+    return [_vector_poly(vec) for vec in canonical_basis(vectors)]
+
+
+@cache
+def chen_bar_basis(s):
+    """Canonical basis of the degree-s integrable subspace."""
+    if s == 0:
+        return [WordPoly.unit(FORM_BASE)]
+    if s == 1:
+        return [WordPoly.monomial(FORM_BASE, (a,)) for a in FORM_BASE]
+    candidates = [WordPoly(FORM_BASE,
+                           {(a,) + w: c for w, c in b.terms.items()})
+                  for a in FORM_BASE for b in chen_bar_basis(s - 1)]
+    return _kernel_basis(candidates, [
+        {(slot, _word_key(suffix)): x
+         for (_, slot, suffix), x in chen_defect(b, 1).items()}
+        for b in candidates])
+
+
+@cache
+def chen_bar0_basis(s):
+    """Canonical basis of the subspace of chen_bar_basis(s) spanned by
+    combinations with no word ending in z1 or z2."""
+    basis = chen_bar_basis(s)
+    if s == 0:
+        return list(basis)
+    return _kernel_basis(basis, [
+        {_word_key(w): c for w, c in b.terms.items() if w[-1] in ("z1", "z2")}
+        for b in basis])

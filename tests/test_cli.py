@@ -54,6 +54,24 @@ def test_harmonic(capsys):
     assert data["recursion_matches"] is True
 
 
+def test_harmonic_terms(capsys):
+    argv = ["harmonic", "--left", "2", "--right", "1,1",
+            "--numeric", "0.3,0.4"]
+    code, out, _ = capture(capsys, argv)
+    assert code == 0
+    default_bound = json.loads(out)["bound"]
+    code, out, _ = capture(capsys, argv + ["--terms", "2000"])
+    assert code == 0
+    # At 2000 terms the tail bound at (0.3, 0.4) underflows to 0.0, as
+    # at the default; 20 terms leave a tail the bound must show.
+    code, out, _ = capture(capsys, argv + ["--terms", "20"])
+    assert code == 0
+    assert json.loads(out)["bound"] > default_bound
+    code, out, err = capture(capsys, argv + ["--terms", "0"])
+    assert (code, out) == (2, "")
+    assert "must be positive" in err
+
+
 def test_eval(capsys):
     code, out, _ = capture(capsys, [
         "eval", "--term", "L[2,1|one,param]@z1",
@@ -205,8 +223,10 @@ def test_radius_is_not_an_option(tmp_path, capsys):
 
 
 def test_relations_degree_5_golden(capsys):
-    # SHA-256 of the stdout of the bar-basis route, which solved each
-    # pair's preimage against the Chen-condition nullspace.
+    # SHA-256 of the stdout of the route that solved each pair's
+    # preimage against the Chen-condition nullspace basis (kept as the
+    # reference construction in tests/chen_oracle.py).  It also
+    # caches the degree-5 kernel that the basis --b0 golden reuses.
     code, out, _ = capture(capsys, ["relations", "--degree", "5"])
     assert code == 0
     assert json.loads(out)["count"] == 308
@@ -219,10 +239,13 @@ def test_relations_degree_5_golden(capsys):
      "c9f459c98a2a51213d5a4668c31fdf4c0d5212dffd2039482a3bacb671f60f50"),
     (["basis", "--degree", "4", "--b0"],
      "d30aa01d5892ad2e4dc34e10371a750ec1cc2852bdb6c511c81e72cae0eaf1a0"),
+    (["basis", "--degree", "5", "--b0"],
+     "d46a0eee2ab0321c758577c03c296df47950725c0afd86d6e1ca0ed82c5a5b85"),
 ])
 def test_basis_degree_4_golden(capsys, argv, digest):
-    # SHA-256 of the stdout of the canonical RREF bases before their
-    # construction shared chen_defect and one kernel-to-basis step.
+    # SHA-256 of the stdout of the canonical RREF bases of the
+    # Chen-condition nullspace, before their construction moved to the
+    # kernel decomposition.
     code, out, _ = capture(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

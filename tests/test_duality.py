@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from barlog.duality import (FORM_DIRECTIONS, iota, iota_inv, iota_rank, phi,
-                            tensor_split, theta)
+from barlog.duality import (FORM_DIRECTIONS, _tensor_vector, iota, iota_inv,
+                            iota_rank, phi, tensor_split, theta)
 from barlog.errors import (AlphabetError, BarlogError, DomainError,
                            ResourceLimitError)
 from barlog.formspace import bar_basis
 from barlog.ipbenv import w0_pairs
+from barlog.linalg import RowReducer
 from barlog.words import FORM_BASE, TensorPoly, WordPoly
+from chen_oracle import chen_bar_basis
 
 
 def test_theta():
@@ -162,18 +165,34 @@ def test_iota_solver_rejects_dependent_basis(monkeypatch):
         duality._iota_solver.cache_clear()
 
 
+@cache
+def _chen_solver(direction, s):
+    """Reducer over the splittings of the Chen-condition basis."""
+    d = FORM_DIRECTIONS[direction]
+    red = RowReducer()
+    for i, b in enumerate(chen_bar_basis(s)):
+        assert red.add(_tensor_vector(d, tensor_split(b, d)), i) is None
+    return red
+
+
 @pytest.mark.parametrize("direction", ["1x2", "2x1"])
 def test_phi_matches_bar_basis_oracle(direction):
     """phi, read from the kernel decomposition, equals the preimage of
-    the theta monomial solved against the Chen-condition bar basis."""
+    the theta monomial solved against the Chen-condition bar basis,
+    which does not come from the kernel."""
     d = FORM_DIRECTIONS[direction]
     for s in range(5):
+        basis = chen_bar_basis(s)
         for w1, w2 in w0_pairs(s, direction):
             t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
                                     theta(w1, direction, "left"),
                                     theta(w2, direction, "right"))
-            assert phi(w1, w2, direction) == iota_inv(t, direction), \
-                (w1, w2)
+            rep = _chen_solver(direction, s).solve(_tensor_vector(d, t))
+            assert rep is not None, (w1, w2)
+            preimage = WordPoly.zero(FORM_BASE)
+            for i, c in rep.items():
+                preimage = preimage + basis[i].scale(c)
+            assert phi(w1, w2, direction) == preimage, (w1, w2)
 
 
 def test_phi_certifies_the_kernel_coefficient(monkeypatch):

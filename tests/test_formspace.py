@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from barlog.errors import ResourceLimitError
+from barlog.errors import BarlogError, ResourceLimitError
 from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
                               _wedge_numerator, bar0_basis, bar_basis,
                               chen_defect, in_bar_span, is_integrable,
@@ -10,6 +10,7 @@ from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
 from barlog.hyperlog import _form_pullback
 from barlog.linalg import RowReducer, vec_add_into
 from barlog.words import FORM_BASE, WordPoly, concat, shuffle
+from chen_oracle import chen_bar0_basis, chen_bar_basis
 
 # The four relations spanning the kernel of the wedge map: the two
 # mixed-variable quadratic relations and the two same-variable
@@ -110,6 +111,40 @@ def test_bar_dimensions_low():
     assert len(bar0_basis(1)) == 3
     assert len(bar0_basis(2)) == 10
     assert len(bar0_basis(3)) == 32
+    for s in range(5):
+        assert len(bar_basis(s)) == 3 ** (s + 1) - 2 ** (s + 1)
+        # bar = bar0 shuffled with z1^a z2^c, a + c = k: k + 1 ways.
+        assert sum((k + 1) * len(bar0_basis(s - k))
+                   for k in range(s + 1)) == len(bar_basis(s))
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_bases_match_the_chen_oracle(s):
+    """Both bases, built from the kernel decomposition, equal the
+    canonical bases of the Chen-condition nullspace."""
+    assert bar0_basis(s) == chen_bar0_basis(s)
+    assert bar_basis(s) == chen_bar_basis(s)
+
+
+def test_bar0_certifies_each_kernel_coefficient(monkeypatch):
+    from barlog import formspace
+
+    decomposition = dict(formspace.omega_decomposition(2, "1x2"))
+    pair = (("Z11", "Z12"), ())
+    decomposition[pair] = decomposition[pair] + _m("z1", "z2")
+    monkeypatch.setattr(formspace, "omega_decomposition",
+                        lambda s, direction, cap=None: decomposition)
+    caches = (formspace._bar0_generators, formspace._bar0_basis,
+              formspace._bar_basis)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        for basis in (bar0_basis, bar_basis):
+            with pytest.raises(BarlogError, match="not integrable"):
+                basis(2)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
 
 
 def test_bar_basis_is_integrable():

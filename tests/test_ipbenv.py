@@ -6,9 +6,10 @@ import pytest
 
 from barlog.errors import ResourceLimitError
 from barlog.formspace import is_integrable
-from barlog.ipbenv import (DIRECTIONS, RELATORS, _RULES, _reduce_word,
-                           alpha_eval, alpha_pair, enumerate_w0, normal_form,
-                           omega_decomposition, omega_power, w0_pairs)
+from barlog.ipbenv import (DIRECTIONS, RELATORS, _RULES, _omega_raw,
+                           _reduce_word, alpha_eval, alpha_pair, enumerate_w0,
+                           normal_form, omega_decomposition, omega_power,
+                           w0_pairs)
 from barlog.linalg import RowReducer
 from barlog.words import LIE_BASE, WordPoly
 
@@ -82,6 +83,19 @@ def test_alpha_examples():
     # alpha of a pair is alpha of the concatenation.
     assert alpha_pair(("Z11",), ("Z2", "Z22")) == \
         alpha_eval(("Z11", "Z2", "Z22"))
+
+
+def test_omega_kernel_applies_alpha_to_each_form_word():
+    """The raw kernel and alpha_eval share one letter action: each form
+    word's Z part is alpha of its Z word, and the form words the kernel
+    leaves out are exactly those whose alpha vanishes."""
+    to_z = {"z1": "Z1", "z11": "Z11", "z2": "Z2", "z22": "Z22",
+            "z12": "Z12"}
+    for s in range(5):
+        raw = _omega_raw(s)
+        for fw in itertools.product(to_z, repeat=s):
+            alpha = alpha_eval(tuple(to_z[x] for x in fw))
+            assert WordPoly(LIE_BASE, raw.get(fw, {})) == alpha, fw
 
 
 def test_omega_low_degrees():
