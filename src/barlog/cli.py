@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import BarlogError
 from .formspace import (DEFAULT_DEGREE_CAP, bar0_basis, bar_basis,

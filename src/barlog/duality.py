@@ -168,7 +168,7 @@ def iota_inv(t, direction="1x2", cap=None):
     exactly degree by degree against the bar basis.  That basis comes
     from the kernel decomposition, so this is no independent check of phi."""
     d = _as_form_direction(direction)
-    result = WordPoly.zero(FORM_BASE)
+    acc = {}
     for s, part in t.degree_parts().items():
         red, basis = _iota_solver(d.name, s, cap)
         rep = red.solve(_tensor_vector(d, part))
@@ -176,8 +176,8 @@ def iota_inv(t, direction="1x2", cap=None):
             raise NotInImageError(
                 f"no integrable preimage at degree {s} for {d.name}")
         for i, c in rep.items():
-            result = result + basis[i].scale(c)
-    return result
+            vec_add_into(acc, basis[i].terms, c)
+    return WordPoly(FORM_BASE, acc)
 
 
 def splits_as_pair(p, w1, w2, direction="1x2"):

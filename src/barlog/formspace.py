@@ -24,7 +24,6 @@ of ipbenv, as fibre times base of M_{0,5} over M_{0,4}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import BarlogError
@@ -46,23 +45,22 @@ def p_mul(a, b):
 # -- the one-forms ------------------------------------------------------
 
 _ATOMS = {
-    "z1": {(1, 0): Fraction(1)},
-    "1-z1": {(0, 0): Fraction(1), (1, 0): Fraction(-1)},
-    "z2": {(0, 1): Fraction(1)},
-    "1-z2": {(0, 0): Fraction(1), (0, 1): Fraction(-1)},
-    "1-z1z2": {(0, 0): Fraction(1), (1, 1): Fraction(-1)},
+    "z1": {(1, 0): 1},
+    "1-z1": {(0, 0): 1, (1, 0): -1},
+    "z2": {(0, 1): 1},
+    "1-z2": {(0, 0): 1, (0, 1): -1},
+    "1-z1z2": {(0, 0): 1, (1, 1): -1},
 }
 
 # Each dz-component of a letter is numerator/atom (or absent).
 _FORM_COMPONENTS = {
-    "z1": (({(0, 0): Fraction(1)}, "z1"), None),
-    "z11": (({(0, 0): Fraction(1)}, "1-z1"), None),
-    "z2": (None, ({(0, 0): Fraction(1)}, "z2")),
-    "z22": (None, ({(0, 0): Fraction(1)}, "1-z2")),
-    "z12": ((({(0, 1): Fraction(1)}), "1-z1z2"),
-            (({(1, 0): Fraction(1)}), "1-z1z2")),
-    "z12_1": (({(0, 1): Fraction(1)}, "1-z1z2"), None),
-    "z12_2": (None, ({(1, 0): Fraction(1)}, "1-z1z2")),
+    "z1": (({(0, 0): 1}, "z1"), None),
+    "z11": (({(0, 0): 1}, "1-z1"), None),
+    "z2": (None, ({(0, 0): 1}, "z2")),
+    "z22": (None, ({(0, 0): 1}, "1-z2")),
+    "z12": (({(0, 1): 1}, "1-z1z2"), ({(1, 0): 1}, "1-z1z2")),
+    "z12_1": (({(0, 1): 1}, "1-z1z2"), None),
+    "z12_2": (None, ({(1, 0): 1}, "1-z1z2")),
 }
 
 
@@ -270,13 +268,18 @@ def _bar0_generators(s):
     return tuple(phis.values())
 
 
+@cache
+def _bar_span_reducer(s, cap=None):
+    """Reducer over bar_basis(s); the cap is part of the cache key, so a
+    cached reducer never slips past a lower cap."""
+    red = RowReducer()
+    for i, b in enumerate(bar_basis(s, cap=cap)):
+        red.add(_poly_vector(b), i)
+    return red
+
+
 def in_bar_span(p, cap=None):
     """True if every homogeneous part of p lies in the span of the
     corresponding bar basis."""
-    for s, part in p.degree_parts().items():
-        red = RowReducer()
-        for i, b in enumerate(bar_basis(s, cap=cap)):
-            red.add(_poly_vector(b), i)
-        if not red.contains(_poly_vector(part)):
-            return False
-    return True
+    return all(_bar_span_reducer(s, cap).contains(_poly_vector(part))
+               for s, part in p.degree_parts().items())

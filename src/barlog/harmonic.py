@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DivergentTermError
 from .hyperlog import MplIndex, eval_series, nested_sum
-from .linalg import vec_add_into
+from .linalg import num, vec_add_into, vec_scale
 
 
 def _prefixed(head, product):
@@ -75,14 +74,19 @@ def canonical_tag(tag):
 
 
 class TaggedMplSum:
-    """Integer/rational combination of tagged 2MPL terms."""
+    """Rational combination of tagged 2MPL terms: {tag: coefficient}.
+
+    A coefficient is an int or a Fraction (see linalg.num); the two
+    compare and hash equal, and a Fraction appears only for a
+    non-integral coefficient.  Every expansion in this module is
+    integral."""
 
     def __init__(self, terms=None):
         self.terms = dict(terms or {})
 
     @classmethod
     def single(cls, index, numbering, orientation, coeff=1):
-        return cls({_tag(index, numbering, orientation): Fraction(coeff)})
+        return cls({_tag(index, numbering, orientation): num(coeff)})
 
     def add(self, tag, coeff):
         vec_add_into(self.terms, {tag: coeff})
@@ -91,9 +95,7 @@ class TaggedMplSum:
         return TaggedMplSum(vec_add_into(dict(self.terms), other.terms))
 
     def scale(self, coeff):
-        coeff = Fraction(coeff)
-        return TaggedMplSum({t: c * coeff for t, c in self.terms.items()}
-                            if coeff else {})
+        return TaggedMplSum(vec_scale(self.terms, coeff))
 
     def canonicalize(self):
         out = TaggedMplSum()
@@ -149,19 +151,18 @@ def mpl_harmonic_expand(k, l):
     def emit(prefix, tail_product, first, orientation):
         for idx, c in tail_product.items():
             index = prefix + idx
-            out.add(_tag(index, (first, len(index) - first), orientation),
-                    Fraction(c))
+            out.add(_tag(index, (first, len(index) - first), orientation), c)
 
     for p in range(1, i):
         emit(k[:p] + (l[0],), index_harmonic(k[p:], l[1:]), p, "12")
         emit(k[:p] + (l[0] + k[p],), index_harmonic(k[p + 1:], l[1:]),
              p, "12")
-    out.add(_tag(k + l, (i, j), "12"), Fraction(1))
+    out.add(_tag(k + l, (i, j), "12"), 1)
     for p in range(1, j):
         emit(l[:p] + (k[0],), index_harmonic(l[p:], k[1:]), p, "21")
         emit(l[:p] + (k[0] + l[p],), index_harmonic(l[p + 1:], k[1:]),
              p, "21")
-    out.add(_tag(l + k, (j, i), "21"), Fraction(1))
+    out.add(_tag(l + k, (j, i), "21"), 1)
     emit((k[0] + l[0],), index_harmonic(k[1:], l[1:]), 0, "21")
     return out.canonicalize()
 
@@ -182,10 +183,10 @@ def prepare2(index, numbering, k):
     for s in range(i):
         pos = i - s
         ins = index[:pos] + (k,) + index[pos:]
-        out.add(_tag(ins, (pos, j + s + 1), "12"), Fraction(1))
+        out.add(_tag(ins, (pos, j + s + 1), "12"), 1)
         merged = index[:pos - 1] + (index[pos - 1] + k,) + index[pos:]
-        out.add(_tag(merged, (pos - 1, j + s + 1), "12"), Fraction(1))
-    out.add(_tag((k,) + index, (1, i + j), "21"), Fraction(1))
+        out.add(_tag(merged, (pos - 1, j + s + 1), "12"), 1)
+    out.add(_tag((k,) + index, (1, i + j), "21"), 1)
     return out
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 
 import numpy as np
 
@@ -227,29 +226,28 @@ def partial_derivative(m, var):
     index, (i, j) = m.index, m.numbering
     if not index:
         raise ValueError("empty index has no derivative branches")
-    one = Fraction(1)
     if var == 1:
         k1 = index[0]
         if i == 0 and k1 == 1:
-            return [("z2/(1-z1z2)", one, MplIndex(index[1:], (0, j - 1)))]
+            return [("z2/(1-z1z2)", 1, MplIndex(index[1:], (0, j - 1)))]
         if i > 0 and k1 == 1:
-            return [("1/(1-z1)", one, MplIndex(index[1:], (i - 1, j)))]
-        return [("1/z1", one, MplIndex((k1 - 1,) + index[1:], (i, j)))]
+            return [("1/(1-z1)", 1, MplIndex(index[1:], (i - 1, j)))]
+        return [("1/z1", 1, MplIndex((k1 - 1,) + index[1:], (i, j)))]
     if var == 2:
         if i == 0 and index[0] == 1:
-            return [("z1/(1-z1z2)", one, MplIndex(index[1:], (0, j - 1)))]
+            return [("z1/(1-z1z2)", 1, MplIndex(index[1:], (0, j - 1)))]
         if j == 0:
             return []
         knext = index[i]
         if knext == 1:
             dropped = index[:i] + index[i + 1:]
             return [
-                ("1/(1-z2)", one, MplIndex(dropped, (i, j - 1))),
-                ("1/(1-z2)", -one, MplIndex(dropped, (i - 1, j))),
-                ("1/z2", -one, MplIndex(dropped, (i - 1, j))),
+                ("1/(1-z2)", 1, MplIndex(dropped, (i, j - 1))),
+                ("1/(1-z2)", -1, MplIndex(dropped, (i - 1, j))),
+                ("1/z2", -1, MplIndex(dropped, (i - 1, j))),
             ]
         dec = index[:i] + (knext - 1,) + index[i + 1:]
-        return [("1/z2", one, MplIndex(dec, (i, j)))]
+        return [("1/z2", 1, MplIndex(dec, (i, j)))]
     raise ValueError("var must be 1 or 2")
 
 

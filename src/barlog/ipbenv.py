@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import BarlogError, ResourceLimitError
@@ -42,7 +41,7 @@ def check_degree(s, cap=None):
 # The six quadratic relators generating the two-sided ideal, as
 # {word: coeff} maps ([A,B] written out as AB - BA).
 def _bracket(a, b):
-    return {(a, b): Fraction(1), (b, a): Fraction(-1)}
+    return {(a, b): 1, (b, a): -1}
 
 
 RELATORS = (
@@ -132,7 +131,7 @@ def _reduce_word(word, direction, strategy):
         if word[i] in movers and word[i + 1] not in movers:
             break
     else:
-        return {_split_pair(word, d): Fraction(1)}
+        return {_split_pair(word, d): 1}
     out = {}
     for repl, coeff in d.rules[(word[i], word[i + 1])]:
         vec_add_into(out, _reduce_word(word[:i] + repl + word[i + 2:],
@@ -148,7 +147,7 @@ class NormalForm:
     terms: dict
 
     def coefficient(self, w1, w2):
-        return self.terms.get((tuple(w1), tuple(w2)), Fraction(0))
+        return self.terms.get((tuple(w1), tuple(w2)), 0)
 
     def pairs(self):
         return set(self.terms)
@@ -214,7 +213,7 @@ def _alpha_letter(x, vec):
 def alpha_eval(word):
     """alpha(word) applied to the identity, the letters acting right to
     left: Z1 and Z2 by commutator, the others by left multiplication."""
-    vec = {(): Fraction(1)}
+    vec = {(): 1}
     for x in reversed(tuple(word)):
         vec = _alpha_letter(x, vec)
     return WordPoly(LIE_BASE, vec)
@@ -232,7 +231,7 @@ def _omega_raw(s):
     """(ad(Omega0) + mu(Omega'))^s applied to 1 (x) I, before any
     normal-form reduction: {form word: {Z word: coeff}}."""
     if s == 0:
-        return {(): {(): Fraction(1)}}
+        return {(): {(): 1}}
     out = {}
     for fw, vec in _omega_raw(s - 1).items():
         for ftag, ztag in (("z1", "Z1"), ("z2", "Z2"), ("z11", "Z11"),

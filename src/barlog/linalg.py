@@ -1,6 +1,12 @@
 """Incremental exact row reduction over the rationals.
 
-Vectors are sparse dicts mapping orderable column keys to Fraction.
+Vectors are sparse dicts mapping orderable column keys to coefficients.
+A coefficient is an int or a Fraction: num() keeps every integral value
+an int, and a Fraction appears only where a pivot inverse (or a parsed
+coefficient) is non-integral.  The two compare and hash equal, so the
+choice never changes a result, a dict order or a printed value; it only
+keeps integer work out of Fraction arithmetic.
+
 The reducer keeps its stored rows fully reduced (RREF) and, for each
 stored row, an expression of that row as a combination of the vectors
 fed in so far.  Feeding vectors one by one therefore yields, in a
@@ -13,23 +19,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def num(c):
+    """c as an exact coefficient: an int when c is integral, otherwise
+    a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def vec_scale(vec, coeff):
-    coeff = Fraction(coeff)
+    coeff = num(coeff)
     if not coeff:
         return {}
-    return {k: v * coeff for k, v in vec.items()}
+    return {k: num(v * coeff) for k, v in vec.items()}
 
 
 def vec_add_into(target, vec, coeff=1):
     """target += coeff * vec, dropping zeros; mutates and returns target."""
-    if type(coeff) is not Fraction:
-        coeff = Fraction(coeff)
+    if type(coeff) is not int:
+        coeff = num(coeff)
     if not coeff:
         return target
     for k, v in vec.items():
         c = target.get(k)
         c = coeff * v if c is None else c + coeff * v
         if c:
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
             target[k] = c
         else:
             target.pop(k, None)
@@ -50,7 +68,7 @@ class RowReducer:
     def _reduce(self, vec):
         """Return (residual, representation) with
         vec == residual + sum(rep[tag] * input_tag)."""
-        residual = {k: Fraction(v) for k, v in vec.items() if v}
+        residual = {k: num(v) for k, v in vec.items() if v}
         rep = {}
         # Stored rows are fully reduced, so each stored row is zero on
         # every pivot column but its own: one pass suffices and no new
@@ -73,11 +91,13 @@ class RowReducer:
         """
         residual, rep = self._reduce(vec)
         if not residual:
-            dep = {tag: Fraction(1)}
+            dep = {tag: 1}
             vec_add_into(dep, rep, -1)
             return dep
         pivot = min(residual)
-        inv = 1 / residual[pivot]
+        lead = residual[pivot]
+        # A unit pivot is its own inverse; only other pivots divide.
+        inv = lead if lead in (1, -1) else num(Fraction(1) / lead)
         row = vec_scale(residual, inv)
         combo = vec_add_into({tag: inv}, rep, -inv)
         # Back-substitute to keep all stored rows fully reduced.

@@ -4,7 +4,9 @@ Words are tuples of letter tags.  Two families of tags are used: the
 lower-case form letters (z1, z11, z2, z22, z12, and the projected
 letters z12_1, z12_2) and the upper-case Lie letters (Z1, Z11, Z2, Z22,
 Z12).  A polynomial is a finite rational linear combination of words
-over one fixed alphabet.
+over one fixed alphabet.  A coefficient is an int or a Fraction (see
+linalg.num): the two compare and hash equal, and a Fraction appears
+only when a pivot inverse or a parsed coefficient is non-integral.
 
 The module provides the commutative shuffle product, the concatenation
 product, the deconcatenation coproduct and the antipode; together these
@@ -18,6 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import AlphabetError
+from .linalg import num, vec_add_into
 
 # Alphabets.  The order of letters fixes the canonical (degree, lex)
 # ordering of words used for deterministic output.
@@ -63,8 +66,8 @@ class WordPoly:
         items = terms.items() if isinstance(terms, dict) else terms
         for word, coeff in items:
             word = _checked_word(self.alphabet, word)
-            acc[word] = acc.get(word, Fraction(0)) + Fraction(coeff)
-        self.terms = {w: c for w, c in acc.items() if c}
+            acc[word] = acc.get(word, 0) + num(coeff)
+        self.terms = {w: num(c) for w, c in acc.items() if c}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -74,11 +77,11 @@ class WordPoly:
     @classmethod
     def unit(cls, alphabet):
         """The empty word with coefficient one."""
-        return cls(alphabet, {(): Fraction(1)})
+        return cls(alphabet, {(): 1})
 
     @classmethod
     def monomial(cls, alphabet, word, coeff=1):
-        return cls(alphabet, {tuple(word): Fraction(coeff)})
+        return cls(alphabet, {tuple(word): coeff})
 
     # -- basic algebra -------------------------------------------------
     def _require_same_alphabet(self, other):
@@ -89,10 +92,8 @@ class WordPoly:
 
     def __add__(self, other):
         self._require_same_alphabet(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, Fraction(0)) + c
-        return WordPoly(self.alphabet, acc)
+        return WordPoly(self.alphabet,
+                        vec_add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -101,7 +102,7 @@ class WordPoly:
         return self.scale(-1)
 
     def scale(self, coeff):
-        coeff = Fraction(coeff)
+        coeff = num(coeff)
         return WordPoly(self.alphabet,
                         {w: c * coeff for w, c in self.terms.items()})
 
@@ -122,7 +123,7 @@ class WordPoly:
         return bool(self.terms)
 
     def coefficient(self, word):
-        return self.terms.get(tuple(word), Fraction(0))
+        return self.terms.get(tuple(word), 0)
 
     def sorted_terms(self):
         key = word_sort_key(self.alphabet)
@@ -167,8 +168,8 @@ class TensorPoly:
         for (w1, w2), coeff in items:
             w1 = _checked_word(self.left_alphabet, w1)
             w2 = _checked_word(self.right_alphabet, w2)
-            acc[(w1, w2)] = acc.get((w1, w2), Fraction(0)) + Fraction(coeff)
-        self.terms = {p: c for p, c in acc.items() if c}
+            acc[(w1, w2)] = acc.get((w1, w2), 0) + num(coeff)
+        self.terms = {p: num(c) for p, c in acc.items() if c}
 
     @classmethod
     def zero(cls, left_alphabet, right_alphabet):
@@ -177,7 +178,7 @@ class TensorPoly:
     @classmethod
     def monomial(cls, left_alphabet, right_alphabet, w1, w2, coeff=1):
         return cls(left_alphabet, right_alphabet,
-                   {(tuple(w1), tuple(w2)): Fraction(coeff)})
+                   {(tuple(w1), tuple(w2)): coeff})
 
     def _require_same_alphabets(self, other):
         if (not isinstance(other, TensorPoly)
@@ -187,16 +188,14 @@ class TensorPoly:
 
     def __add__(self, other):
         self._require_same_alphabets(other)
-        acc = dict(self.terms)
-        for p, c in other.terms.items():
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return TensorPoly(self.left_alphabet, self.right_alphabet, acc)
+        return TensorPoly(self.left_alphabet, self.right_alphabet,
+                          vec_add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, coeff):
-        coeff = Fraction(coeff)
+        coeff = num(coeff)
         return TensorPoly(self.left_alphabet, self.right_alphabet,
                           {p: c * coeff for p, c in self.terms.items()})
 
@@ -214,7 +213,7 @@ class TensorPoly:
         return bool(self.terms)
 
     def coefficient(self, w1, w2):
-        return self.terms.get((tuple(w1), tuple(w2)), Fraction(0))
+        return self.terms.get((tuple(w1), tuple(w2)), 0)
 
     def sorted_terms(self):
         lkey = word_sort_key(self.left_alphabet)
@@ -240,7 +239,7 @@ class TensorPoly:
                 for u1, m1 in _shuffle_words(a1, b1).items():
                     for u2, m2 in _shuffle_words(a2, b2).items():
                         key = (u1, u2)
-                        acc[key] = acc.get(key, Fraction(0)) + cd * m1 * m2
+                        acc[key] = acc.get(key, 0) + cd * m1 * m2
         return TensorPoly(self.left_alphabet, self.right_alphabet, acc)
 
     def __repr__(self):
@@ -284,7 +283,7 @@ def shuffle(p, q):
         for v, d in q.terms.items():
             cd = c * d
             for w, m in _shuffle_words(u, v).items():
-                acc[w] = acc.get(w, Fraction(0)) + cd * m
+                acc[w] = acc.get(w, 0) + cd * m
     return WordPoly(p.alphabet, acc)
 
 
@@ -295,7 +294,7 @@ def concat(p, q):
     for u, c in p.terms.items():
         for v, d in q.terms.items():
             w = u + v
-            acc[w] = acc.get(w, Fraction(0)) + c * d
+            acc[w] = acc.get(w, 0) + c * d
     return WordPoly(p.alphabet, acc)
 
 
@@ -305,7 +304,7 @@ def deconcat(p):
     for w, c in p.terms.items():
         for l in range(len(w) + 1):
             key = (w[:l], w[l:])
-            acc[key] = acc.get(key, Fraction(0)) + c
+            acc[key] = acc.get(key, 0) + c
     return TensorPoly(p.alphabet, p.alphabet, acc)
 
 
@@ -314,7 +313,7 @@ def antipode(p):
     acc = {}
     for w, c in p.terms.items():
         rw = w[::-1]
-        acc[rw] = acc.get(rw, Fraction(0)) + (c if len(w) % 2 == 0 else -c)
+        acc[rw] = acc.get(rw, 0) + (c if len(w) % 2 == 0 else -c)
     return WordPoly(p.alphabet, acc)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from barlog.errors import BarlogError, ResourceLimitError
 from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
-                              _wedge_numerator, bar0_basis, bar_basis,
+                              _bar_span_reducer, _wedge_numerator,
+                              bar0_basis, bar_basis,
                               chen_defect, in_bar_span, is_integrable,
                               relation_space_contains, wedge_relation_space)
 from barlog.hyperlog import _form_pullback
@@ -167,6 +168,26 @@ def test_non_integrable_word():
     w = WordPoly.monomial(FORM_BASE, ("z1", "z2"))
     assert not is_integrable(w)
     assert not in_bar_span(w)
+
+
+def test_in_bar_span_reuses_one_reducer_per_degree_and_cap():
+    _bar_span_reducer.cache_clear()
+    polys = [bar_basis(3)[0],
+             shuffle(bar_basis(1)[0], bar_basis(2)[1]),
+             _m("z1", "z2"),
+             bar_basis(2)[0] + _m("z1", "z2", "z1")]
+    expected = [True, True, False, False]
+    assert [in_bar_span(p) for p in polys] == expected
+    first = _bar_span_reducer.cache_info()
+    assert first.misses == 2  # one reducer each for degrees 2 and 3
+    assert [in_bar_span(p) for p in polys] == expected
+    second = _bar_span_reducer.cache_info()
+    assert second.misses == first.misses
+    assert second.hits == first.hits + 5  # one lookup per degree part
+    # The cap is part of the key: a cached degree-3 reducer does not
+    # let a degree-3 part past a cap of 2.
+    with pytest.raises(ResourceLimitError):
+        in_bar_span(polys[0], cap=2)
 
 
 def test_degree_cap():
