@@ -199,7 +199,10 @@ def _cmd_harmonic(args, cfg):
                "recursion_matches": matches}
     failed = not matches
     if args.numeric:
-        z1, z2 = (float(v) for v in args.numeric.split(","))
+        try:
+            z1, z2 = map(float, args.numeric.split(","))
+        except ValueError:
+            raise ValueError("--numeric expects z1,z2") from None
         lhs = (eval_tagged((left, (len(left), 0), "12"),
                            z1, z2, cfg.series_terms).value
                * eval_tagged((right, (len(right), 0), "12"),

@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import (AlphabetError, BarlogError, DomainError,
                      NotInImageError)
-from .formspace import bar_basis, chen_defect
+from .formspace import _chen_failure, bar_basis, is_integrable
 from .ipbenv import omega_decomposition
 from .linalg import RowReducer, vec_add_into
 from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
@@ -85,46 +85,30 @@ def theta(word, direction="1x2", side="left"):
     return tuple(out)
 
 
-def _project(word, table):
-    """Apply a letter projection to a word; None if any letter dies."""
-    out = []
-    for x in word:
-        y = table[x]
-        if y is None:
-            return None
-        out.append(y)
-    return tuple(out)
-
-
 def iota(p, direction="1x2"):
-    """Tensor splitting of an integrable form polynomial: rejects a
-    polynomial that fails the integrability condition, then returns
-    tensor_split(p, direction)."""
-    d = _as_form_direction(direction)
-    for s, part in p.degree_parts().items():
-        for l in range(1, s):
-            if chen_defect(part, l):
-                raise DomainError(
-                    "polynomial does not satisfy the integrability "
-                    f"condition at degree {s}, cut {l}")
-    return tensor_split(p, d)
+    """Tensor splitting of an integrable form polynomial: Chen's
+    condition (DomainError naming the first failing degree and cut),
+    then tensor_split(p, direction)."""
+    if failure := _chen_failure(p):
+        raise DomainError(
+            "polynomial does not satisfy the integrability condition "
+            "at degree %d, cut %d" % failure)
+    return tensor_split(p, direction)
 
 
 def tensor_split(p, direction="1x2"):
-    """Sum over all deconcatenation cuts of (left projection) x (right
-    projection), without the integrability check of iota."""
+    """Sum over the deconcatenation cuts of (left projection) x (right
+    projection), without the integrability check of iota.  Each word
+    is projected once per side; its surviving cuts run from just after
+    the last right-killed letter to the first left-killed one."""
     d = _as_form_direction(direction)
     acc = {}
     for w, c in p.terms.items():
-        cuts = {}
-        for l in range(len(w) + 1):
-            left = _project(w[:l], d.left_map)
-            if left is None:
-                continue
-            right = _project(w[l:], d.right_map)
-            if right is not None:
-                cuts[(left, right)] = 1
-        vec_add_into(acc, cuts, c)
+        left = [d.left_map[x] for x in w] + [None]
+        right = [None] + [d.right_map[x] for x in w]
+        first, last = len(w) - right[::-1].index(None), left.index(None)
+        vec_add_into(acc, {(tuple(left[:l]), tuple(right[l + 1:])): 1
+                           for l in range(first, last + 1)}, c)
     return TensorPoly(d.left_alphabet, d.right_alphabet, acc)
 
 
@@ -186,10 +170,7 @@ def splits_as_pair(p, w1, w2, direction="1x2"):
     d = _as_form_direction(direction)
     t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
                             theta(w1, d, "left"), theta(w2, d, "right"))
-    try:
-        return iota(p, d) == t
-    except DomainError:
-        return False
+    return is_integrable(p) and tensor_split(p, d) == t
 
 
 def phi(w1, w2, direction="1x2", cap=None):

@@ -184,14 +184,20 @@ def chen_defect(p, l):
             for slot, x in vec.items()}
 
 
-def is_integrable(p):
-    """True if every homogeneous part of p satisfies Chen's
-    integrability condition at every cut."""
+def _chen_failure(p):
+    """The first (degree, cut) at which a homogeneous part of p fails
+    Chen's integrability condition, or None."""
     for s, part in p.degree_parts().items():
         for l in range(1, s):
             if chen_defect(part, l):
-                return False
-    return True
+                return s, l
+    return None
+
+
+def is_integrable(p):
+    """True if every homogeneous part of p satisfies Chen's
+    integrability condition at every cut."""
+    return _chen_failure(p) is None
 
 
 # -- bar algebra bases ---------------------------------------------------
@@ -268,18 +274,9 @@ def _bar0_generators(s):
     return tuple(phis.values())
 
 
-@cache
-def _bar_span_reducer(s, cap=None):
-    """Reducer over bar_basis(s); the cap is part of the cache key, so a
-    cached reducer never slips past a lower cap."""
-    red = RowReducer()
-    for i, b in enumerate(bar_basis(s, cap=cap)):
-        red.add(_poly_vector(b), i)
-    return red
-
-
 def in_bar_span(p, cap=None):
-    """True if every homogeneous part of p lies in the span of the
-    corresponding bar basis."""
-    return all(_bar_span_reducer(s, cap).contains(_poly_vector(part))
-               for s, part in p.degree_parts().items())
+    """True if every homogeneous part of p lies in the span of its bar
+    basis, which spans the whole integrable subspace of its degree: after
+    the cap check, this is Chen's condition."""
+    check_degree(p.max_degree(), cap)
+    return is_integrable(p)

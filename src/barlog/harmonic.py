@@ -259,8 +259,8 @@ def mzv_truncated(index, max_n=100000):
     """Truncated nested harmonic sum zeta(k1, ..., kr) with an explicit
     tail bound.
 
-    Requires k1 >= 2 (else the series diverges).  The leading-entry
-    terms satisfy the proven majorant
+    Requires every ki >= 1, and k1 >= 2 (else the series diverges).
+    The leading-entry terms satisfy the proven majorant
 
         T(n) <= (1 + ln n)^(r-1) / ((r-1)! n^k1)
 
@@ -272,6 +272,8 @@ def mzv_truncated(index, max_n=100000):
     r = len(index)
     if r == 0:
         return MzvResult(1.0, 0.0, 0)
+    if any(k < 1 for k in index):
+        raise ValueError(f"index entries must be positive: {index}")
     if index[0] < 2:
         raise DivergentTermError(
             f"zeta{index} diverges: leading entry must be >= 2")

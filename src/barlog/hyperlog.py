@@ -78,8 +78,8 @@ class HyperlogTerm:
 
 @dataclass(frozen=True)
 class MplIndex:
-    """A 2MPL index with its numbering: i leading 'one' letters and j
-    trailing 'param' letters, i + j = len(index)."""
+    """A 2MPL index of positive integers with its numbering: i leading
+    'one' letters and j trailing 'param' letters, i + j = len(index)."""
     index: tuple
     numbering: tuple
 
@@ -88,6 +88,8 @@ class MplIndex:
         if i < 0 or j < 0 or i + j != len(self.index):
             raise ValueError(
                 f"bad numbering {self.numbering} for index {self.index}")
+        if any(k < 1 for k in self.index):
+            raise ValueError("index entries must be positive")
 
     @property
     def weight(self):

@@ -246,27 +246,11 @@ def _omega_raw(s):
 class OmegaKernel:
     """The degree-s kernel of the normalized fundamental solution with
     its Z part reduced to the product basis of one direction:
-    terms maps (form word, (W', W'')) to coefficients.
-
-    Coefficient extraction works against the alpha images of the
-    admissible pairs (which are triangular over the product basis, with
-    corrections carrying trailing ad letters), not against raw product
-    words: a raw product-basis readout would smear each coefficient
-    over the correction terms of the other pairs.
-    """
+    terms maps (form word, (W', W'')) to coefficients.  Its expansion
+    over the admissible pairs is omega_decomposition."""
     degree: int
     direction: str
     terms: dict
-
-    def decomposition(self):
-        return omega_decomposition(self.degree, self.direction)
-
-    def pairs(self):
-        return {p for p, c in self.decomposition().items() if c}
-
-    def form_coefficient(self, w1, w2):
-        pair = (tuple(w1), tuple(w2))
-        return self.decomposition().get(pair, WordPoly.zero(FORM_BASE))
 
 
 def omega_power(s, direction="1x2", cap=None):
@@ -289,7 +273,11 @@ def omega_decomposition(s, direction="1x2", cap=None):
 
     The alpha images are linearly independent (checked), so the
     expansion is unique; a solve failure would mean the kernel leaves
-    their span.
+    their span.  Coefficients are extracted against these images (which
+    are triangular over the product basis, with corrections carrying
+    trailing ad letters), not against raw product words: a raw
+    product-basis readout would smear each coefficient over the
+    correction terms of the other pairs.
     """
     check_degree(s, cap)
     return _omega_decomposition(s, _as_direction(direction).name)

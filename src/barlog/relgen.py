@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .duality import phi, splits_as_pair, tensor_split, theta
 from .hyperlog import eval_series, word_to_term
-from .ipbenv import alpha_pair, omega_power, w0_pairs, _reduce_word
+from .ipbenv import alpha_pair, omega_decomposition, w0_pairs, _reduce_word
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,12 @@ def _symbolic_direction_check(s, direction):
     pairs are admissible, and each admissible pair's form coefficient
     is integrable with the theta monomial of the pair as its tensor
     splitting."""
-    kernel = omega_power(s, direction)
+    decomposition = omega_decomposition(s, direction)
     pairs = w0_pairs(s, direction)
-    if not kernel.pairs() <= set(pairs):
-        return False
-    return all(splits_as_pair(kernel.form_coefficient(*pair), *pair,
-                              direction)
-               for pair in pairs)
+    return ({p for p, c in decomposition.items() if c} <= set(pairs)
+            and all(pair in decomposition
+                    and splits_as_pair(decomposition[pair], *pair, direction)
+                    for pair in pairs))
 
 
 def decompose_check(s, point=(0.3, 0.4), max_n=10000, tol=1e-8):

@@ -30,10 +30,6 @@ FORM_MAIN2 = ("z2", "z22", "z12_2")   # one-forms in dz2 only
 FORM_PURE1 = ("z1", "z11")
 FORM_PURE2 = ("z2", "z22")
 LIE_BASE = ("Z1", "Z11", "Z2", "Z22", "Z12")
-LIE_LEFT_12 = ("Z1", "Z11", "Z12")
-LIE_RIGHT_12 = ("Z2", "Z22")
-LIE_LEFT_21 = ("Z2", "Z22", "Z12")
-LIE_RIGHT_21 = ("Z1", "Z11")
 
 
 def word_sort_key(alphabet):
@@ -47,12 +43,11 @@ def word_sort_key(alphabet):
     return key
 
 
-def _checked_word(alphabet, word):
-    word = tuple(word)
-    for x in word:
-        if x not in alphabet:
-            raise AlphabetError(f"letter {x!r} not in alphabet {alphabet}")
-    return word
+def _check_letters(alphabet, words):
+    stray = set().union(*words).difference(alphabet)
+    if stray:
+        raise AlphabetError(
+            f"letters {sorted(map(repr, stray))} not in alphabet {alphabet}")
 
 
 class WordPoly:
@@ -65,8 +60,9 @@ class WordPoly:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, coeff in items:
-            word = _checked_word(self.alphabet, word)
+            word = tuple(word)
             acc[word] = acc.get(word, 0) + num(coeff)
+        _check_letters(self.alphabet, acc)
         self.terms = {w: num(c) for w, c in acc.items() if c}
 
     # -- constructors -------------------------------------------------
@@ -166,9 +162,10 @@ class TensorPoly:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (w1, w2), coeff in items:
-            w1 = _checked_word(self.left_alphabet, w1)
-            w2 = _checked_word(self.right_alphabet, w2)
-            acc[(w1, w2)] = acc.get((w1, w2), 0) + num(coeff)
+            key = (tuple(w1), tuple(w2))
+            acc[key] = acc.get(key, 0) + num(coeff)
+        _check_letters(self.left_alphabet, (w1 for w1, _ in acc))
+        _check_letters(self.right_alphabet, (w2 for _, w2 in acc))
         self.terms = {p: num(c) for p, c in acc.items() if c}
 
     @classmethod

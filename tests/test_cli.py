@@ -54,6 +54,21 @@ def test_harmonic(capsys):
     assert data["recursion_matches"] is True
 
 
+def test_harmonic_rejects_bad_input(capsys):
+    for argv in (["--left=-1,2", "--right", "1"],
+                 ["--left", "0", "--right", "1"],
+                 ["--left", "2", "--right", "1,0"]):
+        code, out, err = capture(capsys, ["harmonic"] + argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be positive" in err
+    for point in ("0.3", "0.3,0.4,0.5"):
+        code, out, err = capture(capsys, ["harmonic", "--left", "2",
+                                          "--right", "1",
+                                          "--numeric", point])
+        assert (code, out) == (2, "")
+        assert "expects z1,z2" in err
+
+
 def test_harmonic_terms(capsys):
     argv = ["harmonic", "--left", "2", "--right", "1,1",
             "--numeric", "0.3,0.4"]

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlog.duality import (FORM_DIRECTIONS, _tensor_vector, iota, iota_inv,
                             iota_rank, phi, tensor_split, theta)
@@ -10,7 +12,7 @@ from barlog.errors import (AlphabetError, BarlogError, DomainError,
                            ResourceLimitError)
 from barlog.formspace import bar_basis
 from barlog.ipbenv import w0_pairs
-from barlog.linalg import RowReducer
+from barlog.linalg import RowReducer, vec_add_into
 from barlog.words import FORM_BASE, TensorPoly, WordPoly
 from chen_oracle import chen_bar_basis
 
@@ -225,3 +227,50 @@ def test_phi_checks_letters_before_the_kernel(monkeypatch):
         phi(("Z22",), ())
     with pytest.raises(AlphabetError):
         phi((), ("Z12",), "2x1")
+
+
+# -- tensor_split against the all-cuts loop it replaced ---------------------
+
+def reference_project(word, table):
+    """Apply a letter projection to a word; None if any letter dies."""
+    out = []
+    for x in word:
+        y = table[x]
+        if y is None:
+            return None
+        out.append(y)
+    return tuple(out)
+
+
+def reference_tensor_split(p, direction="1x2"):
+    """Every cut of every word, each side projected anew."""
+    d = FORM_DIRECTIONS[direction]
+    acc = {}
+    for w, c in p.terms.items():
+        cuts = {}
+        for l in range(len(w) + 1):
+            left = reference_project(w[:l], d.left_map)
+            if left is None:
+                continue
+            right = reference_project(w[l:], d.right_map)
+            if right is not None:
+                cuts[(left, right)] = 1
+        vec_add_into(acc, cuts, c)
+    return TensorPoly(d.left_alphabet, d.right_alphabet, acc)
+
+
+form_words = st.lists(st.sampled_from(FORM_BASE), max_size=7).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.tuples(form_words, st.integers(-3, 3)),
+                      max_size=8),
+       cancel=st.lists(st.booleans(), max_size=8),
+       direction=st.sampled_from(("1x2", "2x1")))
+def test_tensor_split_matches_the_all_cuts_loop(terms, cancel, direction):
+    # Words drawn twice with opposite signs cancel in the polynomial.
+    terms += [(w, -c) for (w, c), drop in zip(terms, cancel) if drop]
+    p = WordPoly(FORM_BASE, terms)
+    got = tensor_split(p, direction)
+    expected = reference_tensor_split(p, direction)
+    assert list(got.terms.items()) == list(expected.terms.items())

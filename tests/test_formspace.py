@@ -1,10 +1,13 @@
 import math
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlog.errors import BarlogError, ResourceLimitError
 from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
-                              _bar_span_reducer, _wedge_numerator,
+                              _poly_vector, _wedge_numerator,
                               bar0_basis, bar_basis,
                               chen_defect, in_bar_span, is_integrable,
                               relation_space_contains, wedge_relation_space)
@@ -170,24 +173,47 @@ def test_non_integrable_word():
     assert not in_bar_span(w)
 
 
-def test_in_bar_span_reuses_one_reducer_per_degree_and_cap():
-    _bar_span_reducer.cache_clear()
+def test_in_bar_span_answers_and_checks_the_cap():
     polys = [bar_basis(3)[0],
              shuffle(bar_basis(1)[0], bar_basis(2)[1]),
              _m("z1", "z2"),
              bar_basis(2)[0] + _m("z1", "z2", "z1")]
-    expected = [True, True, False, False]
-    assert [in_bar_span(p) for p in polys] == expected
-    first = _bar_span_reducer.cache_info()
-    assert first.misses == 2  # one reducer each for degrees 2 and 3
-    assert [in_bar_span(p) for p in polys] == expected
-    second = _bar_span_reducer.cache_info()
-    assert second.misses == first.misses
-    assert second.hits == first.hits + 5  # one lookup per degree part
-    # The cap is part of the key: a cached degree-3 reducer does not
-    # let a degree-3 part past a cap of 2.
+    assert [in_bar_span(p) for p in polys] == [True, True, False, False]
     with pytest.raises(ResourceLimitError):
         in_bar_span(polys[0], cap=2)
+
+
+@cache
+def _chen_span_reducer(s):
+    """Reducer over the Chen-condition basis of degree s."""
+    red = RowReducer()
+    for i, b in enumerate(chen_bar_basis(s)):
+        red.add(_poly_vector(b), i)
+    return red
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       degrees=st.sets(st.integers(0, 4), min_size=1, max_size=2),
+       stray=st.one_of(st.none(),
+                       st.lists(st.sampled_from(FORM_BASE), min_size=2,
+                                max_size=4)))
+def test_in_bar_span_matches_the_chen_oracle(data, degrees, stray):
+    """in_bar_span, Chen's condition at every cut, agrees with
+    membership in the span of the oracle basis, the recursive
+    first-cut nullspace."""
+    p = WordPoly.zero(FORM_BASE)
+    for s in degrees:
+        basis = chen_bar_basis(s)
+        for i, c in data.draw(st.lists(
+                st.tuples(st.integers(0, len(basis) - 1),
+                          st.integers(-3, 3)), max_size=4)):
+            p = p + basis[i].scale(c)
+    if stray is not None:
+        p = p + _m(*stray)
+    expected = all(_chen_span_reducer(s).contains(_poly_vector(part))
+                   for s, part in p.degree_parts().items())
+    assert in_bar_span(p) == expected
 
 
 def test_degree_cap():

@@ -85,6 +85,16 @@ def test_mzv_divergent():
         mzv_truncated((1, 2))
 
 
+def test_non_positive_indices_are_rejected():
+    # zeta(2, 0) diverges, and the tail majorant assumes every ki >= 1.
+    for index in ((2, 0), (3, -1), (0,), (-2, 1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            mzv_truncated(index, 100)
+    for k, l in (((-1, 2), (1,)), ((0,), (1,)), ((2,), (1, 0))):
+        with pytest.raises(ValueError, match="must be positive"):
+            mpl_harmonic_expand(k, l)
+
+
 def test_tagged_sum_algebra():
     a = TaggedMplSum.single((2,), (1, 0), "12")
     b = TaggedMplSum.single((2,), (1, 0), "12", coeff=-1)

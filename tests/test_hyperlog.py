@@ -154,3 +154,10 @@ def test_quadrature_axis_leg_is_fine():
     direct = eval_quadrature(p, [(0, 0), (0.5, 0.3)], tol=1e-12)
     assert abs(via_axis - (math.log(2) ** 2 / 2)) < 1e-11
     assert abs(via_axis - direct) < 1e-10
+
+
+def test_mpl_index_rejects_non_positive_entries():
+    for index in ((0,), (2, -1), (1, 0, 2)):
+        with pytest.raises(ValueError, match="must be positive"):
+            MplIndex(index, (len(index), 0))
+    assert MplIndex((1, 2), (1, 1)).weight == 3

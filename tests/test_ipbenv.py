@@ -111,8 +111,9 @@ def test_omega_low_degrees():
 
 def test_omega_pairs_are_admissible():
     for s in (1, 2, 3):
-        assert omega_power(s).pairs() <= set(w0_pairs(s, "1x2"))
-        assert omega_power(s, "2x1").pairs() <= set(w0_pairs(s, "2x1"))
+        for d in ("1x2", "2x1"):
+            pairs = {p for p, c in omega_decomposition(s, d).items() if c}
+            assert pairs <= set(w0_pairs(s, d))
 
 
 def test_omega_form_parts_integrable():
@@ -125,7 +126,7 @@ def test_omega_form_parts_integrable():
 
 
 def test_omega_coefficient_reference_display():
-    coeff = omega_power(2).form_coefficient(("Z11", "Z12"), ())
+    coeff = omega_decomposition(2)[(("Z11", "Z12"), ())]
     assert coeff.terms == {
         ("z11", "z12"): 1,
         ("z22", "z11"): 1,

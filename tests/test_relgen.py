@@ -113,11 +113,11 @@ def test_weight_homogeneous():
 
 
 def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
-    from barlog import ipbenv
+    from barlog import relgen
     from barlog.relgen import _symbolic_direction_check
     from barlog.words import FORM_BASE, WordPoly
 
-    real = ipbenv.omega_decomposition
+    real = relgen.omega_decomposition
     good = real(2, "1x2")
     assert _symbolic_direction_check(2, "1x2")
     pair = (("Z11", "Z12"), ())
@@ -129,7 +129,7 @@ def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
                 return {**good, **change}
             return real(s, direction, cap)
 
-        monkeypatch.setattr(ipbenv, "omega_decomposition", wrong)
+        monkeypatch.setattr(relgen, "omega_decomposition", wrong)
         assert not _symbolic_direction_check(2, "1x2"), change
         assert _symbolic_direction_check(2, "2x1")
     monkeypatch.undo()
@@ -139,17 +139,17 @@ def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
 def test_generate_relation_checks_integrability_once(monkeypatch):
     # phi certifies integrability; splitting its result in the other
     # direction must not check it again.
-    from barlog import duality
+    from barlog import formspace
     from barlog.duality import phi
 
     calls = []
-    chen_defect = duality.chen_defect
+    chen_defect = formspace.chen_defect
 
     def counted(*args):
         calls.append(args)
         return chen_defect(*args)
 
-    monkeypatch.setattr(duality, "chen_defect", counted)
+    monkeypatch.setattr(formspace, "chen_defect", counted)
     w1, w2 = ("Z11", "Z12"), ("Z22",)
     phi(w1, w2, direction="1x2")
     by_phi = len(calls)

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from barlog.errors import AlphabetError
-from barlog.words import (FORM_BASE, TensorPoly, WordPoly, antipode, concat,
-                          counit, deconcat, poly_from_json, poly_to_json,
-                          shuffle)
+from barlog.words import (FORM_BASE, FORM_PURE1, FORM_PURE2, TensorPoly,
+                          WordPoly, antipode, concat, counit, deconcat,
+                          poly_from_json, poly_to_json, shuffle)
 
 
 def rand_poly(rng, alphabet=FORM_BASE, max_deg=3, n_terms=3):
@@ -88,6 +88,27 @@ def test_alphabet_checked():
         WordPoly.monomial(FORM_BASE, ("nope",))
     with pytest.raises(AlphabetError):
         TensorPoly.monomial(FORM_BASE, FORM_BASE, ("z1",), ("bad",))
+    with pytest.raises(AlphabetError):
+        TensorPoly.monomial(FORM_BASE, FORM_BASE, ("z1", "bad"), ("z2",))
+    # A stray letter is rejected even where its coefficients cancel.
+    with pytest.raises(AlphabetError):
+        WordPoly(FORM_BASE, [(("z1",), 1), (("nope",), 1), (("nope",), -1)])
+    # The other alphabet's letters are stray too.
+    with pytest.raises(AlphabetError):
+        TensorPoly.monomial(FORM_PURE1, FORM_PURE2, ("z1",), ("z1",))
+
+
+def test_list_words():
+    assert (WordPoly(FORM_BASE, [(["z1", "z22"], 2)])
+            == WordPoly.monomial(FORM_BASE, ("z1", "z22"), 2))
+    assert (TensorPoly(FORM_BASE, FORM_BASE, [((["z1"], ["z2"]), 1)])
+            == TensorPoly.monomial(FORM_BASE, FORM_BASE, ("z1",), ("z2",)))
+    with pytest.raises(AlphabetError):
+        WordPoly(FORM_BASE, [(["z1", "nope"], 1)])
+    with pytest.raises(AlphabetError):
+        TensorPoly(FORM_BASE, FORM_BASE, [((["nope"], ["z2"]), 1)])
+    with pytest.raises(AlphabetError):
+        TensorPoly(FORM_BASE, FORM_BASE, [((["z1"], ["z2", "nope"]), 1)])
 
 
 def test_json_round_trip():
