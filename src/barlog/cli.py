@@ -303,6 +303,11 @@ class _UsageError(Exception):
     pass
 
 
+_TERMS_HELP = ("cap on the terms of each series (default 100000); a "
+               "series stops earlier once its proven tail bound is below "
+               "its rounding bound, and the bound it reports covers both")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
@@ -336,7 +341,7 @@ def build_parser():
     p.add_argument("--verify", action="store_true")
     p.add_argument("--z1", type=float, default=0.3)
     p.add_argument("--z2", type=float, default=0.4)
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=int, help=_TERMS_HELP)
     p.add_argument("--tol", type=float)
     p.add_argument("--out")
 
@@ -344,14 +349,14 @@ def build_parser():
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--numeric", help="z1,z2 evaluation point")
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=int, help=_TERMS_HELP)
     p.add_argument("--out")
 
     p = add("eval", help="evaluate one term by series")
     p.add_argument("--term", required=True)
     p.add_argument("--z1", type=float, required=True)
     p.add_argument("--z2", type=float, required=True)
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=int, help=_TERMS_HELP)
     p.add_argument("--out")
 
     p = add("decompose", help="solution-kernel decomposition")
@@ -363,7 +368,7 @@ def build_parser():
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--z1", type=float, default=0.3)
     p.add_argument("--z2", type=float, default=0.4)
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=int, help=_TERMS_HELP)
     p.add_argument("--tol", type=float)
     p.add_argument("--out")
 

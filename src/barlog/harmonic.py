@@ -114,7 +114,8 @@ class TaggedMplSum:
 
 
 def eval_tagged(tag, z1, z2, max_n=100000):
-    """Numeric value of one tagged term by truncated series."""
+    """EvalResult of one tagged term by eval_series: at most max_n
+    terms, with a bound covering truncation and rounding."""
     index, numbering, orientation = tag
     m = MplIndex(index, numbering)
     if orientation == "21":
@@ -124,7 +125,9 @@ def eval_tagged(tag, z1, z2, max_n=100000):
 
 
 def eval_sum(s, z1, z2, max_n=100000):
-    """(value, combined truncation bound) of a tagged sum."""
+    """(value, bound) of a tagged sum: each term by eval_tagged, at most
+    max_n series terms each, and the bound the sum of |coefficient|
+    times each term's truncation-plus-rounding bound."""
     total = 0.0 + 0j
     bound = 0.0
     for tag, c in s.terms.items():
@@ -277,7 +280,7 @@ def mzv_truncated(index, max_n=100000):
     if index[0] < 2:
         raise DivergentTermError(
             f"zeta{index} diverges: leading entry must be >= 2")
-    total, _ = nested_sum([1.0] * r, index, 1.0, max_n)
+    total, _, _ = nested_sum([1.0] * r, index, 1.0, max_n)
     # I(m) = integral_N^inf (1 + ln t)^m t^(-(a+1)) dt with a = k1 - 1:
     # I(m) = (1 + ln N)^m / (a N^a) + (m / a) I(m - 1).
     a = index[0] - 1

@@ -11,10 +11,11 @@ first) is the two-variable multiple polylogarithm with numbering
 (i, j).
 
 The module translates words over the projected one-form alphabets to
-terms and back, evaluates truncated series with an explicit tail
-bound, implements the exact differential recursion of the numbering
-calculus, and provides an adaptive Gauss-Legendre quadrature oracle
-for iterated integrals of form words along polyline contours.
+terms and back, evaluates series of adaptive length with a bound that
+covers the truncated tail and floating-point rounding, implements the
+exact differential recursion of the numbering calculus, and provides
+an adaptive Gauss-Legendre quadrature oracle for iterated integrals of
+form words along polyline contours.
 
 The quadrature works level by level.  A level holds each path segment's
 16-node panels as arrays, pulls each letter back once over all panels,
@@ -26,6 +27,8 @@ and a quadrature that does not get there raises DomainError.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +47,7 @@ _MAIN_OF_LETTER = {
 _LOG_LETTER = {1: "z1", 2: "z2"}
 _ONE_LETTER = {1: "z11", 2: "z22"}
 _PARAM_LETTER = {1: "z12_1", 2: "z12_2"}
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, order=True)
@@ -145,13 +149,67 @@ class EvalResult:
     terms_used: int
 
 
-def nested_sum(alphas, ks, z, max_n):
-    """(sum over n <= max_n of z^n T[0](n), max |T[0](n)|) on floats or
-    complex numbers, z's type setting the type of the running sums.
+# Terms summed between two stop tests of an adaptive nested_sum.
+_STOP_STRIDE = 8
 
-    T[j](n) is the inner sum with the j-th summation index fixed at n,
-    including its own 1/n^k_j and geometric factors; C[j] accumulates
-    sum_{m<n} alpha_j^(n-m) T[j+1](m).  Both are updated in place.
+
+def _tail_bound(q, k1, r, n):
+    """Proven bound on sum over m > n of |z^m T[0](m)|, where q is |z|
+    times the largest of 1 and the |alpha_j|.
+
+    Every chain m = n1 > n2 > ... > nr > 0 of T[0](m) carries the
+    geometric factors alpha_1^(n1-n2) ... alpha_r^(nr), whose moduli
+    multiply to at most max(1, |alpha_j|)^m, and the sum over chains of
+    1/(n2 ... nr) is at most H(m-1)^(r-1) / (r-1)!.  So the m-th tail
+    term is at most q^m M(m) with M(m) = (1 + ln m)^(r-1) /
+    ((r-1)! m^k1), the majorant mzv_truncated also proves.  Since
+    (1 + ln(m+1)) / (1 + ln m) falls with m, the ratio of consecutive
+    majorant terms beyond n is at most
+    q ((1 + ln(n+2)) / (1 + ln(n+1)))^(r-1), and the tail is at most the
+    geometric sum from q^(n+1) M(n+1).  Where that ratio is not below 1
+    the bound is inf.
+    """
+    log_head = 1.0 + math.log(n + 1)
+    ratio = q * ((1.0 + math.log(n + 2)) / log_head) ** (r - 1)
+    if ratio >= 1.0:
+        return math.inf
+    return (q ** (n + 1) * log_head ** (r - 1) * (n + 1.0) ** -k1
+            / (math.factorial(r - 1) * (1.0 - ratio)))
+
+
+def _rounding_bound(r, n, abs_sum):
+    """gamma_k times sum over m <= n of |z^m T[0](m)|, with k = 2(r+1)(n+1)
+    and gamma_k = k eps / (1 - k eps).
+
+    The term z^m T[0](m) comes out of the m products of z^m and of
+    alpha_r^m, the m additions and m products at each of the r-1 levels
+    of C, r real divisions and one last product, and the running total
+    adds at most n more roundings.  Each operation errs by at most sqrt(5) u (a complex
+    product) or u relative, with u = eps / 2, so to first order the
+    computed total is within this bound of the exact one.  The count
+    assumes that the partial sums of C do not cancel far below their
+    terms.
+    """
+    k_eps = 2 * (r + 1) * (n + 1) * _EPS
+    return k_eps / (1.0 - k_eps) * abs_sum
+
+
+def nested_sum(alphas, ks, z, max_n, adaptive=False):
+    """(total, n, bound) of the nested series sum over m <= n of
+    z^m T[0](m), on floats or complex numbers, z's type setting the
+    type of the running sums.
+
+    T[j](m) is the inner sum with the j-th summation index fixed at m,
+    including its own 1/m^k_j and geometric factors; C[j] accumulates
+    sum_{l<m} alpha_j^(m-l) T[j+1](l).  Both are updated in place.
+
+    n is max_n or, with adaptive, the first multiple of _STOP_STRIDE
+    below it at which the proven tail bound (_tail_bound) is at most
+    the rounding bound (_rounding_bound): more terms could not make
+    the value more certain.  bound is the sum of the two at n, so it
+    covers truncation and floating-point rounding (inf where the tail
+    majorant does not converge, as at z = 1).  The terms summed are
+    computed the same way whether or not the sum stops early.
     """
     r = len(ks)
     zero, one = type(z)(0.0), type(z)(1.0)
@@ -159,41 +217,51 @@ def nested_sum(alphas, ks, z, max_n):
     C = [zero] * (r - 1)
     inner = range(r - 1)
     a_last, k_last = alphas[r - 1], ks[r - 1]
+    q = abs(z) * max(1.0, *map(abs, alphas))
     ar_pow = z_pow = one
     total = zero
-    inner_max = 0.0
-    for n in range(1, max_n + 1):
-        for j in inner:
-            C[j] = alphas[j] * (C[j] + T[j + 1])
-            T[j] = C[j] / n ** ks[j]
-        ar_pow *= a_last
-        T[r - 1] = ar_pow / n ** k_last
-        z_pow *= z
-        total += z_pow * T[0]
-        mag = abs(T[0])
-        if mag > inner_max:
-            inner_max = mag
-    return total, inner_max
+    abs_sum = 0.0
+    stride = _STOP_STRIDE if adaptive else max_n
+    n = 0
+    while n < max_n:
+        for n in range(n + 1, min(n + stride, max_n) + 1):
+            for j in inner:
+                C[j] = alphas[j] * (C[j] + T[j + 1])
+                T[j] = C[j] / n ** ks[j]
+            ar_pow *= a_last
+            T[r - 1] = ar_pow / n ** k_last
+            z_pow *= z
+            term = z_pow * T[0]
+            total += term
+            abs_sum += abs(term)
+        if adaptive and (_tail_bound(q, ks[0], r, n)
+                         <= _rounding_bound(r, n, abs_sum)):
+            break
+    return (total, n,
+            _tail_bound(q, ks[0], r, n) + _rounding_bound(r, n, abs_sum))
 
 
 @lru_cache(maxsize=4096)
 def _series(ks, letters, z, param, max_n):
     alphas = [1.0 + 0j if a == ONE else param for a in letters]
-    total, inner_max = nested_sum(alphas, ks, z, max_n)
-    bound = inner_max * abs(z) ** (max_n + 1) / (1 - abs(z))
-    return EvalResult(total, bound, max_n)
+    total, n, bound = nested_sum(alphas, ks, z, max_n, adaptive=True)
+    return EvalResult(total, bound, n)
 
 
 def eval_series(t, z1, z2, max_n=100000):
-    """Truncated nested series of a term, summed by nested_sum.
+    """Nested series of a term, summed by nested_sum with an adaptive
+    length: at most max_n terms, and fewer once the proven tail bound
+    falls below the rounding bound.
 
-    Requires |z_main| < 1 and |param| <= 1.  The tail bound is geometric:
-    (max inner magnitude seen) * |z|^(N+1)/(1-|z|).  Identical (index,
-    letters, z, param, max_n) evaluations are cached in a bounded LRU of
-    4096 entries; _series.cache_clear() empties it, and each --jobs
-    worker process has its own.  -0.0 and +0.0 share an entry safely:
-    signed zeros change no nonzero part, and the running sum, which
-    starts at +0.0, never ends at -0.0.
+    Requires |z_main| < 1 and |param| <= 1.  truncation_bound covers
+    both the truncated tail and floating-point rounding, and terms_used
+    is the number of terms summed; the value is the plain loop's value
+    at that length.  Identical (index, letters, z, param, max_n)
+    evaluations are cached in a bounded LRU of 4096 entries;
+    _series.cache_clear() empties it, and each --jobs worker process
+    has its own.  -0.0 and +0.0 share an entry safely: signed zeros
+    change no nonzero part, and the running sum, which starts at +0.0,
+    never ends at -0.0.
     """
     z = complex(z1 if t.main_var == 1 else z2)
     param = complex(z2 if t.main_var == 1 else z1)
@@ -254,7 +322,8 @@ def partial_derivative(m, var):
 
 
 def eval_mpl(m, z1, z2, max_n=100000):
-    """Numeric value of Li_index(i, j; z1, z2) by truncated series."""
+    """Li_index(i, j; z1, z2) as an EvalResult of eval_series: at most
+    max_n terms, with a bound covering truncation and rounding."""
     return eval_series(m.to_term(main_var=1), z1, z2, max_n)
 
 

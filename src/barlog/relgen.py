@@ -89,7 +89,8 @@ def generate_all(s):
 
 
 def _product_eval(t_a, t_b, z1, z2, max_n):
-    """Value and honest truncation bound of a product of two terms."""
+    """Value and honest bound (truncation and rounding) of a product of
+    two terms."""
     ra = eval_series(t_a, z1, z2, max_n)
     rb = eval_series(t_b, z1, z2, max_n)
     value = ra.value * rb.value
@@ -102,9 +103,11 @@ def _product_eval(t_a, t_b, z1, z2, max_n):
 def verify_relation(r, points, max_n=10000, tol=1e-8):
     """Numeric witness of a relation at the given (z1, z2) points.
 
-    Returns a list of {point, lhs, rhs, residual, bound, passed}; a
-    point passes when the residual does not exceed tol plus the
-    combined truncation bounds.
+    Every series stops adaptively within max_n terms (see
+    eval_series).  Returns a list of {point, lhs, rhs, residual, bound,
+    passed}; bound combines the series' bounds on truncation and
+    rounding, and a point passes when the residual does not exceed tol
+    plus bound.
     """
     report = []
     for z1, z2 in points:

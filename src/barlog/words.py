@@ -135,11 +135,6 @@ class WordPoly:
             parts.setdefault(len(w), {})[w] = c
         return {s: WordPoly(self.alphabet, t) for s, t in sorted(parts.items())}
 
-    def cast(self, alphabet):
-        """Re-tag the polynomial over another alphabet containing all
-        letters actually used."""
-        return WordPoly(alphabet, self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "WordPoly(0)"

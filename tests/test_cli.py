@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 
+import mpmath
 import pytest
 
 from barlog.cli import Config, load_config, parse_term, run
 from barlog.formspace import DEFAULT_DEGREE_CAP
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
+from mp_series import DPS, mp_series
 
 
 def capture(capsys, argv):
@@ -74,11 +76,13 @@ def test_harmonic_terms(capsys):
             "--numeric", "0.3,0.4"]
     code, out, _ = capture(capsys, argv)
     assert code == 0
-    default_bound = json.loads(out)["bound"]
+    default = json.loads(out)
+    # A cap of 2000 does not bind at (0.3, 0.4), so every series stops
+    # where it does by default; 20 terms leave a tail the bound must show.
     code, out, _ = capture(capsys, argv + ["--terms", "2000"])
     assert code == 0
-    # At 2000 terms the tail bound at (0.3, 0.4) underflows to 0.0, as
-    # at the default; 20 terms leave a tail the bound must show.
+    assert json.loads(out) == default
+    default_bound = default["bound"]
     code, out, _ = capture(capsys, argv + ["--terms", "20"])
     assert code == 0
     assert json.loads(out)["bound"] > default_bound
@@ -94,6 +98,37 @@ def test_eval(capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["value"][0] - 0.010756440930465) < 1e-10
+
+
+def test_eval_default_length_is_adaptive_and_honest(capsys):
+    argv = ["eval", "--term", "L[2,1|one,param]@z1",
+            "--z1", "0.3", "--z2", "0.4"]
+    code, out, _ = capture(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["terms_used"] < 200
+    assert data["bound"] > 0
+    ref, ref_tail = mp_series(parse_term(argv[2]), 0.3, 0.4)
+    with mpmath.workdps(DPS):
+        error = abs(mpmath.mpc(*data["value"]) - ref)
+    assert error <= data["bound"] + ref_tail
+    # --terms is a cap
+    code, out, _ = capture(capsys, argv + ["--terms", "10"])
+    assert code == 0
+    assert json.loads(out)["terms_used"] == 10
+
+
+def test_numeric_checks_pass_at_default_settings(capsys):
+    code, out, _ = capture(capsys, ["verify", "--degree", "3"])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    code, out, _ = capture(capsys, ["harmonic", "--left", "2", "--right",
+                                    "1,1", "--numeric", "0.3,0.4"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["recursion_matches"] is True
+    assert 0 < data["bound"]
+    assert data["residual"] <= Config().tolerance + data["bound"]
 
 
 def test_decompose(capsys):
