@@ -21,7 +21,7 @@ from .formspace import (DEFAULT_DEGREE_CAP, bar0_basis, bar_basis,
                         check_degree)
 from .harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
                        recursion_expand)
-from .hyperlog import ONE, PARAM, HyperlogTerm, eval_series
+from .hyperlog import ONE, PARAM, HyperlogTerm, eval_series, within_bound
 from .ipbenv import omega_decomposition, w0_pairs
 from .duality import phi
 from .relgen import (decompose_check, generate_all, relation_to_dict,
@@ -211,7 +211,7 @@ def _cmd_harmonic(args, cfg):
         residual = abs(lhs - rhs)
         payload["residual"] = residual
         payload["bound"] = bound
-        if residual > cfg.tolerance + bound:
+        if not within_bound(residual, bound, cfg.tolerance):
             failed = True
 
     def render(p):
@@ -305,7 +305,8 @@ class _UsageError(Exception):
 
 _TERMS_HELP = ("cap on the terms of each series (default 100000); a "
                "series stops earlier once its proven tail bound is below "
-               "its rounding bound, and the bound it reports covers both")
+               "its first-order rounding estimate, and the bound it "
+               "reports is the sum of the two")
 
 
 def build_parser():

@@ -115,7 +115,7 @@ class TaggedMplSum:
 
 def eval_tagged(tag, z1, z2, max_n=100000):
     """EvalResult of one tagged term by eval_series: at most max_n
-    terms, with a bound covering truncation and rounding."""
+    terms, with a proven tail bound plus a rounding estimate."""
     index, numbering, orientation = tag
     m = MplIndex(index, numbering)
     if orientation == "21":
@@ -127,7 +127,7 @@ def eval_tagged(tag, z1, z2, max_n=100000):
 def eval_sum(s, z1, z2, max_n=100000):
     """(value, bound) of a tagged sum: each term by eval_tagged, at most
     max_n series terms each, and the bound the sum of |coefficient|
-    times each term's truncation-plus-rounding bound."""
+    times each term's truncation_bound (tail plus rounding estimate)."""
     total = 0.0 + 0j
     bound = 0.0
     for tag, c in s.terms.items():

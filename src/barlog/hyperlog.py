@@ -11,8 +11,8 @@ first) is the two-variable multiple polylogarithm with numbering
 (i, j).
 
 The module translates words over the projected one-form alphabets to
-terms and back, evaluates series of adaptive length with a bound that
-covers the truncated tail and floating-point rounding, implements the
+terms and back, evaluates series of adaptive length with a bound made
+of a proven tail bound and a first-order rounding estimate, implements the
 exact differential recursion of the numbering calculus, and provides
 an adaptive Gauss-Legendre quadrature oracle for iterated integrals of
 form words along polyline contours.
@@ -149,7 +149,7 @@ class EvalResult:
     terms_used: int
 
 
-# Terms summed between two stop tests of an adaptive nested_sum.
+# Terms summed between two stop tests of nested_sum.
 _STOP_STRIDE = 8
 
 
@@ -177,24 +177,25 @@ def _tail_bound(q, k1, r, n):
             / (math.factorial(r - 1) * (1.0 - ratio)))
 
 
-def _rounding_bound(r, n, abs_sum):
-    """gamma_k times sum over m <= n of |z^m T[0](m)|, with k = 2(r+1)(n+1)
-    and gamma_k = k eps / (1 - k eps).
+def _rounding_estimate(r, n, abs_sum):
+    """gamma_k times sum over m <= n of |z^m T[0](m)|, with
+    k = 2(r+1)(n+1) and gamma_k = k eps / (1 - k eps): an estimate of
+    the rounding error of the computed total, not a proof.
 
     The term z^m T[0](m) comes out of the m products of z^m and of
     alpha_r^m, the m additions and m products at each of the r-1 levels
     of C, r real divisions and one last product, and the running total
-    adds at most n more roundings.  Each operation errs by at most sqrt(5) u (a complex
-    product) or u relative, with u = eps / 2, so to first order the
-    computed total is within this bound of the exact one.  The count
-    assumes that the partial sums of C do not cancel far below their
-    terms.
+    adds at most n more roundings.  Each operation errs by at most
+    sqrt(5) u (a complex product) or u relative, with u = eps / 2, so to
+    first order the computed total is within this estimate of the exact
+    one, provided the partial sums of C do not cancel far below their
+    terms; ROADMAP 3(f) records that assumption.
     """
     k_eps = 2 * (r + 1) * (n + 1) * _EPS
     return k_eps / (1.0 - k_eps) * abs_sum
 
 
-def nested_sum(alphas, ks, z, max_n, adaptive=False):
+def nested_sum(alphas, ks, z, max_n):
     """(total, n, bound) of the nested series sum over m <= n of
     z^m T[0](m), on floats or complex numbers, z's type setting the
     type of the running sums.
@@ -203,13 +204,17 @@ def nested_sum(alphas, ks, z, max_n, adaptive=False):
     including its own 1/m^k_j and geometric factors; C[j] accumulates
     sum_{l<m} alpha_j^(m-l) T[j+1](l).  Both are updated in place.
 
-    n is max_n or, with adaptive, the first multiple of _STOP_STRIDE
-    below it at which the proven tail bound (_tail_bound) is at most
-    the rounding bound (_rounding_bound): more terms could not make
-    the value more certain.  bound is the sum of the two at n, so it
-    covers truncation and floating-point rounding (inf where the tail
-    majorant does not converge, as at z = 1).  The terms summed are
-    computed the same way whether or not the sum stops early.
+    n is max_n or the first multiple of _STOP_STRIDE below it at which
+    the proven tail bound (_tail_bound) is at most the estimated
+    rounding error (_rounding_estimate): more terms could not make the
+    value more certain.  Where q = |z| max(1, |alpha_j|) is not below 1,
+    as for the MZVs at z = 1, the tail majorant diverges, so the sum
+    runs to max_n with a single test.  bound is the tail bound plus the
+    rounding estimate at n; the tail part is proven (inf where its
+    majorant does not converge), the rounding part is a first-order
+    count that assumes the sums C do not cancel far below their terms
+    (ROADMAP 3(f)).  The terms are computed the same way wherever the
+    sum stops.
     """
     r = len(ks)
     zero, one = type(z)(0.0), type(z)(1.0)
@@ -221,9 +226,9 @@ def nested_sum(alphas, ks, z, max_n, adaptive=False):
     ar_pow = z_pow = one
     total = zero
     abs_sum = 0.0
-    stride = _STOP_STRIDE if adaptive else max_n
+    stride = _STOP_STRIDE if q < 1 else max_n
     n = 0
-    while n < max_n:
+    while True:
         for n in range(n + 1, min(n + stride, max_n) + 1):
             for j in inner:
                 C[j] = alphas[j] * (C[j] + T[j + 1])
@@ -234,34 +239,34 @@ def nested_sum(alphas, ks, z, max_n, adaptive=False):
             term = z_pow * T[0]
             total += term
             abs_sum += abs(term)
-        if adaptive and (_tail_bound(q, ks[0], r, n)
-                         <= _rounding_bound(r, n, abs_sum)):
-            break
-    return (total, n,
-            _tail_bound(q, ks[0], r, n) + _rounding_bound(r, n, abs_sum))
+        tail = _tail_bound(q, ks[0], r, n)
+        rounding = _rounding_estimate(r, n, abs_sum)
+        if n >= max_n or tail <= rounding:
+            return total, n, tail + rounding
 
 
 @lru_cache(maxsize=4096)
 def _series(ks, letters, z, param, max_n):
     alphas = [1.0 + 0j if a == ONE else param for a in letters]
-    total, n, bound = nested_sum(alphas, ks, z, max_n, adaptive=True)
+    total, n, bound = nested_sum(alphas, ks, z, max_n)
     return EvalResult(total, bound, n)
 
 
 def eval_series(t, z1, z2, max_n=100000):
     """Nested series of a term, summed by nested_sum with an adaptive
     length: at most max_n terms, and fewer once the proven tail bound
-    falls below the rounding bound.
+    falls below the estimated rounding error.
 
-    Requires |z_main| < 1 and |param| <= 1.  truncation_bound covers
-    both the truncated tail and floating-point rounding, and terms_used
-    is the number of terms summed; the value is the plain loop's value
-    at that length.  Identical (index, letters, z, param, max_n)
-    evaluations are cached in a bounded LRU of 4096 entries;
-    _series.cache_clear() empties it, and each --jobs worker process
-    has its own.  -0.0 and +0.0 share an entry safely: signed zeros
-    change no nonzero part, and the running sum, which starts at +0.0,
-    never ends at -0.0.
+    Requires |z_main| < 1 and |param| <= 1.  truncation_bound is the
+    proven tail bound plus the first-order rounding estimate (see
+    nested_sum; inf where the cap is too small for the tail majorant to
+    converge), and terms_used is the number of terms summed; the value
+    is the plain loop's value at that length.  Identical (index,
+    letters, z, param, max_n) evaluations are cached in a bounded LRU of
+    4096 entries; _series.cache_clear() empties it, and each --jobs
+    worker process has its own.  -0.0 and +0.0 share an entry safely:
+    signed zeros change no nonzero part, and the running sum, which
+    starts at +0.0, never ends at -0.0.
     """
     z = complex(z1 if t.main_var == 1 else z2)
     param = complex(z2 if t.main_var == 1 else z1)
@@ -272,6 +277,13 @@ def eval_series(t, z1, z2, max_n=100000):
     if abs(param) > 1 + 1e-15:
         raise DomainError(f"|parameter| = {abs(param)} must be <= 1")
     return _series(tuple(t.index), tuple(t.letters), z, param, max_n)
+
+
+def within_bound(residual, bound, tol):
+    """Whether a residual is within tol plus a combined series bound.
+    An infinite or NaN bound, which a cap too small for the tail
+    majorant gives, accounts for nothing, so it never passes."""
+    return math.isfinite(bound) and residual <= tol + bound
 
 
 # -- differential recursion ------------------------------------------------
@@ -323,7 +335,7 @@ def partial_derivative(m, var):
 
 def eval_mpl(m, z1, z2, max_n=100000):
     """Li_index(i, j; z1, z2) as an EvalResult of eval_series: at most
-    max_n terms, with a bound covering truncation and rounding."""
+    max_n terms, with a proven tail bound plus a rounding estimate."""
     return eval_series(m.to_term(main_var=1), z1, z2, max_n)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .duality import phi, splits_as_pair, tensor_split, theta
-from .hyperlog import eval_series, word_to_term
+from .hyperlog import eval_series, within_bound, word_to_term
 from .ipbenv import alpha_pair, omega_decomposition, w0_pairs, _reduce_word
 
 
@@ -89,8 +89,8 @@ def generate_all(s):
 
 
 def _product_eval(t_a, t_b, z1, z2, max_n):
-    """Value and honest bound (truncation and rounding) of a product of
-    two terms."""
+    """Value and bound (proven tail plus rounding estimate) of a product
+    of two terms."""
     ra = eval_series(t_a, z1, z2, max_n)
     rb = eval_series(t_b, z1, z2, max_n)
     value = ra.value * rb.value
@@ -105,9 +105,9 @@ def verify_relation(r, points, max_n=10000, tol=1e-8):
 
     Every series stops adaptively within max_n terms (see
     eval_series).  Returns a list of {point, lhs, rhs, residual, bound,
-    passed}; bound combines the series' bounds on truncation and
-    rounding, and a point passes when the residual does not exceed tol
-    plus bound.
+    passed}; bound combines the series' tail bounds and rounding
+    estimates, and a point passes when the bound is finite and the
+    residual does not exceed tol plus bound.
     """
     report = []
     for z1, z2 in points:
@@ -125,7 +125,7 @@ def verify_relation(r, points, max_n=10000, tol=1e-8):
             "rhs": rv,
             "residual": residual,
             "bound": bound,
-            "passed": residual <= tol + bound,
+            "passed": within_bound(residual, bound, tol),
         })
     return report
 
@@ -184,7 +184,7 @@ def decompose_check(s, point=(0.3, 0.4), max_n=10000, tol=1e-8):
     keys = set(a) | set(b)
     residual = max((abs(a.get(k, 0) - b.get(k, 0)) for k in keys),
                    default=0.0)
-    passed = symbolic and residual <= tol + ba + bb
+    passed = symbolic and within_bound(residual, ba + bb, tol)
     return {
         "degree": s,
         "point": point,

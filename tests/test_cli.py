@@ -131,6 +131,29 @@ def test_numeric_checks_pass_at_default_settings(capsys):
     assert data["residual"] <= Config().tolerance + data["bound"]
 
 
+def test_infinite_bound_fails_numeric_checks(capsys):
+    # At z1 = 0.9 a cap of one or three terms is too small for the tail
+    # majorant of a depth-2 term to converge, so its bound is inf.  Some
+    # relations agree exactly at one term (residual 0.0); an infinite
+    # bound must not let them, or the harmonic check, pass.
+    code, out, _ = capture(capsys, ["relations", "--degree", "3",
+                                    "--verify", "--z1", "0.9",
+                                    "--terms", "1"])
+    assert code == 1
+    rels = {(tuple(r["w1"]), tuple(r["w2"])): r
+            for r in json.loads(out)["relations"]}
+    exact = rels[(("Z11", "Z11"), ("Z22",))]
+    assert exact["residual"] == 0.0
+    assert exact["verified"] is False
+    code, out, _ = capture(capsys, ["harmonic", "--left", "1,1", "--right",
+                                    "1", "--numeric", "0.9,0.4",
+                                    "--terms", "3"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["residual"] <= Config().tolerance
+    assert data["bound"] == float("inf")
+
+
 def test_decompose(capsys):
     code, out, _ = capture(capsys, ["decompose", "--degree", "2",
                                     "--direction", "1x2"])

@@ -8,7 +8,8 @@ from barlog.errors import (AlphabetError, ContourError, DivergentTermError,
                            DomainError)
 from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, HyperlogTerm, MplIndex,
                              eval_mpl, eval_quadrature, eval_series,
-                             partial_derivative, term_to_word, word_to_term)
+                             partial_derivative, term_to_word, within_bound,
+                             word_to_term)
 from barlog.words import FORM_BASE, WordPoly
 
 
@@ -56,9 +57,21 @@ def test_series_bound_is_honest():
         t = HyperlogTerm(1, index, letters)
         z1 = rng.uniform(0.1, 0.6)
         z2 = rng.uniform(-0.9, 0.9)
-        short = eval_series(t, z1, z2, 400)
+        # A cap of 10 binds at |z1| <= 0.6, so the short run is a real
+        # truncation; the long one stops by itself.
+        short = eval_series(t, z1, z2, 10)
         long = eval_series(t, z1, z2, 4000)
+        assert short.terms_used == 10
         assert abs(short.value - long.value) <= short.truncation_bound * 1.01
+
+
+def test_within_bound_rejects_non_finite_bounds():
+    assert within_bound(1e-9, 0.0, 1e-8)
+    assert within_bound(0.5, 0.5, 0.0)
+    assert not within_bound(2e-8, 0.0, 1e-8)
+    assert not within_bound(0.0, math.inf, 1e-8)
+    assert not within_bound(0.0, math.nan, 1e-8)
+    assert not within_bound(math.nan, 1.0, 1e-8)
 
 
 def test_series_domain_errors():
