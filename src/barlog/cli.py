@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -94,9 +95,46 @@ def parse_term(text):
     return HyperlogTerm(int(m.group("main")), index, letters)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
+def to_json(x, indent="\n"):
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, without
+    the pure-Python encoder that json.dumps falls back to when indent is
+    set: strings and scalars go through the C encoder.  Non-finite
+    floats raise ValueError, as with allow_nan=False, so the output is
+    always standard JSON."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        return ("{" + inner + ("," + inner).join(
+            _encode_str(k) + ": " + to_json(x[k], inner) for k in sorted(x))
+            + indent + "}")
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        if all(isinstance(v, str) for v in x):
+            items = map(_encode_str, x)
+        else:
+            items = (to_json(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _encode_scalar(x)
+
+
+def _finite_or_none(x):
+    """A bound for JSON output: null where it is not finite (a cap too
+    small for the tail majorant to converge gives inf)."""
+    return x if math.isfinite(x) else None
+
+
 def _emit(payload, cfg, out, renderer):
     if cfg.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = to_json(payload) + "\n"
     else:
         text = renderer(payload)
     if out:
@@ -210,7 +248,7 @@ def _cmd_harmonic(args, cfg):
         rhs, bound = eval_sum(expansion, z1, z2, cfg.series_terms)
         residual = abs(lhs - rhs)
         payload["residual"] = residual
-        payload["bound"] = bound
+        payload["bound"] = _finite_or_none(bound)
         if not within_bound(residual, bound, cfg.tolerance):
             failed = True
 
@@ -232,7 +270,7 @@ def _cmd_eval(args, cfg):
     r = eval_series(term, args.z1, args.z2, cfg.series_terms)
     payload = {"term": term.render(),
                "value": [r.value.real, r.value.imag],
-               "bound": r.truncation_bound,
+               "bound": _finite_or_none(r.truncation_bound),
                "terms_used": r.terms_used}
     _emit(payload, cfg, args.out,
           lambda p: f"{term.render()} = {r.value!r} "
@@ -275,7 +313,8 @@ def _cmd_verify(args, cfg):
         "degree": args.degree,
         "point": list(point),
         "decomposition": {k: (list(v) if isinstance(v, tuple) else v)
-                          for k, v in check.items()},
+                          for k, v in check.items()}
+                         | {"bound": _finite_or_none(check["bound"])},
         "relations_checked": len(relations),
         "relations_ok": rel_ok,
         "passed": bool(check["passed"] and rel_ok),

@@ -4,8 +4,10 @@ import os
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barlog.cli import Config, load_config, parse_term, run
+from barlog.cli import Config, load_config, parse_term, run, to_json
 from barlog.formspace import DEFAULT_DEGREE_CAP
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
 from mp_series import DPS, mp_series
@@ -151,7 +153,67 @@ def test_infinite_bound_fails_numeric_checks(capsys):
     assert code == 1
     data = json.loads(out)
     assert data["residual"] <= Config().tolerance
-    assert data["bound"] == float("inf")
+    assert data["bound"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_infinite_bound_is_written_as_null(capsys):
+    code, out, _ = capture(capsys, [
+        "eval", "--term", "L[1,1,1,1|one,one,one,one]@z1",
+        "--z1", "0.9", "--z2", "0.4", "--terms", "1"])
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["bound"] is None
+    assert data["terms_used"] == 1
+
+
+def test_non_finite_floats_are_rejected():
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            to_json({"a": [1, x]})
+
+
+@pytest.mark.parametrize("term, entry", [("L[2,300|one,one]@z1", "300"),
+                                         ("L[1000|one]@z1", "1000")])
+def test_huge_index_entry_is_a_domain_error(capsys, term, entry):
+    code, out, err = capture(capsys, ["eval", "--term", term,
+                                      "--z1", "0.3", "--z2", "0.4"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: index entry {entry} is too large")
+
+
+def test_huge_index_entry_within_float_range_evaluates(capsys):
+    # 8**300 is still a float, and the sum stops at its first stop test,
+    # n = 8, so L[300|one] at 0.3 is 0.3 plus terms below the rounding.
+    code, out, _ = capture(capsys, ["eval", "--term", "L[300|one]@z1",
+                                    "--z1", "0.3", "--z2", "0.4"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == [0.3, 0.0]
+    assert data["terms_used"] == 8
+    assert 0 < data["bound"] < 1e-14
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text()
+                 | st.fractions().map(str))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(st.text(max_size=4), max_size=5)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_to_json_matches_indented_json_dumps(x):
+    assert to_json(x) == json.dumps(x, indent=2, sort_keys=True)
 
 
 def test_decompose(capsys):

@@ -1,0 +1,80 @@
+"""The cold path of a barlog process: numpy is loaded only by the
+quadrature oracle, on its first integration.
+
+Each check runs in a fresh interpreter, since the test process itself
+has numpy loaded by other tests.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# SHA-256 of the stdout of `barlog relations --degree 4`, as the
+# benchmark's relations-d4 workload checks it.
+RELATIONS_D4_SHA256 = ("854bc85d9dff63506eb57ffbacca7898"
+                       "0acd62b9ff5debaf4d0ea55ae0e81eef")
+
+
+def run_python(code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_and_commands_leave_numpy_unloaded():
+    commands = [
+        ["relations", "--degree", "3"],
+        ["decompose", "--degree", "3"],
+        ["basis", "--degree", "3"],
+        ["verify", "--degree", "2"],
+        ["eval", "--term", "L[2,1|one,param]@z1", "--z1", "0.3",
+         "--z2", "0.4"],
+        ["harmonic", "--left", "2", "--right", "1,1",
+         "--numeric", "0.3,0.4"],
+    ]
+    out = run_python(f"""
+import contextlib, io, sys
+import barlog
+print('numpy' in sys.modules)
+from barlog import cli
+print('numpy' in sys.modules)
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    print(code, 'numpy' in sys.modules)
+""")
+    assert out.split("\n") == (["False", "False"]
+                               + ["0 False"] * len(commands) + [""])
+
+
+def test_relations_without_numpy():
+    out = run_python("""
+import contextlib, hashlib, io, sys
+sys.modules['numpy'] = None
+from barlog import cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.run(['relations', '--degree', '4'])
+print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+""")
+    assert out == f"0 {RELATIONS_D4_SHA256}\n"
+
+
+def test_eval_quadrature_loads_numpy_on_first_use():
+    out = run_python("""
+import math, sys
+import barlog
+from barlog import hyperlog
+from barlog.words import FORM_BASE, WordPoly
+print(barlog.eval_quadrature is hyperlog.eval_quadrature)
+print('numpy' in sys.modules)
+p = WordPoly.monomial(FORM_BASE, ("z11",))
+v = barlog.eval_quadrature(p, [(0, 0), (0.5, 0)], tol=1e-12)
+print('numpy' in sys.modules, abs(v - math.log(2)) < 1e-12)
+""")
+    assert out == "True\nFalse\nTrue True\n"

@@ -11,8 +11,8 @@ from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
                               bar0_basis, bar_basis,
                               chen_defect, in_bar_span, is_integrable,
                               relation_space_contains, wedge_relation_space)
-from barlog.hyperlog import _form_pullback
 from barlog.linalg import RowReducer, vec_add_into
+from barlog.quadrature import _form_pullback
 from barlog.words import FORM_BASE, WordPoly, concat, shuffle
 from chen_oracle import chen_bar0_basis, chen_bar_basis
 

@@ -3,7 +3,7 @@
 reference_build_panels and reference_word_integral are verbatim copies
 of the per-panel code that eval_quadrature used before it integrated
 all panels of a letter in one array pass; both share the unchanged
-letter pullback, Gauss-Legendre tables and panel breaks of hyperlog.
+letter pullback, Gauss-Legendre tables and panel breaks of quadrature.
 reference_eval_quadrature is that version's refinement loop, reduced to
 a graded-start flag and a count of the levels it built.
 """
@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlog import hyperlog
+from barlog import quadrature
 from barlog.duality import phi
 from barlog.errors import DomainError
-from barlog.hyperlog import (_GL_CUM, _GL_N, _GL_W, _GL_X, _form_pullback,
-                             _panel_breaks, eval_quadrature)
+from barlog.hyperlog import eval_quadrature
 from barlog.ipbenv import w0_pairs
+from barlog.quadrature import (_GL_CUM, _GL_N, _GL_W, _GL_X, _form_pullback,
+                               _panel_breaks)
 from barlog.words import FORM_BASE, WordPoly
 
 LETTERS = ("z1", "z11", "z2", "z22", "z12", "z12_1", "z12_2")
@@ -75,8 +76,8 @@ def reference_eval_quadrature(p, path, graded, tol=1e-10, max_refine=7):
 
 
 def batched_word_integral(word, path, pieces, graded):
-    segments = hyperlog._build_panels(path, pieces, graded_first=graded)
-    return hyperlog._level_integrals([word], segments)[word]
+    segments = quadrature._build_panels(path, pieces, graded_first=graded)
+    return quadrature._level_integrals([word], segments)[word]
 
 
 # -- paths inside the polydisc and the words they can integrate ----------
@@ -128,9 +129,9 @@ def path_and_words(draw):
 @given(path_and_words(), st.sampled_from((1, 2, 4)))
 def test_batched_kernel_matches_per_panel_loop(case, pieces):
     path, graded, words = case
-    segments = hyperlog._build_panels(path, pieces, graded_first=graded)
+    segments = quadrature._build_panels(path, pieces, graded_first=graded)
     panels = reference_build_panels(path, pieces, graded_first=graded)
-    values = hyperlog._level_integrals(words, segments)
+    values = quadrature._level_integrals(words, segments)
     assert sorted(values) == sorted(words)
     for w in words:
         assert abs(values[w] - reference_word_integral(w, panels)) <= 1e-12
@@ -154,10 +155,10 @@ def test_shared_suffixes_change_no_value():
     path = [(0j, 0j), (0.3 + 0j, 0.1 + 0j), (0.4 + 0j, 0.35 + 0j)]
     words = [("z11", "z12_1", "z11"), ("z12_1", "z11"), ("z1", "z12_1",
              "z11"), ("z11",), ("z22", "z11"), ("z12_2", "z22"), ()]
-    segments = hyperlog._build_panels(path, 4, graded_first=True)
-    together = hyperlog._level_integrals(words, segments)
+    segments = quadrature._build_panels(path, 4, graded_first=True)
+    together = quadrature._level_integrals(words, segments)
     for w in words:
-        assert together[w] == hyperlog._level_integrals([w], segments)[w]
+        assert together[w] == quadrature._level_integrals([w], segments)[w]
 
 
 def test_integral_of_sum_is_sum_of_monomial_integrals():
@@ -189,13 +190,13 @@ def test_refinement_levels_match_per_panel_loop(monkeypatch):
     # The phi pairs of degree <= 3 of the 1x2 splitting along two-leg
     # contours from the origin, as the quadrature-of-phi check runs them.
     levels = []
-    build = hyperlog._build_panels
+    build = quadrature._build_panels
 
     def counted(*args, **kwargs):
         levels[-1] += 1
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(hyperlog, "_build_panels", counted)
+    monkeypatch.setattr(quadrature, "_build_panels", counted)
     pairs = [pair for s in (1, 2, 3) for pair in w0_pairs(s, "1x2")][::3]
     for i, (w1, w2) in enumerate(pairs):
         p = phi(w1, w2, direction="1x2")
