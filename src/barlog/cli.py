@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import BarlogError
 from .formspace import (DEFAULT_DEGREE_CAP, bar0_basis, bar_basis,
@@ -30,12 +30,13 @@ from .relgen import (decompose_check, generate_all, relation_to_dict,
 from .words import poly_to_dict
 
 
-@dataclass(frozen=True)
-class Config:
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    series_terms: int = 100000
-    tolerance: float = 1e-8
-    format: str = "json"
+class Config(namedtuple("Config",
+                         "degree_cap series_terms tolerance format",
+                         defaults=(DEFAULT_DEGREE_CAP, 100000, 1e-8,
+                                   "json"))):
+    """Run settings: the degree cap, the cap on series terms, the
+    verification tolerance and the output format ("json" or "text")."""
+    __slots__ = ()
 
     def validate(self):
         if self.degree_cap <= 0 or self.series_terms <= 0 \
@@ -189,7 +190,7 @@ def _verify_many(relations, points, max_n, tol, jobs):
 
 
 def _cmd_relations(args, cfg):
-    relations = generate_all(args.degree)
+    relations = generate_all(args.degree, cfg.degree_cap)
     failed = False
     records = []
     if args.verify:
@@ -303,9 +304,9 @@ def _cmd_decompose(args, cfg):
 
 def _cmd_verify(args, cfg):
     point = (args.z1, args.z2)
-    check = decompose_check(args.degree, point,
-                            max_n=cfg.series_terms, tol=cfg.tolerance)
-    relations = generate_all(args.degree)
+    check = decompose_check(args.degree, point, max_n=cfg.series_terms,
+                            tol=cfg.tolerance, cap=cfg.degree_cap)
+    relations = generate_all(args.degree, cfg.degree_cap)
     reports = _verify_many(relations, [point], cfg.series_terms,
                            cfg.tolerance, args.jobs)
     rel_ok = all(entry["passed"] for rep in reports for entry in rep)
@@ -444,7 +445,7 @@ def run(argv):
             raise ValueError(f"--jobs must lie in [1, {cpus}]")
         cfg = Config()
         if getattr(args, "config", None):
-            cfg = replace(cfg, **load_config(args.config))
+            cfg = cfg._replace(**load_config(args.config))
         overrides = {}
         if getattr(args, "format", None):
             overrides["format"] = args.format
@@ -454,7 +455,7 @@ def run(argv):
             overrides["series_terms"] = args.terms
         if getattr(args, "tol", None) is not None:
             overrides["tolerance"] = args.tol
-        cfg = replace(cfg, **overrides)
+        cfg = cfg._replace(**overrides)
         cfg.validate()
         degree = _command_degree(args)
         if degree is not None:

@@ -9,7 +9,7 @@ kernel and certified by its splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import (AlphabetError, BarlogError, DomainError,
@@ -21,22 +21,19 @@ from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
                     FORM_PURE2, TensorPoly, WordPoly)
 
 
-@dataclass(frozen=True)
-class FormDirection:
+class FormDirection(namedtuple(
+        "FormDirection", "name left_alphabet right_alphabet left_map "
+        "right_map theta_left theta_right")):
     """Alphabet bookkeeping for one tensor splitting.
 
-    The z12 letter always lands in the left factor (as its projected
-    variant); in the right factor it projects to zero, as forced by the
-    right factor's alphabet and the shape of the reference relation
-    reproduced in the test suite.
+    left_map and right_map send each base letter to its projected letter,
+    or to None to kill it; theta_left and theta_right send each Z letter
+    to its projected form letter.  The z12 letter always lands in the
+    left factor (as its projected variant); in the right factor it
+    projects to zero, as forced by the right factor's alphabet and the
+    shape of the reference relation reproduced in the test suite.
     """
-    name: str
-    left_alphabet: tuple
-    right_alphabet: tuple
-    left_map: dict    # base letter -> projected letter, or None to kill
-    right_map: dict
-    theta_left: dict  # Z letter -> projected form letter
-    theta_right: dict
+    __slots__ = ()
 
 
 FORM_DIRECTIONS = {

@@ -23,7 +23,7 @@ of ipbenv, as fibre times base of M_{0,5} over M_{0,4}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import BarlogError
@@ -91,8 +91,8 @@ def _wedge_numerator(tag_a, tag_b):
     return vec_add_into(cross(a1, b2), cross(b1, a2), -1)
 
 
-@dataclass(frozen=True)
-class WedgeSpace:
+class WedgeSpace(namedtuple(
+        "WedgeSpace", "pairs dimension relations basis_pairs coords")):
     """The span of the ten pairwise wedges of the base letters.
 
     pairs: the ordered pairs (a, b), a before b in alphabet order.
@@ -102,11 +102,7 @@ class WedgeSpace:
     coords: {(a, b): {basis slot: coeff}} for every ordered pair of
         letters (antisymmetric, zero on the diagonal).
     """
-    pairs: tuple
-    dimension: int
-    relations: tuple
-    basis_pairs: tuple
-    coords: dict
+    __slots__ = ()
 
 
 @cache

@@ -13,7 +13,7 @@ recursion and the harmonic expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DivergentTermError
 from .hyperlog import MplIndex, eval_series, nested_sum
@@ -251,11 +251,11 @@ def equivalence_check(max_weight):
 
 # -- truncated multiple zeta values -----------------------------------------
 
-@dataclass(frozen=True)
-class MzvResult:
-    value: float
-    truncation_bound: float
-    terms_used: int
+class MzvResult(namedtuple("MzvResult",
+                           "value truncation_bound terms_used")):
+    """A truncated MZV (float), its tail bound (float) and the number of
+    terms summed."""
+    __slots__ = ()
 
 
 def mzv_truncated(index, max_n=100000):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import AlphabetError, DivergentTermError, DomainError
@@ -42,21 +42,22 @@ _PARAM_LETTER = {1: "z12_1", 2: "z12_2"}
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True, order=True)
-class HyperlogTerm:
-    main_var: int                # 1 or 2
-    index: tuple                 # (k1, ..., kr), positive integers
-    letters: tuple               # each ONE or PARAM
+class HyperlogTerm(namedtuple("HyperlogTerm", "main_var index letters")):
+    """A term: main_var is 1 or 2, index is (k1, ..., kr) of positive
+    integers, and letters holds r entries, each ONE or PARAM.  Terms
+    order and hash as their field tuples."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.main_var not in (1, 2):
+    def __new__(cls, main_var, index, letters):
+        if main_var not in (1, 2):
             raise ValueError("main_var must be 1 or 2")
-        if len(self.index) != len(self.letters):
+        if len(index) != len(letters):
             raise ValueError("index and letters must have equal length")
-        if any(k < 1 for k in self.index):
+        if any(k < 1 for k in index):
             raise ValueError("index entries must be positive")
-        if any(a not in (ONE, PARAM) for a in self.letters):
+        if any(a not in (ONE, PARAM) for a in letters):
             raise ValueError("letters must be 'one' or 'param'")
+        return super().__new__(cls, main_var, index, letters)
 
     @property
     def depth(self):
@@ -72,20 +73,19 @@ class HyperlogTerm:
                 f"{','.join(self.letters)}]@z{self.main_var}")
 
 
-@dataclass(frozen=True)
-class MplIndex:
+class MplIndex(namedtuple("MplIndex", "index numbering")):
     """A 2MPL index of positive integers with its numbering: i leading
     'one' letters and j trailing 'param' letters, i + j = len(index)."""
-    index: tuple
-    numbering: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        i, j = self.numbering
-        if i < 0 or j < 0 or i + j != len(self.index):
+    def __new__(cls, index, numbering):
+        i, j = numbering
+        if i < 0 or j < 0 or i + j != len(index):
             raise ValueError(
-                f"bad numbering {self.numbering} for index {self.index}")
-        if any(k < 1 for k in self.index):
+                f"bad numbering {numbering} for index {index}")
+        if any(k < 1 for k in index):
             raise ValueError("index entries must be positive")
+        return super().__new__(cls, index, numbering)
 
     @property
     def weight(self):
@@ -134,11 +134,11 @@ def term_to_word(t):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: complex
-    truncation_bound: float
-    terms_used: int
+class EvalResult(namedtuple("EvalResult",
+                            "value truncation_bound terms_used")):
+    """A series value (complex), its bound (float) and the number of
+    terms summed."""
+    __slots__ = ()
 
 
 # Terms summed between two stop tests of nested_sum.

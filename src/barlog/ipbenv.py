@@ -17,7 +17,7 @@ in Z1 or Z2, and the degree cap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import BarlogError, ResourceLimitError
@@ -93,11 +93,10 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Direction:
-    name: str
-    left_letters: tuple   # letters collected in the left factor
-    right_letters: tuple  # letters collected in the right factor
+class Direction(namedtuple("Direction", "name left_letters right_letters")):
+    """A rewriting direction: the letters collected in the left factor
+    and those collected in the right factor."""
+    __slots__ = ()
 
     @property
     def rules(self):
@@ -139,12 +138,10 @@ def _reduce_word(word, direction, strategy):
     return out
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "direction terms")):
     """A polynomial written in the product basis of one direction:
     terms maps (left word, right word) pairs to coefficients."""
-    direction: str
-    terms: dict
+    __slots__ = ()
 
     def coefficient(self, w1, w2):
         return self.terms.get((tuple(w1), tuple(w2)), 0)
@@ -160,11 +157,6 @@ class NormalForm:
     def as_poly(self):
         return WordPoly(LIE_BASE,
                         {w1 + w2: c for (w1, w2), c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, NormalForm)
-                and self.direction == other.direction
-                and self.terms == other.terms)
 
 
 def _split_pair(word, d):
@@ -242,15 +234,12 @@ def _omega_raw(s):
     return out
 
 
-@dataclass(frozen=True)
-class OmegaKernel:
+class OmegaKernel(namedtuple("OmegaKernel", "degree direction terms")):
     """The degree-s kernel of the normalized fundamental solution with
     its Z part reduced to the product basis of one direction:
     terms maps (form word, (W', W'')) to coefficients.  Its expansion
     over the admissible pairs is omega_decomposition."""
-    degree: int
-    direction: str
-    terms: dict
+    __slots__ = ()
 
 
 def omega_power(s, direction="1x2", cap=None):

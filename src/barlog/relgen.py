@@ -11,26 +11,22 @@ hyperlogarithm and a main-z1 one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .duality import phi, splits_as_pair, tensor_split, theta
 from .hyperlog import eval_series, within_bound, word_to_term
 from .ipbenv import alpha_pair, omega_decomposition, w0_pairs, _reduce_word
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "w1 w2 degree lhs rhs trivial")):
     """One generalized harmonic product relation.
 
     lhs is the ordered pair of factor terms (main z1, main z2); rhs is
     a tuple of (coefficient, main-z2 term, main-z1 term) triples.
+    Equality ignores degree, trivial and the order of rhs, and so does
+    the hash.
     """
-    w1: tuple
-    w2: tuple
-    degree: int
-    lhs: tuple
-    rhs: tuple
-    trivial: bool
+    __slots__ = ()
 
     def sorted_rhs(self):
         return tuple(sorted(self.rhs, key=lambda t: (t[1].index,
@@ -53,6 +49,12 @@ class Relation:
                 and self.lhs == other.lhs
                 and sorted(self.sorted_rhs()) == sorted(other.sorted_rhs()))
 
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.w1, self.w2, self.lhs))
+
 
 def _term_key(t):
     """Function identity of a term: an all-param term is a function of
@@ -64,14 +66,15 @@ def _term_key(t):
     return (t.main_var, t.index, t.letters)
 
 
-def generate_relation(w1, w2):
+def generate_relation(w1, w2, cap=None):
     """The relation attached to a product-basis pair of the 1x2
-    splitting: both factor words must avoid trailing Z1/Z2."""
+    splitting: both factor words must avoid trailing Z1/Z2.  cap is the
+    degree cap of phi (the default cap when None)."""
     w1, w2 = tuple(w1), tuple(w2)
     lhs = (word_to_term(theta(w1, "1x2", "left")),
            word_to_term(theta(w2, "1x2", "right")))
     # phi's certification checked integrability, which no direction changes.
-    split = tensor_split(phi(w1, w2, direction="1x2"), "2x1")
+    split = tensor_split(phi(w1, w2, direction="1x2", cap=cap), "2x1")
     rhs = []
     for (u, v), c in split.sorted_terms():
         rhs.append((c, word_to_term(u), word_to_term(v)))
@@ -83,9 +86,10 @@ def generate_relation(w1, w2):
                     lhs=lhs, rhs=rhs, trivial=trivial)
 
 
-def generate_all(s):
-    """All relations of total degree s, in enumeration order."""
-    return [generate_relation(w1, w2) for w1, w2 in w0_pairs(s, "1x2")]
+def generate_all(s, cap=None):
+    """All relations of total degree s, in enumeration order, under the
+    degree cap (the default cap when None)."""
+    return [generate_relation(w1, w2, cap) for w1, w2 in w0_pairs(s, "1x2")]
 
 
 def _product_eval(t_a, t_b, z1, z2, max_n):
@@ -155,13 +159,13 @@ def _numeric_coeffs(s, direction, z1, z2, max_n):
     return acc, bound
 
 
-def _symbolic_direction_check(s, direction):
+def _symbolic_direction_check(s, direction, cap=None):
     """Certify that the degree-s kernel in one direction is exactly the
     sum over admissible pairs of (split integrable form) x (pair): its
     pairs are admissible, and each admissible pair's form coefficient
     is integrable with the theta monomial of the pair as its tensor
     splitting."""
-    decomposition = omega_decomposition(s, direction)
+    decomposition = omega_decomposition(s, direction, cap=cap)
     pairs = w0_pairs(s, direction)
     return ({p for p, c in decomposition.items() if c} <= set(pairs)
             and all(pair in decomposition
@@ -169,16 +173,18 @@ def _symbolic_direction_check(s, direction):
                     for pair in pairs))
 
 
-def decompose_check(s, point=(0.3, 0.4), max_n=10000, tol=1e-8):
+def decompose_check(s, point=(0.3, 0.4), max_n=10000, tol=1e-8, cap=None):
     """Consistency of the two contour expansions of the degree-s kernel.
 
     Symbolic part: in each direction the kernel decomposes exactly over
     the admissible pairs with theta-monomial splittings.  Numeric part:
     the two expansions, reduced to a common product basis, agree
-    coefficientwise at the point.
+    coefficientwise at the point.  cap is the degree cap (the default
+    cap when None).
     """
     z1, z2 = point
-    symbolic = all(_symbolic_direction_check(s, d) for d in ("1x2", "2x1"))
+    symbolic = all(_symbolic_direction_check(s, d, cap)
+                   for d in ("1x2", "2x1"))
     a, ba = _numeric_coeffs(s, "1x2", z1, z2, max_n)
     b, bb = _numeric_coeffs(s, "2x1", z1, z2, max_n)
     keys = set(a) | set(b)

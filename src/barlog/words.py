@@ -15,7 +15,6 @@ make the word space a graded commutative Hopf algebra.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache
 
@@ -328,11 +327,3 @@ def poly_from_dict(data):
     alphabet = tuple(data["alphabet"])
     terms = [(tuple(t["word"]), Fraction(t["coeff"])) for t in data["terms"]]
     return WordPoly(alphabet, terms)
-
-
-def poly_to_json(p, **kwargs):
-    return json.dumps(poly_to_dict(p), **kwargs)
-
-
-def poly_from_json(text):
-    return poly_from_dict(json.loads(text))

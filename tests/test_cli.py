@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barlog import ipbenv
 from barlog.cli import Config, load_config, parse_term, run, to_json
 from barlog.formspace import DEFAULT_DEGREE_CAP
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
@@ -343,6 +344,21 @@ def test_one_default_degree_cap(capsys):
         code, out, err = capture(capsys, [command, "--degree", "7"])
         assert (code, out) == (2, ""), command
         assert f"exceeds cap {DEFAULT_DEGREE_CAP}" in err
+
+
+def test_degree_cap_option_is_honored_by_every_degree_command(
+        capsys, monkeypatch):
+    # Below the default cap, degree 4 runs only on --degree-cap 4, which
+    # relations and verify must pass down to phi and the kernel.
+    monkeypatch.setattr(ipbenv, "DEFAULT_DEGREE_CAP", 3)
+    for command in ("basis", "relations", "decompose", "verify"):
+        code, out, err = capture(capsys, [command, "--degree", "4",
+                                          "--degree-cap", "4"])
+        assert code == 0, (command, err)
+        if command == "relations":
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "854bc85d9dff63506eb57ffbacca7898"
+                "0acd62b9ff5debaf4d0ea55ae0e81eef")
 
 
 def test_radius_is_not_an_option(tmp_path, capsys):

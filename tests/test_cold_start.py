@@ -1,8 +1,9 @@
 """The cold path of a barlog process: numpy is loaded only by the
-quadrature oracle, on its first integration.
+quadrature oracle, on its first integration, and dataclasses and
+inspect are never loaded.
 
 Each check runs in a fresh interpreter, since the test process itself
-has numpy loaded by other tests.
+has these modules loaded by other tests.
 """
 
 import os
@@ -26,6 +27,10 @@ def run_python(code):
     return proc.stdout
 
 
+# Modules that neither `import barlog` nor any CLI command loads.
+UNLOADED = ("numpy", "dataclasses", "inspect")
+
+
 def test_import_and_commands_leave_numpy_unloaded():
     commands = [
         ["relations", "--degree", "3"],
@@ -39,17 +44,20 @@ def test_import_and_commands_leave_numpy_unloaded():
     ]
     out = run_python(f"""
 import contextlib, io, sys
+def loaded():
+    return [m in sys.modules for m in {UNLOADED!r}]
 import barlog
-print('numpy' in sys.modules)
+print(*loaded())
 from barlog import cli
-print('numpy' in sys.modules)
+print(*loaded())
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(argv)
-    print(code, 'numpy' in sys.modules)
+    print(code, *loaded())
 """)
-    assert out.split("\n") == (["False", "False"]
-                               + ["0 False"] * len(commands) + [""])
+    none = " ".join(["False"] * len(UNLOADED))
+    assert out.split("\n") == ([none, none]
+                               + ["0 " + none] * len(commands) + [""])
 
 
 def test_relations_without_numpy():

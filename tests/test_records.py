@@ -1,0 +1,80 @@
+"""The package's records are namedtuple subclasses that behave as the
+frozen dataclasses they replaced: same repr, same hash, read-only
+fields, validation on construction, and a pickle round trip (records
+cross the --jobs pool)."""
+
+import pickle
+
+import pytest
+
+from barlog.cli import Config
+from barlog.duality import FormDirection
+from barlog.formspace import WedgeSpace
+from barlog.harmonic import MzvResult
+from barlog.hyperlog import EvalResult, HyperlogTerm, MplIndex
+from barlog.ipbenv import DIRECTIONS, NormalForm, OmegaKernel
+from barlog.relgen import Relation
+
+T = HyperlogTerm(1, (2, 1), ("one", "param"))
+U = HyperlogTerm(2, (1,), ("one",))
+T_REPR = "HyperlogTerm(main_var=1, index=(2, 1), letters=('one', 'param'))"
+U_REPR = "HyperlogTerm(main_var=2, index=(1,), letters=('one',))"
+
+# (record, its repr as a frozen dataclass, the tuple its hash equals:
+# its fields, or None for the records holding a dict, which are
+# unhashable; a Relation hashes only the fields its equality reads).
+RECORDS = [
+    (T, T_REPR, tuple),
+    (MplIndex((2, 1), (1, 1)), "MplIndex(index=(2, 1), numbering=(1, 1))",
+     tuple),
+    (EvalResult(0.5j, 1e-12, 3),
+     "EvalResult(value=0.5j, truncation_bound=1e-12, terms_used=3)", tuple),
+    (MzvResult(1.25, 0.5, 10),
+     "MzvResult(value=1.25, truncation_bound=0.5, terms_used=10)", tuple),
+    (DIRECTIONS["1x2"],
+     "Direction(name='1x2', left_letters=('Z1', 'Z11', 'Z12'), "
+     "right_letters=('Z2', 'Z22'))", tuple),
+    (NormalForm("1x2", {(("Z11",), ("Z22",)): 2}),
+     "NormalForm(direction='1x2', terms={(('Z11',), ('Z22',)): 2})", None),
+    (OmegaKernel(1, "2x1", {(("z11",), (("Z11",), ())): 1}),
+     "OmegaKernel(degree=1, direction='2x1', "
+     "terms={(('z11',), (('Z11',), ())): 1})", None),
+    (WedgeSpace((("z1", "z2"),), 1, (), (("z1", "z2"),), {}),
+     "WedgeSpace(pairs=(('z1', 'z2'),), dimension=1, relations=(), "
+     "basis_pairs=(('z1', 'z2'),), coords={})", None),
+    (FormDirection("1x2", ("z1",), ("z2",), {"z1": "z1", "z2": None},
+                   {"z2": "z2"}, {"Z1": "z1"}, {"Z2": "z2"}),
+     "FormDirection(name='1x2', left_alphabet=('z1',), "
+     "right_alphabet=('z2',), left_map={'z1': 'z1', 'z2': None}, "
+     "right_map={'z2': 'z2'}, theta_left={'Z1': 'z1'}, "
+     "theta_right={'Z2': 'z2'})", None),
+    (Relation(("Z11",), ("Z22",), 2, (T, U), ((1, U, T),), False),
+     f"Relation(w1=('Z11',), w2=('Z22',), degree=2, lhs=({T_REPR}, "
+     f"{U_REPR}), rhs=((1, {U_REPR}, {T_REPR}),), trivial=False)",
+     lambda r: (r.w1, r.w2, r.lhs)),
+    (Config(),
+     "Config(degree_cap=6, series_terms=100000, tolerance=1e-08, "
+     "format='json')", tuple),
+]
+
+
+def test_records_behave_as_frozen_dataclasses():
+    assert hash(T) == hash((1, (2, 1), ("one", "param")))
+    for record, text, hash_key in RECORDS:
+        assert repr(record) == text
+        if hash_key is None:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(hash_key(record))
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+    for fields in [(3, (1,), ("one",)), (1, (1, 2), ("one",)),
+                   (1, (0,), ("one",)), (1, (1,), ("two",))]:
+        with pytest.raises(ValueError):
+            HyperlogTerm(*fields)
+    for fields in [((1, 2), (1, 0)), ((1,), (-1, 2)), ((0,), (1, 0))]:
+        with pytest.raises(ValueError):
+            MplIndex(*fields)

@@ -105,6 +105,17 @@ def test_relation_json_shape():
     assert {"factor2", "factor1", "coeff"} <= set(d["rhs"][0])
 
 
+def test_equal_relations_hash_equal():
+    # Equality ignores the order of rhs, so the hash must too: a set
+    # keeps one of a relation and its copy with rhs reversed.
+    r = next(r for r in generate_all(3) if len(r.rhs) > 1)
+    copy = r._replace(rhs=r.rhs[::-1])
+    assert copy.rhs != r.rhs
+    assert copy == r and not copy != r
+    assert hash(copy) == hash(r)
+    assert len({r, copy}) == 1
+
+
 def test_weight_homogeneous():
     for r in generate_all(3):
         lhs_weight = sum(t.weight for t in r.lhs)
