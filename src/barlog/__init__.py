@@ -6,8 +6,7 @@ quadrature oracles for numerical verification.
 """
 
 from .errors import (AlphabetError, BarlogError, ContourError,
-                     DivergentTermError, DomainError, NotInImageError,
-                     ResourceLimitError)
+                     DivergentTermError, DomainError, ResourceLimitError)
 from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
                     FORM_PURE2, LIE_BASE, TensorPoly, WordPoly, antipode,
                     concat, counit, deconcat, shuffle)
@@ -15,8 +14,7 @@ from .formspace import (bar0_basis, bar_basis, chen_defect, in_bar_span,
                         is_integrable, wedge_relation_space)
 from .ipbenv import (alpha_eval, alpha_pair, enumerate_w0, normal_form,
                      omega_decomposition, omega_power, w0_pairs)
-from .duality import (iota, iota_inv, iota_rank, phi, tensor_split,
-                      theta)
+from .duality import iota, iota_inv, phi, tensor_split, theta
 from .hyperlog import (EvalResult, HyperlogTerm, MplIndex, eval_mpl,
                        eval_quadrature, eval_series, partial_derivative,
                        term_to_word, word_to_term)
@@ -30,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetError", "BarlogError", "ContourError", "DivergentTermError",
-    "DomainError", "NotInImageError", "ResourceLimitError",
+    "DomainError", "ResourceLimitError",
     "FORM_BASE", "FORM_MAIN1", "FORM_MAIN2", "FORM_PURE1", "FORM_PURE2",
     "LIE_BASE", "TensorPoly", "WordPoly", "antipode", "concat", "counit",
     "deconcat", "shuffle",
@@ -38,7 +36,7 @@ __all__ = [
     "is_integrable", "wedge_relation_space",
     "alpha_eval", "alpha_pair", "enumerate_w0", "normal_form",
     "omega_decomposition", "omega_power", "w0_pairs",
-    "iota", "iota_inv", "iota_rank", "phi", "tensor_split", "theta",
+    "iota", "iota_inv", "phi", "tensor_split", "theta",
     "EvalResult", "HyperlogTerm", "MplIndex", "eval_mpl",
     "eval_quadrature", "eval_series", "partial_derivative",
     "term_to_word", "word_to_term",

@@ -1,24 +1,23 @@
 """The duality between the integrable forms and the product bases of
 the enveloping algebra: the letterwise theta substitution, the tensor
 splitting isomorphisms iota (deconcatenation followed by the two
-letter projections), their inverses by exact linear solve against the
-bar bases, and the canonical integrable representative phi(W', W'')
-of a product-basis pair, read from the decomposition of the solution
-kernel and certified by its splitting.
+letter projections), the canonical integrable representative
+phi(W', W'') of a product-basis pair, read from the decomposition of
+the solution kernel and certified by its splitting, and the inverses
+of the splittings by linearity from phi.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
 
-from .errors import (AlphabetError, BarlogError, DomainError,
-                     NotInImageError)
-from .formspace import _chen_failure, bar_basis, is_integrable
-from .ipbenv import omega_decomposition
-from .linalg import RowReducer, vec_add_into
+from .errors import AlphabetError, BarlogError, DomainError
+from .formspace import _chen_failure, is_integrable
+from .ipbenv import check_degree, omega_decomposition
+from .linalg import vec_add_into
 from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
-                    FORM_PURE2, TensorPoly, WordPoly)
+                    FORM_PURE2, TensorPoly, WordPoly, _shuffle_words,
+                    shuffle)
 
 
 class FormDirection(namedtuple(
@@ -109,55 +108,63 @@ def tensor_split(p, direction="1x2"):
     return TensorPoly(d.left_alphabet, d.right_alphabet, acc)
 
 
-# -- inverse by linear solve ----------------------------------------------
+# -- inverse by linearity from phi ------------------------------------------
 
-def _tensor_key(d, w1, w2):
-    li = {a: i for i, a in enumerate(d.left_alphabet)}
-    ri = {a: i for i, a in enumerate(d.right_alphabet)}
-    return ((len(w1), tuple(li[x] for x in w1)),
-            (len(w2), tuple(ri[x] for x in w2)))
-
-
-def _tensor_vector(d, t):
-    return {_tensor_key(d, w1, w2): c for (w1, w2), c in t.terms.items()}
+def _log_letter(alphabet):
+    """The factor's logarithmic letter, z1 or z2: the theta image of
+    Z1 or Z2, and the base form letter of the same name."""
+    (log,) = {"z1", "z2"}.intersection(alphabet)
+    return log
 
 
-@cache
-def _iota_solver(direction, s, cap=None):
-    """(reducer over the splittings of bar_basis(s), that basis) for
-    the named direction; the cap is part of the cache key, so a cached
-    solver never slips past a lower cap."""
-    d = FORM_DIRECTIONS[direction]
-    basis = bar_basis(s, cap=cap)
-    red = RowReducer()
-    for i, b in enumerate(basis):
-        dep = red.add(_tensor_vector(d, iota(b, d)), i)
-        if dep is not None:
-            raise BarlogError(
-                "tensor splitting is not injective on the basis")
-    return red, basis
-
-
-def iota_rank(direction, s, cap=None):
-    """Rank of the tensor splitting restricted to the degree-s basis."""
-    red, basis = _iota_solver(_as_form_direction(direction).name, s, cap)
-    return red.rank, len(basis)
+def _log_split(word, log):
+    """word as a sum of c * (x sh log^n) with x not ending in log, as
+    {(x, n): c}: for word = v b log^n with b != log, the integer closed
+    form v b log^n = sum_j (-1)^j ((v sh log^j) b) sh log^(n-j)."""
+    k = len(word)
+    while k and word[k - 1] == log:
+        k -= 1
+    n = len(word) - k
+    if not k:
+        return {((), n): 1}
+    v, b = word[:k - 1], word[k - 1]
+    return {(x + (b,), n - j): (-1) ** j * m
+            for j in range(n + 1)
+            for x, m in _shuffle_words(v, (log,) * j).items()}
 
 
 def iota_inv(t, direction="1x2", cap=None):
-    """The unique integrable preimage of a tensor polynomial, solved
-    exactly degree by degree against the bar basis.  That basis comes
-    from the kernel decomposition, so this is no independent check of phi."""
+    """The unique integrable preimage of a tensor polynomial, by
+    linearity from phi.  iota is a shuffle morphism, injective on the
+    integrable forms, that sends phi(W', W'') to theta(W') x theta(W'')
+    and z1^a, z2^c to the powers of the log letters of their factors;
+    so each tensor word, split by _log_split on both sides, pulls back
+    to phi of the theta preimages shuffled with z1^a and z2^c."""
     d = _as_form_direction(direction)
+    if (t.left_alphabet, t.right_alphabet) != (d.left_alphabet,
+                                               d.right_alphabet):
+        raise AlphabetError(f"tensor alphabets do not match {d.name}")
+    # A pure-log tensor never reaches phi, so the cap is checked here.
+    check_degree(max((len(w1) + len(w2) for w1, w2 in t.terms), default=0),
+                 cap)
+    left_log = _log_letter(d.left_alphabet)
+    right_log = _log_letter(d.right_alphabet)
+    from_left = {v: k for k, v in d.theta_left.items()}
+    from_right = {v: k for k, v in d.theta_right.items()}
+    phis, by_logs = {}, {}
+    for (u1, u2), c in t.terms.items():
+        for (x1, a), c1 in _log_split(u1, left_log).items():
+            for (x2, b), c2 in _log_split(u2, right_log).items():
+                if (x1, x2) not in phis:
+                    phis[x1, x2] = phi([from_left[x] for x in x1],
+                                       [from_right[x] for x in x2], d, cap)
+                vec_add_into(by_logs.setdefault((a, b), {}),
+                             phis[x1, x2].terms, c * c1 * c2)
     acc = {}
-    for s, part in t.degree_parts().items():
-        red, basis = _iota_solver(d.name, s, cap)
-        rep = red.solve(_tensor_vector(d, part))
-        if rep is None:
-            raise NotInImageError(
-                f"no integrable preimage at degree {s} for {d.name}")
-        for i, c in rep.items():
-            vec_add_into(acc, basis[i].terms, c)
+    for (a, b), vec in by_logs.items():
+        logs = shuffle(WordPoly.monomial(FORM_BASE, (left_log,) * a),
+                       WordPoly.monomial(FORM_BASE, (right_log,) * b))
+        vec_add_into(acc, shuffle(WordPoly(FORM_BASE, vec), logs).terms)
     return WordPoly(FORM_BASE, acc)
 
 

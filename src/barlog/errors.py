@@ -22,9 +22,5 @@ class ContourError(BarlogError, ValueError):
     """An integration contour touches the singular locus."""
 
 
-class NotInImageError(BarlogError, ValueError):
-    """A tensor element has no preimage under the requested isomorphism."""
-
-
 class ResourceLimitError(BarlogError, ValueError):
     """A computation exceeds the configured degree cap."""

@@ -116,17 +116,13 @@ def _as_direction(direction):
 
 
 @cache
-def _reduce_word(word, direction, strategy):
+def _reduce_word(word, direction):
     """Rewrite a single word to the product basis of the named
-    direction; returns {(W', W''): coeff}."""
+    direction, always at the leftmost reducible position; returns
+    {(W', W''): coeff}."""
     d = DIRECTIONS[direction]
     movers = set(d.right_letters)
-    positions = range(len(word) - 1)
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    elif strategy != "leftmost":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    for i in positions:
+    for i in range(len(word) - 1):
         if word[i] in movers and word[i + 1] not in movers:
             break
     else:
@@ -134,7 +130,7 @@ def _reduce_word(word, direction, strategy):
     out = {}
     for repl, coeff in d.rules[(word[i], word[i + 1])]:
         vec_add_into(out, _reduce_word(word[:i] + repl + word[i + 2:],
-                                       direction, strategy), coeff)
+                                       direction), coeff)
     return out
 
 
@@ -172,20 +168,20 @@ def _split_pair(word, d):
     return w1, w2
 
 
-def _normalize(terms, direction, strategy="leftmost"):
+def _normalize(terms, direction):
     """{word: coeff} rewritten to {(W', W''): coeff} in the product
     basis of the named direction."""
     acc = {}
     for word, coeff in terms.items():
-        vec_add_into(acc, _reduce_word(word, direction, strategy), coeff)
+        vec_add_into(acc, _reduce_word(word, direction), coeff)
     return acc
 
 
-def normal_form(p, direction="1x2", strategy="leftmost"):
+def normal_form(p, direction="1x2"):
     """Rewrite a polynomial over the Z letters into the product basis
     of the requested direction."""
     name = _as_direction(direction).name
-    return NormalForm(name, _normalize(p.terms, name, strategy))
+    return NormalForm(name, _normalize(p.terms, name))
 
 
 # -- the alpha action ---------------------------------------------------
@@ -245,15 +241,11 @@ class OmegaKernel(namedtuple("OmegaKernel", "degree direction terms")):
 def omega_power(s, direction="1x2", cap=None):
     """Symbolic degree-s kernel, Z parts in normal form."""
     check_degree(s, cap)
-    return _omega_power(s, _as_direction(direction).name)
-
-
-@cache
-def _omega_power(s, direction):
+    name = _as_direction(direction).name
     terms = {(fw, pair): c
              for fw, vec in _omega_raw(s).items()
-             for pair, c in _normalize(vec, direction).items()}
-    return OmegaKernel(degree=s, direction=direction, terms=terms)
+             for pair, c in _normalize(vec, name).items()}
+    return OmegaKernel(degree=s, direction=name, terms=terms)
 
 
 def omega_decomposition(s, direction="1x2", cap=None):
@@ -281,12 +273,9 @@ def _omega_decomposition(s, direction):
         if dep is not None:
             raise BarlogError(
                 "alpha images of admissible pairs are dependent")
-    by_form = {}
-    for (fw, pair), c in _omega_power(s, direction).terms.items():
-        by_form.setdefault(fw, {})[pair] = c
     coeffs = {p: {} for p in pairs}
-    for fw, vec in by_form.items():
-        rep = red.solve(vec)
+    for fw, vec in _omega_raw(s).items():
+        rep = red.solve(_normalize(vec, direction))
         if rep is None:
             raise ValueError(
                 "kernel does not lie in the span of the alpha images")

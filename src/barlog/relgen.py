@@ -153,7 +153,7 @@ def _numeric_coeffs(s, direction, z1, z2, max_n):
         v, b = _theta_eval(pair, direction, z1, z2, max_n)
         lie = alpha_pair(*pair)
         for w, c in lie.terms.items():
-            for key, nc in _reduce_word(w, "1x2", "leftmost").items():
+            for key, nc in _reduce_word(w, "1x2").items():
                 acc[key] = acc.get(key, 0j) + v * float(c) * float(nc)
                 bound += b * abs(float(c) * float(nc))
     return acc, bound

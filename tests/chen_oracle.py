@@ -1,4 +1,5 @@
-"""Reference construction of the bar bases by Chen's condition.
+"""Reference construction of the bar bases by Chen's condition, and
+of the inverse splittings by linear solve against them.
 
 The library builds bar0_basis from the kernel decomposition and
 bar_basis from shuffles of it.  This module keeps the construction
@@ -6,12 +7,19 @@ that does not use the kernel at all, so the tests can check both bases,
 and phi, against it: the degree-s space is the kernel of the first-cut
 defect inside (letters) o (degree s-1 space), and the bar0 space is
 the kernel of the projection onto words ending in z1 or z2.
+
+The library inverts the tensor splittings by linearity from phi.  Here
+a preimage is solved instead against the splittings of a whole basis,
+so the tests can check iota_inv, and the rank of the splitting, by
+plain linear algebra.
 """
 
 from functools import cache
 
+from barlog.duality import FORM_DIRECTIONS, tensor_split
 from barlog.formspace import _poly_vector, _vector_poly, _word_key, chen_defect
-from barlog.linalg import canonical_basis, nullspace_combos, vec_add_into
+from barlog.linalg import (RowReducer, canonical_basis, nullspace_combos,
+                           vec_add_into)
 from barlog.words import FORM_BASE, WordPoly
 
 
@@ -53,3 +61,28 @@ def chen_bar0_basis(s):
     return _kernel_basis(basis, [
         {_word_key(w): c for w, c in b.terms.items() if w[-1] in ("z1", "z2")}
         for b in basis])
+
+
+@cache
+def splitting_solver(direction, s, basis=chen_bar_basis):
+    """Reducer over the splittings of basis(s) in the named direction,
+    each tagged by its index in the basis: its rank is len(basis(s))
+    exactly when the splitting is injective on the basis."""
+    d = FORM_DIRECTIONS[direction]
+    red = RowReducer()
+    for i, b in enumerate(basis(s)):
+        red.add(tensor_split(b, d).terms, i)
+    return red
+
+
+def splitting_preimage(t, direction, basis=chen_bar_basis):
+    """The preimage of a tensor polynomial, solved degree by degree
+    against the splittings of basis; None when t leaves their span."""
+    acc = {}
+    for s, part in t.degree_parts().items():
+        rep = splitting_solver(direction, s, basis).solve(part.terms)
+        if rep is None:
+            return None
+        for i, c in rep.items():
+            vec_add_into(acc, basis(s)[i].terms, c)
+    return WordPoly(FORM_BASE, acc)

@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction
 
-from barlog.duality import iota, iota_inv, iota_rank, phi
+from barlog.duality import iota, iota_inv, phi
 from barlog.formspace import (bar_basis, relation_space_contains,
                               wedge_relation_space)
 from barlog.harmonic import (equivalence_check, eval_sum, eval_tagged,
@@ -17,6 +17,8 @@ from barlog.ipbenv import DIRECTIONS, _reduce_word, normal_form
 from barlog.linalg import RowReducer
 from barlog.relgen import decompose_check, generate_relation, verify_relation
 from barlog.words import FORM_BASE, LIE_BASE, WordPoly
+from chen_oracle import splitting_solver
+from rightmost_oracle import reduce_word_rightmost
 
 
 def test_criterion_01_bar_dimensions():
@@ -126,8 +128,8 @@ def test_criterion_06_iota_isomorphism():
     rng = random.Random(20)
     for direction in ("1x2", "2x1"):
         for s in (1, 2, 3, 4):
-            rank, dim = iota_rank(direction, s)
-            assert rank == dim == len(bar_basis(s))
+            rank = splitting_solver(direction, s, bar_basis).rank
+            assert rank == len(bar_basis(s))
         # exact round trips on random integrable elements
         for s in (1, 2, 3):
             p = WordPoly.zero(FORM_BASE)
@@ -144,8 +146,8 @@ def test_criterion_07_rewriting_soundness():
         word = tuple(rng.choice(LIE_BASE)
                      for _ in range(rng.randrange(1, 6)))
         for d in DIRECTIONS:
-            assert _reduce_word(word, d, "leftmost") == \
-                _reduce_word(word, d, "rightmost"), word
+            assert _reduce_word(word, d) == \
+                reduce_word_rightmost(word, d), word
     # bracket closure: [y, W] stays in the left factor, exhaustively to
     # degree 4
     left = DIRECTIONS["1x2"].left_letters

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlog.formspace import bar0_basis, bar_basis, wedge_relation_space
-from barlog.ipbenv import _omega_power, _omega_raw, omega_decomposition
+from barlog.ipbenv import _omega_raw, omega_decomposition, omega_power
 from barlog.linalg import RowReducer, num, vec_add_into
 
 
@@ -191,7 +191,7 @@ def test_bases_and_kernel_coefficients_are_int_at_degree_4():
     for d in ("1x2", "2x1"):
         cases[f"omega_decomposition(4, {d})"] = [
             p.terms for p in omega_decomposition(4, d).values()]
-        cases[f"_omega_power(4, {d})"] = [_omega_power(4, d).terms]
+        cases[f"omega_power(4, {d})"] = [omega_power(4, d).terms]
     for name, dicts in cases.items():
         seen = [c for vec in dicts for c in vec.values()]
         assert seen, name

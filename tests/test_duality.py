@@ -1,20 +1,19 @@
 import random
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlog.duality import (FORM_DIRECTIONS, _tensor_vector, iota, iota_inv,
-                            iota_rank, phi, tensor_split, theta)
+from barlog.duality import (FORM_DIRECTIONS, iota, iota_inv, phi,
+                            tensor_split, theta)
 from barlog.errors import (AlphabetError, BarlogError, DomainError,
                            ResourceLimitError)
 from barlog.formspace import bar_basis
 from barlog.ipbenv import w0_pairs
-from barlog.linalg import RowReducer, vec_add_into
-from barlog.words import FORM_BASE, TensorPoly, WordPoly
-from chen_oracle import chen_bar_basis
+from barlog.linalg import vec_add_into
+from barlog.words import FORM_BASE, FORM_MAIN1, FORM_PURE2, TensorPoly, WordPoly
+from chen_oracle import splitting_preimage, splitting_solver
 
 
 def test_theta():
@@ -56,8 +55,23 @@ def test_iota_simple():
 def test_iota_full_rank():
     for direction in ("1x2", "2x1"):
         for s in (1, 2, 3):
-            rank, dim = iota_rank(direction, s)
-            assert rank == dim == len(bar_basis(s))
+            rank = splitting_solver(direction, s, bar_basis).rank
+            assert rank == len(bar_basis(s))
+
+
+def random_tensor(rng, direction, degrees, size):
+    """A sum of size random tensor monomials, each of a degree drawn
+    from degrees, with small nonzero integer coefficients."""
+    d = FORM_DIRECTIONS[direction]
+    terms = []
+    for _ in range(size):
+        s = rng.choice(degrees)
+        k = rng.randrange(s + 1)
+        terms.append(((tuple(rng.choice(d.left_alphabet) for _ in range(k)),
+                       tuple(rng.choice(d.right_alphabet)
+                             for _ in range(s - k))),
+                      rng.choice((-2, -1, 1, 2))))
+    return TensorPoly(d.left_alphabet, d.right_alphabet, terms)
 
 
 def test_iota_inv_round_trip():
@@ -71,15 +85,38 @@ def test_iota_inv_round_trip():
             t = iota(p, direction)
             assert iota_inv(t, direction) == p
             assert iota(iota_inv(t, direction), direction) == t
+        t = random_tensor(rng, direction, (5,), 12)
+        assert iota(iota_inv(t, direction), direction) == t
 
 
-def test_iota_inv_checks_the_cap_of_a_cached_solver():
+@pytest.mark.parametrize("direction", ["1x2", "2x1"])
+def test_iota_inv_matches_the_splitting_oracle(direction):
+    """iota_inv, by linearity from phi, equals the preimage solved
+    against the splittings of the whole Chen-condition bar basis."""
+    rng = random.Random(7)
+    for _ in range(6):
+        t = random_tensor(rng, direction, range(5), 8)
+        assert iota_inv(t, direction) == splitting_preimage(t, direction)
+
+
+def test_iota_inv_checks_the_cap():
     t = iota(bar_basis(2)[0], "1x2")
-    iota_inv(t, "1x2")  # caches the degree-2 solver under the default cap
+    iota_inv(t, "1x2")
     with pytest.raises(ResourceLimitError):
         iota_inv(t, "1x2", cap=1)
+    # A pure-log tensor is a shuffle power of z1 and needs no phi.
+    logs = TensorPoly.monomial(FORM_MAIN1, FORM_PURE2, ("z1",) * 3, ())
     with pytest.raises(ResourceLimitError):
-        iota_rank("1x2", 2, cap=1)
+        iota_inv(logs, "1x2", cap=2)
+
+
+def test_iota_inv_rejects_a_tensor_of_the_other_direction():
+    for mine, other in (("2x1", "1x2"), ("1x2", "2x1")):
+        d = FORM_DIRECTIONS[mine]
+        t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
+                                (d.theta_left["Z12"],), ())
+        with pytest.raises(AlphabetError):
+            iota_inv(t, other)
 
 
 def test_iota_is_onto_tensor_space():
@@ -151,32 +188,6 @@ def test_phi_split_image():
     }
 
 
-def test_iota_solver_rejects_dependent_basis(monkeypatch):
-    from barlog import duality
-    from barlog.errors import BarlogError
-    from barlog.linalg import RowReducer
-
-    bar_basis(1)  # built before add is broken
-    duality._iota_solver.cache_clear()
-    monkeypatch.setattr(RowReducer, "add",
-                        lambda self, vec, tag: {tag: Fraction(1)})
-    try:
-        with pytest.raises(BarlogError, match="not injective"):
-            duality._iota_solver("1x2", 1)
-    finally:
-        duality._iota_solver.cache_clear()
-
-
-@cache
-def _chen_solver(direction, s):
-    """Reducer over the splittings of the Chen-condition basis."""
-    d = FORM_DIRECTIONS[direction]
-    red = RowReducer()
-    for i, b in enumerate(chen_bar_basis(s)):
-        assert red.add(_tensor_vector(d, tensor_split(b, d)), i) is None
-    return red
-
-
 @pytest.mark.parametrize("direction", ["1x2", "2x1"])
 def test_phi_matches_bar_basis_oracle(direction):
     """phi, read from the kernel decomposition, equals the preimage of
@@ -184,16 +195,13 @@ def test_phi_matches_bar_basis_oracle(direction):
     which does not come from the kernel."""
     d = FORM_DIRECTIONS[direction]
     for s in range(5):
-        basis = chen_bar_basis(s)
+        assert splitting_solver(direction, s).rank == len(bar_basis(s))
         for w1, w2 in w0_pairs(s, direction):
             t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
                                     theta(w1, direction, "left"),
                                     theta(w2, direction, "right"))
-            rep = _chen_solver(direction, s).solve(_tensor_vector(d, t))
-            assert rep is not None, (w1, w2)
-            preimage = WordPoly.zero(FORM_BASE)
-            for i, c in rep.items():
-                preimage = preimage + basis[i].scale(c)
+            preimage = splitting_preimage(t, direction)
+            assert preimage is not None, (w1, w2)
             assert phi(w1, w2, direction) == preimage, (w1, w2)
 
 

@@ -12,6 +12,7 @@ from barlog.ipbenv import (DIRECTIONS, RELATORS, _RULES, _omega_raw,
                            w0_pairs)
 from barlog.linalg import RowReducer
 from barlog.words import LIE_BASE, WordPoly
+from rightmost_oracle import reduce_word_rightmost
 
 
 def lie(word, coeff=1):
@@ -63,8 +64,8 @@ def test_strategies_agree_sample():
     rng = random.Random(5)
     for _ in range(100):
         word = tuple(rng.choice(LIE_BASE) for _ in range(rng.randrange(1, 6)))
-        assert _reduce_word(word, "1x2", "leftmost") == \
-            _reduce_word(word, "1x2", "rightmost")
+        assert _reduce_word(word, "1x2") == \
+            reduce_word_rightmost(word, "1x2")
 
 
 def test_split_shape():
