@@ -10,8 +10,8 @@ from .errors import (AlphabetError, BarlogError, ContourError,
 from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
                     FORM_PURE2, LIE_BASE, TensorPoly, WordPoly, antipode,
                     concat, counit, deconcat, shuffle)
-from .formspace import (bar0_basis, bar_basis, chen_defect, in_bar_span,
-                        is_integrable, wedge_relation_space)
+from .formspace import (bar0_basis, bar_basis, chen_defect, is_integrable,
+                        wedge_relation_space)
 from .ipbenv import (alpha_eval, alpha_pair, enumerate_w0, normal_form,
                      omega_decomposition, omega_power, w0_pairs)
 from .duality import iota, iota_inv, phi, tensor_split, theta
@@ -32,8 +32,8 @@ __all__ = [
     "FORM_BASE", "FORM_MAIN1", "FORM_MAIN2", "FORM_PURE1", "FORM_PURE2",
     "LIE_BASE", "TensorPoly", "WordPoly", "antipode", "concat", "counit",
     "deconcat", "shuffle",
-    "bar0_basis", "bar_basis", "chen_defect", "in_bar_span",
-    "is_integrable", "wedge_relation_space",
+    "bar0_basis", "bar_basis", "chen_defect", "is_integrable",
+    "wedge_relation_space",
     "alpha_eval", "alpha_pair", "enumerate_w0", "normal_form",
     "omega_decomposition", "omega_power", "w0_pairs",
     "iota", "iota_inv", "phi", "tensor_split", "theta",

@@ -40,8 +40,9 @@ class Config(namedtuple("Config",
 
     def validate(self):
         if self.degree_cap <= 0 or self.series_terms <= 0 \
-                or self.tolerance <= 0:
-            raise ValueError("caps and tolerance must be positive")
+                or not 0 < self.tolerance < math.inf:
+            raise ValueError("caps must be positive and tolerance finite "
+                             "and positive")
         if self.format not in ("json", "text"):
             raise ValueError("format must be json or text")
 

@@ -9,68 +9,19 @@ of the splittings by linearity from phi.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .errors import AlphabetError, BarlogError, DomainError
 from .formspace import _chen_failure, is_integrable
-from .ipbenv import check_degree, omega_decomposition
+from .ipbenv import _as_direction, check_degree, omega_decomposition
 from .linalg import vec_add_into
-from .words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
-                    FORM_PURE2, TensorPoly, WordPoly, _shuffle_words,
-                    shuffle)
-
-
-class FormDirection(namedtuple(
-        "FormDirection", "name left_alphabet right_alphabet left_map "
-        "right_map theta_left theta_right")):
-    """Alphabet bookkeeping for one tensor splitting.
-
-    left_map and right_map send each base letter to its projected letter,
-    or to None to kill it; theta_left and theta_right send each Z letter
-    to its projected form letter.  The z12 letter always lands in the
-    left factor (as its projected variant); in the right factor it
-    projects to zero, as forced by the right factor's alphabet and the
-    shape of the reference relation reproduced in the test suite.
-    """
-    __slots__ = ()
-
-
-FORM_DIRECTIONS = {
-    "1x2": FormDirection(
-        name="1x2",
-        left_alphabet=FORM_MAIN1,
-        right_alphabet=FORM_PURE2,
-        left_map={"z1": "z1", "z11": "z11", "z12": "z12_1",
-                  "z2": None, "z22": None},
-        right_map={"z2": "z2", "z22": "z22",
-                   "z1": None, "z11": None, "z12": None},
-        theta_left={"Z1": "z1", "Z11": "z11", "Z12": "z12_1"},
-        theta_right={"Z2": "z2", "Z22": "z22"},
-    ),
-    "2x1": FormDirection(
-        name="2x1",
-        left_alphabet=FORM_MAIN2,
-        right_alphabet=FORM_PURE1,
-        left_map={"z2": "z2", "z22": "z22", "z12": "z12_2",
-                  "z1": None, "z11": None},
-        right_map={"z1": "z1", "z11": "z11",
-                   "z2": None, "z22": None, "z12": None},
-        theta_left={"Z2": "z2", "Z22": "z22", "Z12": "z12_2"},
-        theta_right={"Z1": "z1", "Z11": "z11"},
-    ),
-}
-
-
-def _as_form_direction(direction):
-    if isinstance(direction, FormDirection):
-        return direction
-    return FORM_DIRECTIONS[direction]
+from .words import FORM_BASE, TensorPoly, WordPoly, _shuffle_words, shuffle
 
 
 def theta(word, direction="1x2", side="left"):
     """Letterwise displacement of Z letters to form letters for one
     factor of the given splitting."""
-    d = _as_form_direction(direction)
+    d = _as_direction(direction)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     table = d.theta_left if side == "left" else d.theta_right
     out = []
     for x in word:
@@ -97,7 +48,7 @@ def tensor_split(p, direction="1x2"):
     projection), without the integrability check of iota.  Each word
     is projected once per side; its surviving cuts run from just after
     the last right-killed letter to the first left-killed one."""
-    d = _as_form_direction(direction)
+    d = _as_direction(direction)
     acc = {}
     for w, c in p.terms.items():
         left = [d.left_map[x] for x in w] + [None]
@@ -140,7 +91,7 @@ def iota_inv(t, direction="1x2", cap=None):
     and z1^a, z2^c to the powers of the log letters of their factors;
     so each tensor word, split by _log_split on both sides, pulls back
     to phi of the theta preimages shuffled with z1^a and z2^c."""
-    d = _as_form_direction(direction)
+    d = _as_direction(direction)
     if (t.left_alphabet, t.right_alphabet) != (d.left_alphabet,
                                                d.right_alphabet):
         raise AlphabetError(f"tensor alphabets do not match {d.name}")
@@ -171,7 +122,7 @@ def iota_inv(t, direction="1x2", cap=None):
 def splits_as_pair(p, w1, w2, direction="1x2"):
     """Whether p is integrable and its tensor splitting is exactly the
     theta monomial theta(W') x theta(W'') of the pair."""
-    d = _as_form_direction(direction)
+    d = _as_direction(direction)
     t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
                             theta(w1, d, "left"), theta(w2, d, "right"))
     return is_integrable(p) and tensor_split(p, d) == t
@@ -184,7 +135,7 @@ def phi(w1, w2, direction="1x2", cap=None):
     By the tensor splitting of the normalized fundamental solution it
     is the pair's coefficient in the kernel decomposition; the
     coefficient is returned only once its splitting is checked."""
-    d = _as_form_direction(direction)
+    d = _as_direction(direction)
     w1, w2 = tuple(w1), tuple(w2)
     for w in (w1, w2):
         if w and w[-1] in ("Z1", "Z2"):

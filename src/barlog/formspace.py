@@ -122,17 +122,14 @@ def wedge_relation_space():
         else:
             relations.append(dict(dep))
 
-    solver = RowReducer()
-    for slot, pair in enumerate(basis_pairs):
-        solver.add(numerators[pair], slot)
-
+    slots = {pair: slot for slot, pair in enumerate(basis_pairs)}
     coords = {}
     for a in FORM_BASE:
         coords[(a, a)] = {}
     for pair in pairs:
-        rep = solver.solve(numerators[pair])
-        coords[pair] = {slot: c for slot, c in rep.items() if c}
-        coords[(pair[1], pair[0])] = {slot: -c for slot, c in rep.items() if c}
+        rep = red.solve(numerators[pair])
+        coords[pair] = {slots[p]: c for p, c in rep.items() if c}
+        coords[(pair[1], pair[0])] = {s: -c for s, c in coords[pair].items()}
 
     return WedgeSpace(
         pairs=pairs,
@@ -268,11 +265,3 @@ def _bar0_generators(s):
             raise BarlogError(
                 f"kernel coefficient of {pair} is not integrable")
     return tuple(phis.values())
-
-
-def in_bar_span(p, cap=None):
-    """True if every homogeneous part of p lies in the span of its bar
-    basis, which spans the whole integrable subspace of its degree: after
-    the cap check, this is Chen's condition."""
-    check_degree(p.max_degree(), cap)
-    return is_integrable(p)

@@ -271,9 +271,10 @@ def eval_series(t, z1, z2, max_n=100000):
     param = complex(z2 if t.main_var == 1 else z1)
     if t.depth == 0:
         return EvalResult(complex(1.0), 0.0, 0)
-    if abs(z) >= 1:
+    # Written negated so that a NaN coordinate fails too.
+    if not abs(z) < 1:
         raise DomainError(f"|z{t.main_var}| = {abs(z)} must be < 1")
-    if abs(param) > 1 + 1e-15:
+    if not abs(param) <= 1 + 1e-15:
         raise DomainError(f"|parameter| = {abs(param)} must be <= 1")
     return _series(tuple(t.index), tuple(t.letters), z, param, max_n)
 

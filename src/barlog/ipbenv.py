@@ -7,6 +7,8 @@ quadratic commutator relations
 realized concretely by a terminating rewriting system onto the
 product basis W' * W'' (left factor over one free subalgebra, right
 factor over the complementary one), in either of the two directions.
+Only 1x2 is written out; 2x1 is its image under the involution sigma
+(z1 <-> z2), which preserves the relations.
 
 Also provides the alpha action (Z1, Z2 act by commutator, the other
 letters by left multiplication), the symbolic degree-s kernel of the
@@ -54,65 +56,84 @@ RELATORS = (
                  _bracket("Z2", "Z12"), -1),
 )
 
-# Rewriting rules: (mover, target) -> replacement for the two-letter
-# word mover*target, as a list of (word, coeff).  The direction 1x2
-# moves Z2/Z22 rightwards past Z1/Z11/Z12; 2x1 is the mirror.  The
-# commutator values are pre-derived from the relators (asserted in the
-# test suite).
-_RULES = {
-    "1x2": {
-        ("Z2", "Z1"): [(("Z1", "Z2"), 1)],
-        ("Z2", "Z11"): [(("Z11", "Z2"), 1)],
-        ("Z22", "Z1"): [(("Z1", "Z22"), 1)],
-        # [Z2,Z12] = [Z1,Z12] - [Z11,Z12]
-        ("Z2", "Z12"): [(("Z12", "Z2"), 1), (("Z1", "Z12"), 1),
-                        (("Z12", "Z1"), -1), (("Z11", "Z12"), -1),
-                        (("Z12", "Z11"), 1)],
-        # [Z22,Z11] = -[Z11,Z22] = [Z11,Z12]
-        ("Z22", "Z11"): [(("Z11", "Z22"), 1), (("Z11", "Z12"), 1),
-                         (("Z12", "Z11"), -1)],
-        # [Z22,Z12] = -[Z11,Z12]
-        ("Z22", "Z12"): [(("Z12", "Z22"), 1), (("Z11", "Z12"), -1),
-                         (("Z12", "Z11"), 1)],
-    },
-    "2x1": {
-        ("Z1", "Z2"): [(("Z2", "Z1"), 1)],
-        ("Z1", "Z22"): [(("Z22", "Z1"), 1)],
-        ("Z11", "Z2"): [(("Z2", "Z11"), 1)],
-        # [Z11,Z22] = [Z22,Z12]
-        ("Z11", "Z22"): [(("Z22", "Z11"), 1), (("Z22", "Z12"), 1),
-                         (("Z12", "Z22"), -1)],
-        # [Z1,Z12] = [Z2,Z12] - [Z22,Z12]
-        ("Z1", "Z12"): [(("Z12", "Z1"), 1), (("Z2", "Z12"), 1),
-                        (("Z12", "Z2"), -1), (("Z22", "Z12"), -1),
-                        (("Z12", "Z22"), 1)],
-        # [Z11,Z12] = -[Z22,Z12]
-        ("Z11", "Z12"): [(("Z12", "Z11"), 1), (("Z22", "Z12"), -1),
-                         (("Z12", "Z22"), 1)],
-    },
-}
+# The involution sigma: z1 <-> z2, on the Lie letters and on the form
+# letters.  It preserves the relators, the alpha action and the kernel,
+# and exchanges the two splittings.
+SIGMA = {"Z1": "Z2", "Z11": "Z22", "Z12": "Z12",
+         "z1": "z2", "z11": "z22", "z12": "z12", "z12_1": "z12_2"}
+SIGMA.update({v: k for k, v in SIGMA.items()})
 
 
-class Direction(namedtuple("Direction", "name left_letters right_letters")):
-    """A rewriting direction: the letters collected in the left factor
-    and those collected in the right factor."""
+def _sigma(word):
+    return tuple(SIGMA[x] for x in word)
+
+
+class Direction(namedtuple(
+        "Direction", "name theta_left theta_right rules left_letters "
+        "right_letters left_alphabet right_alphabet left_map right_map")):
+    """One splitting, built from its theta maps (each factor's Z letters
+    to their projected form letters) and its rewriting rules.
+
+    The letters and alphabets of the two factors are the keys and the
+    values of the theta maps; left_map and right_map send each base
+    form letter to its projected letter, or to None to kill it.  z12
+    always lands in the left factor (as its projected variant) and
+    projects to zero in the right one.  rules maps (mover, target) to
+    the replacement of the two-letter word mover*target, as a list of
+    (word, coeff).
+    """
     __slots__ = ()
 
-    @property
-    def rules(self):
-        return _RULES[self.name]
+    def __new__(cls, name, theta_left, theta_right, rules):
+        lie = dict(zip(FORM_BASE, LIE_BASE))
+        return super().__new__(
+            cls, name, theta_left, theta_right, rules,
+            tuple(theta_left), tuple(theta_right),
+            tuple(theta_left.values()), tuple(theta_right.values()),
+            {x: theta_left.get(lie[x]) for x in FORM_BASE},
+            {x: theta_right.get(lie[x]) for x in FORM_BASE})
+
+    def __getnewargs__(self):
+        return tuple(self[:4])
+
+    def mirror(self, name):
+        """The sigma image: theta maps, rule keys and replacements."""
+        return Direction(
+            name, {SIGMA[k]: SIGMA[v] for k, v in self.theta_left.items()},
+            {SIGMA[k]: SIGMA[v] for k, v in self.theta_right.items()},
+            {_sigma(k): [(_sigma(w), c) for w, c in repl]
+             for k, repl in self.rules.items()})
 
 
-DIRECTIONS = {
-    "1x2": Direction("1x2", ("Z1", "Z11", "Z12"), ("Z2", "Z22")),
-    "2x1": Direction("2x1", ("Z2", "Z22", "Z12"), ("Z1", "Z11")),
-}
+# 1x2 moves Z2/Z22 rightwards past Z1/Z11/Z12.  The commutator values
+# are pre-derived from the relators (asserted in the test suite).
+_1X2 = Direction("1x2", {"Z1": "z1", "Z11": "z11", "Z12": "z12_1"},
+                 {"Z2": "z2", "Z22": "z22"}, {
+    ("Z2", "Z1"): [(("Z1", "Z2"), 1)],
+    ("Z2", "Z11"): [(("Z11", "Z2"), 1)],
+    ("Z22", "Z1"): [(("Z1", "Z22"), 1)],
+    # [Z2,Z12] = [Z1,Z12] - [Z11,Z12]
+    ("Z2", "Z12"): [(("Z12", "Z2"), 1), (("Z1", "Z12"), 1),
+                    (("Z12", "Z1"), -1), (("Z11", "Z12"), -1),
+                    (("Z12", "Z11"), 1)],
+    # [Z22,Z11] = -[Z11,Z22] = [Z11,Z12]
+    ("Z22", "Z11"): [(("Z11", "Z22"), 1), (("Z11", "Z12"), 1),
+                     (("Z12", "Z11"), -1)],
+    # [Z22,Z12] = -[Z11,Z12]
+    ("Z22", "Z12"): [(("Z12", "Z22"), 1), (("Z11", "Z12"), -1),
+                     (("Z12", "Z11"), 1)],
+})
+DIRECTIONS = {"1x2": _1X2, "2x1": _1X2.mirror("2x1")}
 
 
 def _as_direction(direction):
     if isinstance(direction, Direction):
         return direction
-    return DIRECTIONS[direction]
+    try:
+        return DIRECTIONS[direction]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown direction {direction!r}: "
+                         "expected 1x2 or 2x1") from None
 
 
 @cache
@@ -287,19 +308,9 @@ def _omega_decomposition(s, direction):
 
 # -- word enumeration -----------------------------------------------------
 
-SUBALPHABETS = {
-    "1x2-left": ("Z1", "Z11", "Z12"),
-    "1x2-right": ("Z2", "Z22"),
-    "2x1-left": ("Z2", "Z22", "Z12"),
-    "2x1-right": ("Z1", "Z11"),
-}
-
-
 def enumerate_w0(letters, s):
     """All length-s words over the given letters that do not end in Z1
     or Z2, in lexicographic order of the letter tuple."""
-    if isinstance(letters, str):
-        letters = SUBALPHABETS[letters]
     out = []
     for word in itertools.product(letters, repeat=s):
         if word and word[-1] in ("Z1", "Z2"):

@@ -16,8 +16,9 @@ plain linear algebra.
 
 from functools import cache
 
-from barlog.duality import FORM_DIRECTIONS, tensor_split
+from barlog.duality import tensor_split
 from barlog.formspace import _poly_vector, _vector_poly, _word_key, chen_defect
+from barlog.ipbenv import DIRECTIONS
 from barlog.linalg import (RowReducer, canonical_basis, nullspace_combos,
                            vec_add_into)
 from barlog.words import FORM_BASE, WordPoly
@@ -68,7 +69,7 @@ def splitting_solver(direction, s, basis=chen_bar_basis):
     """Reducer over the splittings of basis(s) in the named direction,
     each tagged by its index in the basis: its rank is len(basis(s))
     exactly when the splitting is injective on the basis."""
-    d = FORM_DIRECTIONS[direction]
+    d = DIRECTIONS[direction]
     red = RowReducer()
     for i, b in enumerate(basis(s)):
         red.add(tensor_split(b, d).terms, i)

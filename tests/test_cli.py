@@ -301,10 +301,12 @@ def test_zero_terms_and_tol_are_rejected(capsys):
         "--terms", "0"])
     assert (code, out) == (2, "")
     assert "must be positive" in err
-    code, out, err = capture(capsys, [
-        "verify", "--degree", "1", "--terms", "500", "--tol", "0"])
-    assert (code, out) == (2, "")
-    assert "must be positive" in err
+    # A NaN tolerance would fail every comparison, and so every check.
+    for tol in ("0", "nan", "inf"):
+        code, out, err = capture(capsys, [
+            "verify", "--degree", "1", "--terms", "500", "--tol", tol])
+        assert (code, out) == (2, "")
+        assert "must be positive and tolerance finite" in err
 
 
 def test_jobs_out_of_range_is_rejected(capsys, monkeypatch):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlog.duality import (FORM_DIRECTIONS, iota, iota_inv, phi,
-                            tensor_split, theta)
+from barlog.duality import iota, iota_inv, phi, tensor_split, theta
 from barlog.errors import (AlphabetError, BarlogError, DomainError,
                            ResourceLimitError)
 from barlog.formspace import bar_basis
-from barlog.ipbenv import w0_pairs
+from barlog.ipbenv import (DIRECTIONS, normal_form, omega_decomposition,
+                           w0_pairs)
 from barlog.linalg import vec_add_into
-from barlog.words import FORM_BASE, FORM_MAIN1, FORM_PURE2, TensorPoly, WordPoly
+from barlog.words import (FORM_BASE, FORM_MAIN1, FORM_PURE2, LIE_BASE,
+                          TensorPoly, WordPoly)
 from chen_oracle import splitting_preimage, splitting_solver
 
 
@@ -52,6 +53,22 @@ def test_iota_simple():
     assert t.terms == {(("z12_1",), ()): Fraction(1)}
 
 
+def test_unknown_direction_or_side_is_a_value_error():
+    lie = WordPoly.monomial(LIE_BASE, ("Z2", "Z1"))
+    form = WordPoly.monomial(FORM_BASE, ("z1", "z2"))
+    for call in (lambda d: normal_form(lie, d),
+                 lambda d: phi(("Z11",), ("Z22",), d),
+                 lambda d: tensor_split(form, d),
+                 lambda d: omega_decomposition(2, d),
+                 lambda d: theta(("Z2",), d, "left")):
+        for bad in ("3x1", "", None):
+            with pytest.raises(ValueError, match="1x2 or 2x1"):
+                call(bad)
+    for side in ("middle", "Left", None):
+        with pytest.raises(ValueError, match="side"):
+            theta(("Z2",), "1x2", side)
+
+
 def test_iota_full_rank():
     for direction in ("1x2", "2x1"):
         for s in (1, 2, 3):
@@ -62,7 +79,7 @@ def test_iota_full_rank():
 def random_tensor(rng, direction, degrees, size):
     """A sum of size random tensor monomials, each of a degree drawn
     from degrees, with small nonzero integer coefficients."""
-    d = FORM_DIRECTIONS[direction]
+    d = DIRECTIONS[direction]
     terms = []
     for _ in range(size):
         s = rng.choice(degrees)
@@ -112,7 +129,7 @@ def test_iota_inv_checks_the_cap():
 
 def test_iota_inv_rejects_a_tensor_of_the_other_direction():
     for mine, other in (("2x1", "1x2"), ("1x2", "2x1")):
-        d = FORM_DIRECTIONS[mine]
+        d = DIRECTIONS[mine]
         t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
                                 (d.theta_left["Z12"],), ())
         with pytest.raises(AlphabetError):
@@ -126,7 +143,7 @@ def test_iota_is_onto_tensor_space():
     for s in (1, 2, 3):
         target = sum(3 ** a * 2 ** (s - a) for a in range(s + 1))
         assert target == len(bar_basis(s))
-    d = FORM_DIRECTIONS["1x2"]
+    d = DIRECTIONS["1x2"]
     for w1, w2 in ((("z1",), ("z2",)), (("z12_1",), ("z22",)),
                    ((), ("z2", "z22"))):
         t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet, w1, w2)
@@ -193,7 +210,7 @@ def test_phi_matches_bar_basis_oracle(direction):
     """phi, read from the kernel decomposition, equals the preimage of
     the theta monomial solved against the Chen-condition bar basis,
     which does not come from the kernel."""
-    d = FORM_DIRECTIONS[direction]
+    d = DIRECTIONS[direction]
     for s in range(5):
         assert splitting_solver(direction, s).rank == len(bar_basis(s))
         for w1, w2 in w0_pairs(s, direction):
@@ -252,7 +269,7 @@ def reference_project(word, table):
 
 def reference_tensor_split(p, direction="1x2"):
     """Every cut of every word, each side projected anew."""
-    d = FORM_DIRECTIONS[direction]
+    d = DIRECTIONS[direction]
     acc = {}
     for w, c in p.terms.items():
         cuts = {}

@@ -9,7 +9,7 @@ from barlog.errors import BarlogError, ResourceLimitError
 from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
                               _poly_vector, _wedge_numerator,
                               bar0_basis, bar_basis,
-                              chen_defect, in_bar_span, is_integrable,
+                              chen_defect, is_integrable,
                               relation_space_contains, wedge_relation_space)
 from barlog.linalg import RowReducer, vec_add_into
 from barlog.quadrature import _form_pullback
@@ -164,23 +164,20 @@ def test_bar_is_shuffle_closed():
     # B is a subalgebra under the shuffle product.
     for a in bar_basis(1)[:3]:
         for b in bar_basis(2)[:5]:
-            assert in_bar_span(shuffle(a, b))
+            assert is_integrable(shuffle(a, b))
 
 
 def test_non_integrable_word():
     w = WordPoly.monomial(FORM_BASE, ("z1", "z2"))
     assert not is_integrable(w)
-    assert not in_bar_span(w)
 
 
-def test_in_bar_span_answers_and_checks_the_cap():
+def test_is_integrable_answers():
     polys = [bar_basis(3)[0],
              shuffle(bar_basis(1)[0], bar_basis(2)[1]),
              _m("z1", "z2"),
              bar_basis(2)[0] + _m("z1", "z2", "z1")]
-    assert [in_bar_span(p) for p in polys] == [True, True, False, False]
-    with pytest.raises(ResourceLimitError):
-        in_bar_span(polys[0], cap=2)
+    assert [is_integrable(p) for p in polys] == [True, True, False, False]
 
 
 @cache
@@ -198,8 +195,8 @@ def _chen_span_reducer(s):
        stray=st.one_of(st.none(),
                        st.lists(st.sampled_from(FORM_BASE), min_size=2,
                                 max_size=4)))
-def test_in_bar_span_matches_the_chen_oracle(data, degrees, stray):
-    """in_bar_span, Chen's condition at every cut, agrees with
+def test_is_integrable_matches_the_chen_oracle(data, degrees, stray):
+    """is_integrable, Chen's condition at every cut, agrees with
     membership in the span of the oracle basis, the recursive
     first-cut nullspace."""
     p = WordPoly.zero(FORM_BASE)
@@ -213,7 +210,7 @@ def test_in_bar_span_matches_the_chen_oracle(data, degrees, stray):
         p = p + _m(*stray)
     expected = all(_chen_span_reducer(s).contains(_poly_vector(part))
                    for s, part in p.degree_parts().items())
-    assert in_bar_span(p) == expected
+    assert is_integrable(p) == expected
 
 
 def test_degree_cap():
@@ -254,6 +251,5 @@ def test_reference_degree2_basis_spans():
     red = RowReducer()
     for i, g in enumerate(gens):
         assert is_integrable(g)
-        assert in_bar_span(g)
         red.add(dict(g.terms), i)
     assert red.rank == 19 == len(bar_basis(2))

@@ -80,6 +80,13 @@ def test_series_domain_errors():
         eval_series(t, 1.0, 0.0)
     with pytest.raises(DomainError):
         eval_series(HyperlogTerm(1, (1,), (PARAM,)), 0.3, 1.5)
+    # |nan| < 1 and |nan| <= 1 are both false: a NaN coordinate or
+    # parameter is rejected before any series runs.
+    nan = complex(0.0, math.nan)
+    for z, param in ((math.nan, 0.3), (0.3, math.nan), (nan, 0.3),
+                     (0.3, nan)):
+        with pytest.raises(DomainError):
+            eval_series(HyperlogTerm(1, (2,), (PARAM,)), z, param)
     # unit parameter modulus is allowed
     r = eval_series(HyperlogTerm(1, (2,), (PARAM,)), 0.3, 1.0, 500)
     assert abs(r.value - eval_series(HyperlogTerm(1, (2,), (ONE,)),

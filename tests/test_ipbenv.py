@@ -6,7 +6,7 @@ import pytest
 
 from barlog.errors import ResourceLimitError
 from barlog.formspace import is_integrable
-from barlog.ipbenv import (DIRECTIONS, RELATORS, _RULES, _omega_raw,
+from barlog.ipbenv import (DIRECTIONS, RELATORS, _omega_raw,
                            _reduce_word, alpha_eval, alpha_pair, enumerate_w0,
                            normal_form, omega_decomposition, omega_power,
                            w0_pairs)
@@ -20,14 +20,15 @@ def lie(word, coeff=1):
 
 
 def test_rules_follow_from_relators():
-    """Each hard-coded rewriting rule, read as (mover target) minus its
-    replacement, must lie in the span of the quadratic relators."""
+    """Each rewriting rule, the written 1x2 ones and their sigma images,
+    read as (mover target) minus its replacement, must lie in the span
+    of the quadratic relators."""
     red = RowReducer()
     for i, rel in enumerate(RELATORS):
         red.add(dict(rel), i)
     assert red.rank == 6
-    for rules in _RULES.values():
-        for (a, b), repl in rules.items():
+    for d in DIRECTIONS.values():
+        for (a, b), repl in d.rules.items():
             vec = {(a, b): Fraction(1)}
             for word, c in repl:
                 vec[word] = vec.get(word, Fraction(0)) - Fraction(c)
@@ -137,11 +138,32 @@ def test_omega_coefficient_reference_display():
 
 
 def test_enumerate_w0():
-    assert enumerate_w0("1x2-left", 1) == [("Z11",), ("Z12",)]
-    assert enumerate_w0("1x2-right", 2) == [("Z2", "Z22"), ("Z22", "Z22")]
+    d = DIRECTIONS["1x2"]
+    assert enumerate_w0(d.left_letters, 1) == [("Z11",), ("Z12",)]
+    assert enumerate_w0(d.right_letters, 2) == [("Z2", "Z22"),
+                                                ("Z22", "Z22")]
     assert len(w0_pairs(2)) == 10
     assert len(w0_pairs(3)) == 32
     assert len(w0_pairs(4)) == 100
+
+
+def test_sigma_maps_the_1x2_decomposition_to_the_2x1_one():
+    """sigma exchanges z1 and z2 in the kernel, which is built once for
+    both directions, so the 2x1 decomposition is the sigma image of the
+    1x2 one, pair by pair and form word by form word."""
+    table = {"Z1": "Z2", "Z2": "Z1", "Z11": "Z22", "Z22": "Z11",
+             "Z12": "Z12", "z1": "z2", "z2": "z1", "z11": "z22",
+             "z22": "z11", "z12": "z12"}
+
+    def sigma(word):
+        return tuple(table[x] for x in word)
+
+    for s in range(6):
+        mirrored = {(sigma(w1), sigma(w2)):
+                    {sigma(fw): c for fw, c in p.terms.items()}
+                    for (w1, w2), p in omega_decomposition(s, "1x2").items()}
+        assert mirrored == {pair: p.terms for pair, p in
+                            omega_decomposition(s, "2x1").items()}
 
 
 def test_bracket_closure_low():

@@ -8,11 +8,10 @@ import pickle
 import pytest
 
 from barlog.cli import Config
-from barlog.duality import FormDirection
 from barlog.formspace import WedgeSpace
 from barlog.harmonic import MzvResult
 from barlog.hyperlog import EvalResult, HyperlogTerm, MplIndex
-from barlog.ipbenv import DIRECTIONS, NormalForm, OmegaKernel
+from barlog.ipbenv import Direction, NormalForm, OmegaKernel
 from barlog.relgen import Relation
 
 T = HyperlogTerm(1, (2, 1), ("one", "param"))
@@ -31,9 +30,15 @@ RECORDS = [
      "EvalResult(value=0.5j, truncation_bound=1e-12, terms_used=3)", tuple),
     (MzvResult(1.25, 0.5, 10),
      "MzvResult(value=1.25, truncation_bound=0.5, terms_used=10)", tuple),
-    (DIRECTIONS["1x2"],
-     "Direction(name='1x2', left_letters=('Z1', 'Z11', 'Z12'), "
-     "right_letters=('Z2', 'Z22'))", tuple),
+    # A Direction is built from its theta maps and rules; the other
+    # fields are derived from the theta maps.
+    (Direction("1x2", {"Z1": "z1"}, {"Z2": "z2"}, {}),
+     "Direction(name='1x2', theta_left={'Z1': 'z1'}, "
+     "theta_right={'Z2': 'z2'}, rules={}, left_letters=('Z1',), "
+     "right_letters=('Z2',), left_alphabet=('z1',), "
+     "right_alphabet=('z2',), left_map={'z1': 'z1', 'z11': None, "
+     "'z2': None, 'z22': None, 'z12': None}, right_map={'z1': None, "
+     "'z11': None, 'z2': 'z2', 'z22': None, 'z12': None})", None),
     (NormalForm("1x2", {(("Z11",), ("Z22",)): 2}),
      "NormalForm(direction='1x2', terms={(('Z11',), ('Z22',)): 2})", None),
     (OmegaKernel(1, "2x1", {(("z11",), (("Z11",), ())): 1}),
@@ -42,12 +47,6 @@ RECORDS = [
     (WedgeSpace((("z1", "z2"),), 1, (), (("z1", "z2"),), {}),
      "WedgeSpace(pairs=(('z1', 'z2'),), dimension=1, relations=(), "
      "basis_pairs=(('z1', 'z2'),), coords={})", None),
-    (FormDirection("1x2", ("z1",), ("z2",), {"z1": "z1", "z2": None},
-                   {"z2": "z2"}, {"Z1": "z1"}, {"Z2": "z2"}),
-     "FormDirection(name='1x2', left_alphabet=('z1',), "
-     "right_alphabet=('z2',), left_map={'z1': 'z1', 'z2': None}, "
-     "right_map={'z2': 'z2'}, theta_left={'Z1': 'z1'}, "
-     "theta_right={'Z2': 'z2'})", None),
     (Relation(("Z11",), ("Z22",), 2, (T, U), ((1, U, T),), False),
      f"Relation(w1=('Z11',), w2=('Z22',), degree=2, lhs=({T_REPR}, "
      f"{U_REPR}), rhs=((1, {U_REPR}, {T_REPR}),), trivial=False)",
