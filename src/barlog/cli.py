@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Subcommands: basis, phi, relations, harmonic, eval, decompose, verify.
-Outputs are deterministic (sorted term order, stable JSON key order)
-regardless of the worker-pool size; data goes to stdout (or --out),
-diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+Outputs are deterministic (sorted term order, stable JSON key order);
+data goes to stdout (or --out), diagnostics to stderr.  Exit codes: 0
+success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from collections import namedtuple
@@ -22,7 +20,8 @@ from .formspace import (DEFAULT_DEGREE_CAP, bar0_basis, bar_basis,
                         check_degree)
 from .harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
                        recursion_expand)
-from .hyperlog import ONE, PARAM, HyperlogTerm, eval_series, within_bound
+from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, ONE, PARAM, HyperlogTerm,
+                       eval_series, within_bound)
 from .ipbenv import omega_decomposition, w0_pairs
 from .duality import phi
 from .relgen import (decompose_check, generate_all, relation_to_dict,
@@ -32,8 +31,8 @@ from .words import poly_to_dict
 
 class Config(namedtuple("Config",
                          "degree_cap series_terms tolerance format",
-                         defaults=(DEFAULT_DEGREE_CAP, 100000, 1e-8,
-                                   "json"))):
+                         defaults=(DEFAULT_DEGREE_CAP, DEFAULT_MAX_N,
+                                   DEFAULT_TOL, "json"))):
     """Run settings: the degree cap, the cap on series terms, the
     verification tolerance and the output format ("json" or "text")."""
     __slots__ = ()
@@ -68,7 +67,10 @@ def load_config(path):
             key, raw = key.strip(), raw.strip()
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_FIELDS[key](raw)
+            try:
+                values[key] = _CONFIG_FIELDS[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -177,27 +179,14 @@ def _cmd_phi(args, cfg):
     return 0
 
 
-def _verify_many(relations, points, max_n, tol, jobs):
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            reports = pool.starmap(
-                verify_relation,
-                [(r, points, max_n, tol) for r in relations])
-    else:
-        reports = [verify_relation(r, points, max_n, tol)
-                   for r in relations]
-    return reports
-
-
 def _cmd_relations(args, cfg):
     relations = generate_all(args.degree, cfg.degree_cap)
     failed = False
     records = []
     if args.verify:
         points = [(args.z1, args.z2)]
-        reports = _verify_many(relations, points, cfg.series_terms,
-                               cfg.tolerance, args.jobs)
+        reports = [verify_relation(r, points, cfg.series_terms,
+                                   cfg.tolerance) for r in relations]
         for r, rep in zip(relations, reports):
             ok = all(entry["passed"] for entry in rep)
             failed = failed or not ok
@@ -243,12 +232,13 @@ def _cmd_harmonic(args, cfg):
             z1, z2 = map(float, args.numeric.split(","))
         except ValueError:
             raise ValueError("--numeric expects z1,z2") from None
-        lhs = (eval_tagged((left, (len(left), 0), "12"),
-                           z1, z2, cfg.series_terms).value
-               * eval_tagged((right, (len(right), 0), "12"),
-                             z2, z1, cfg.series_terms).value)
-        rhs, bound = eval_sum(expansion, z1, z2, cfg.series_terms)
+        n = cfg.series_terms
+        lhs, lhs_bound = eval_tagged(
+            (left, (len(left), 0), "12"), z1, z2, n).times(
+            eval_tagged((right, (len(right), 0), "12"), z2, z1, n))
+        rhs, rhs_bound = eval_sum(expansion, z1, z2, n)
         residual = abs(lhs - rhs)
+        bound = lhs_bound + rhs_bound
         payload["residual"] = residual
         payload["bound"] = _finite_or_none(bound)
         if not within_bound(residual, bound, cfg.tolerance):
@@ -308,8 +298,8 @@ def _cmd_verify(args, cfg):
     check = decompose_check(args.degree, point, max_n=cfg.series_terms,
                             tol=cfg.tolerance, cap=cfg.degree_cap)
     relations = generate_all(args.degree, cfg.degree_cap)
-    reports = _verify_many(relations, [point], cfg.series_terms,
-                           cfg.tolerance, args.jobs)
+    reports = [verify_relation(r, [point], cfg.series_terms, cfg.tolerance)
+               for r in relations]
     rel_ok = all(entry["passed"] for rep in reports for entry in rep)
     payload = {
         "degree": args.degree,
@@ -344,8 +334,8 @@ class _UsageError(Exception):
     pass
 
 
-_TERMS_HELP = ("cap on the terms of each series (default 100000); a "
-               "series stops earlier once its proven tail bound is below "
+_TERMS_HELP = (f"cap on the terms of each series (default {DEFAULT_MAX_N}); "
+               "a series stops earlier once its proven tail bound is below "
                "its first-order rounding estimate, and the bound it "
                "reports is the sum of the two")
 
@@ -358,7 +348,6 @@ def build_parser():
                         default=argparse.SUPPRESS)
     common.add_argument("--degree-cap", type=int, dest="degree_cap",
                         default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
 
     parser = _Parser(prog="barlog", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -439,11 +428,6 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "jobs"):
-            args.jobs = 1
-        cpus = os.cpu_count() or 1
-        if not 1 <= args.jobs <= cpus:
-            raise ValueError(f"--jobs must lie in [1, {cpus}]")
         cfg = Config()
         if getattr(args, "config", None):
             cfg = cfg._replace(**load_config(args.config))

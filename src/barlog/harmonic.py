@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .errors import DivergentTermError
-from .hyperlog import MplIndex, eval_series, nested_sum
+from .hyperlog import DEFAULT_MAX_N, MplIndex, eval_series, nested_sum
 from .linalg import num, vec_add_into, vec_scale
 
 
@@ -113,7 +113,7 @@ class TaggedMplSum:
         return f"TaggedMplSum({self.terms!r})"
 
 
-def eval_tagged(tag, z1, z2, max_n=100000):
+def eval_tagged(tag, z1, z2, max_n=DEFAULT_MAX_N):
     """EvalResult of one tagged term by eval_series: at most max_n
     terms, with a proven tail bound plus a rounding estimate."""
     index, numbering, orientation = tag
@@ -124,7 +124,7 @@ def eval_tagged(tag, z1, z2, max_n=100000):
     return eval_series(m.to_term(1), z1, z2, max_n)
 
 
-def eval_sum(s, z1, z2, max_n=100000):
+def eval_sum(s, z1, z2, max_n=DEFAULT_MAX_N):
     """(value, bound) of a tagged sum: each term by eval_tagged, at most
     max_n series terms each, and the bound the sum of |coefficient|
     times each term's truncation_bound (tail plus rounding estimate)."""
@@ -270,7 +270,10 @@ def mzv_truncated(index, max_n=100000):
     (the inner sum over r-1 distinct smaller indices of products of
     1/m is at most the (r-1)-th power of the harmonic sum over (r-1)!),
     so the tail is bounded by the corresponding integral from max_n.
+    max_n is the number of terms summed and must be at least 1.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     index = tuple(index)
     r = len(index)
     if r == 0:

@@ -41,6 +41,10 @@ _ONE_LETTER = {1: "z11", 2: "z22"}
 _PARAM_LETTER = {1: "z12_1", 2: "z12_2"}
 _EPS = sys.float_info.epsilon
 
+# Defaults of the cap on series terms and of the verification tolerance.
+DEFAULT_MAX_N = 100000
+DEFAULT_TOL = 1e-8
+
 
 class HyperlogTerm(namedtuple("HyperlogTerm", "main_var index letters")):
     """A term: main_var is 1 or 2, index is (k1, ..., kr) of positive
@@ -139,6 +143,14 @@ class EvalResult(namedtuple("EvalResult",
     """A series value (complex), its bound (float) and the number of
     terms summed."""
     __slots__ = ()
+
+    def times(self, other):
+        """(value, bound) of the product of two results: each bound
+        times the other value, plus the product of the bounds."""
+        return (self.value * other.value,
+                abs(self.value) * other.truncation_bound
+                + abs(other.value) * self.truncation_bound
+                + self.truncation_bound * other.truncation_bound)
 
 
 # Terms summed between two stop tests of nested_sum.
@@ -251,7 +263,7 @@ def _series(ks, letters, z, param, max_n):
     return EvalResult(total, bound, n)
 
 
-def eval_series(t, z1, z2, max_n=100000):
+def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     """Nested series of a term, summed by nested_sum with an adaptive
     length: at most max_n terms, and fewer once the proven tail bound
     falls below the estimated rounding error.
@@ -262,10 +274,9 @@ def eval_series(t, z1, z2, max_n=100000):
     converge), and terms_used is the number of terms summed; the value
     is the plain loop's value at that length.  Identical (index,
     letters, z, param, max_n) evaluations are cached in a bounded LRU of
-    4096 entries; _series.cache_clear() empties it, and each --jobs
-    worker process has its own.  -0.0 and +0.0 share an entry safely:
-    signed zeros change no nonzero part, and the running sum, which
-    starts at +0.0, never ends at -0.0.
+    4096 entries; _series.cache_clear() empties it.  -0.0 and +0.0
+    share an entry safely: signed zeros change no nonzero part, and the
+    running sum, which starts at +0.0, never ends at -0.0.
     """
     z = complex(z1 if t.main_var == 1 else z2)
     param = complex(z2 if t.main_var == 1 else z1)
@@ -333,7 +344,7 @@ def partial_derivative(m, var):
     raise ValueError("var must be 1 or 2")
 
 
-def eval_mpl(m, z1, z2, max_n=100000):
+def eval_mpl(m, z1, z2, max_n=DEFAULT_MAX_N):
     """Li_index(i, j; z1, z2) as an EvalResult of eval_series: at most
     max_n terms, with a proven tail bound plus a rounding estimate."""
     return eval_series(m.to_term(main_var=1), z1, z2, max_n)

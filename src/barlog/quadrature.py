@@ -178,6 +178,8 @@ def iterated_integral(p, path, tol, max_refine):
     path = [(complex(a), complex(b)) for a, b in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
+    if not np.isfinite(path).all():
+        raise DomainError(f"path points must be finite: {path}")
     atoms = set()
     for w in p.terms:
         for x in w:

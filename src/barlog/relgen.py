@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .duality import phi, splits_as_pair, tensor_split, theta
-from .hyperlog import eval_series, within_bound, word_to_term
+from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, eval_series, within_bound,
+                       word_to_term)
 from .ipbenv import alpha_pair, omega_decomposition, w0_pairs, _reduce_word
 
 
@@ -95,16 +96,11 @@ def generate_all(s, cap=None):
 def _product_eval(t_a, t_b, z1, z2, max_n):
     """Value and bound (proven tail plus rounding estimate) of a product
     of two terms."""
-    ra = eval_series(t_a, z1, z2, max_n)
-    rb = eval_series(t_b, z1, z2, max_n)
-    value = ra.value * rb.value
-    bound = (abs(ra.value) * rb.truncation_bound
-             + abs(rb.value) * ra.truncation_bound
-             + ra.truncation_bound * rb.truncation_bound)
-    return value, bound
+    return eval_series(t_a, z1, z2, max_n).times(
+        eval_series(t_b, z1, z2, max_n))
 
 
-def verify_relation(r, points, max_n=10000, tol=1e-8):
+def verify_relation(r, points, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
     """Numeric witness of a relation at the given (z1, z2) points.
 
     Every series stops adaptively within max_n terms (see
@@ -173,7 +169,8 @@ def _symbolic_direction_check(s, direction, cap=None):
                     for pair in pairs))
 
 
-def decompose_check(s, point=(0.3, 0.4), max_n=10000, tol=1e-8, cap=None):
+def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
+                    cap=None):
     """Consistency of the two contour expansions of the degree-s kernel.
 
     Symbolic part: in each direction the kernel decomposes exactly over

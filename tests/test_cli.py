@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import mpmath
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from barlog import ipbenv
 from barlog.cli import Config, load_config, parse_term, run, to_json
 from barlog.formspace import DEFAULT_DEGREE_CAP
+from barlog.harmonic import eval_sum, eval_tagged, mpl_harmonic_expand
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
 from mp_series import DPS, mp_series
 
@@ -72,6 +72,23 @@ def test_harmonic_rejects_bad_input(capsys):
                                           "--numeric", point])
         assert (code, out) == (2, "")
         assert "expects z1,z2" in err
+
+
+def test_harmonic_bound_covers_both_sides(capsys):
+    # The left side is a product of two series: its bound is each
+    # factor's bound times the other factor, plus the product of bounds.
+    code, out, _ = capture(capsys, ["harmonic", "--left", "2", "--right",
+                                    "1", "--numeric", "0.3,0.4"])
+    assert code == 0
+    a = eval_tagged(((2,), (1, 0), "12"), 0.3, 0.4)
+    b = eval_tagged(((1,), (1, 0), "12"), 0.4, 0.3)
+    lhs_bound = (abs(a.value) * b.truncation_bound
+                 + abs(b.value) * a.truncation_bound
+                 + a.truncation_bound * b.truncation_bound)
+    _, rhs_bound = eval_sum(mpl_harmonic_expand((2,), (1,)), 0.3, 0.4)
+    assert lhs_bound > 0
+    assert json.loads(out)["bound"] == pytest.approx(lhs_bound + rhs_bound,
+                                                     rel=1e-12, abs=0)
 
 
 def test_harmonic_terms(capsys):
@@ -267,6 +284,19 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["dimension"] == 5
 
 
+def test_config_value_error_names_its_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("format = text\ndegree_cap = abc\n")
+    with pytest.raises(ValueError) as info:
+        load_config(str(cfg))
+    assert str(info.value).startswith(f"{cfg}:2: degree_cap: ")
+    assert "'abc'" in str(info.value)
+    code, out, err = capture(capsys, ["basis", "--degree", "1",
+                                      "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert f"{cfg}:2: degree_cap" in err
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         Config(degree_cap=0).validate()
@@ -281,20 +311,6 @@ def test_parse_term():
         parse_term("L[2|bogus]@z1")
 
 
-def test_jobs_flag(capsys, monkeypatch):
-    # --jobs is bounded by the CPU count; claim two so that the pool
-    # path runs on any machine.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code, out, _ = capture(capsys, [
-        "relations", "--degree", "1", "--verify", "--jobs", "2",
-        "--terms", "500"])
-    assert code == 0
-    _, out1, _ = capture(capsys, [
-        "relations", "--degree", "1", "--verify", "--jobs", "1",
-        "--terms", "500"])
-    assert out == out1
-
-
 def test_zero_terms_and_tol_are_rejected(capsys):
     code, out, err = capture(capsys, [
         "eval", "--term", "L[2|one]@z1", "--z1", "0.3", "--z2", "0.4",
@@ -307,21 +323,6 @@ def test_zero_terms_and_tol_are_rejected(capsys):
             "verify", "--degree", "1", "--terms", "500", "--tol", tol])
         assert (code, out) == (2, "")
         assert "must be positive and tolerance finite" in err
-
-
-def test_jobs_out_of_range_is_rejected(capsys, monkeypatch):
-    # Only the rejection path runs: no pool of these sizes is started.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    import multiprocessing
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    for jobs in (0, -1, (os.cpu_count() or 1) + 1):
-        code, out, err = capture(capsys, [
-            "relations", "--degree", "1", "--verify", "--terms", "50",
-            "--jobs", str(jobs)])
-        assert (code, out) == (2, "")
-        assert "--jobs must lie in" in err
 
 
 def test_degree_out_of_range_is_rejected_by_every_degree_command(capsys):
@@ -364,9 +365,10 @@ def test_degree_cap_option_is_honored_by_every_degree_command(
 
 
 def test_radius_is_not_an_option(tmp_path, capsys):
-    code, out, _ = capture(capsys, ["basis", "--degree", "1",
-                                    "--radius", "0.5"])
-    assert (code, out) == (2, "")
+    for argv in (["basis", "--degree", "1", "--radius", "0.5"],
+                 ["relations", "--degree", "1", "--verify", "--jobs", "2"]):
+        code, out, _ = capture(capsys, argv)
+        assert (code, out) == (2, ""), argv
     cfg = tmp_path / "cfg"
     cfg.write_text("radius = 0.5\n")
     code, out, err = capture(capsys, ["basis", "--degree", "1",

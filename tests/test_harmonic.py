@@ -85,6 +85,12 @@ def test_mzv_divergent():
         mzv_truncated((1, 2))
 
 
+def test_mzv_cap_below_one_is_rejected():
+    for max_n in (0, -5):
+        with pytest.raises(ValueError, match="max_n must be at least 1"):
+            mzv_truncated((2,), max_n)
+
+
 def test_non_positive_indices_are_rejected():
     # zeta(2, 0) diverges, and the tail majorant assumes every ki >= 1.
     for index in ((2, 0), (3, -1), (0,), (-2, 1)):

@@ -186,6 +186,18 @@ def test_non_convergence_raises():
         eval_quadrature(p, path, max_refine=0)
 
 
+def test_non_finite_path_is_a_domain_error(monkeypatch):
+    # Rejected before any panel is built, as eval_series rejects NaN.
+    def no_panels(*args, **kwargs):
+        raise AssertionError("a panel was built")
+
+    monkeypatch.setattr(quadrature, "_build_panels", no_panels)
+    p = WordPoly.monomial(FORM_BASE, ("z11",))
+    for bad in (float("nan"), float("inf"), complex(0.2, float("nan"))):
+        with pytest.raises(DomainError, match="must be finite"):
+            eval_quadrature(p, [(0.1, 0.1), (bad, 0.2)])
+
+
 def test_refinement_levels_match_per_panel_loop(monkeypatch):
     # The phi pairs of degree <= 3 of the 1x2 splitting along two-leg
     # contours from the origin, as the quadrature-of-phi check runs them.

@@ -1,7 +1,6 @@
 """The package's records are namedtuple subclasses that behave as the
 frozen dataclasses they replaced: same repr, same hash, read-only
-fields, validation on construction, and a pickle round trip (records
-cross the --jobs pool)."""
+fields, validation on construction, and a pickle round trip."""
 
 import pickle
 
