@@ -16,13 +16,12 @@ import sys
 from collections import namedtuple
 
 from .errors import BarlogError
-from .formspace import (DEFAULT_DEGREE_CAP, bar0_basis, bar_basis,
-                        check_degree)
+from .formspace import bar0_basis, bar_basis
 from .harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
                        recursion_expand)
 from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, ONE, PARAM, HyperlogTerm,
                        eval_series, within_bound)
-from .ipbenv import omega_decomposition, w0_pairs
+from .ipbenv import DEFAULT_DEGREE_CAP, omega_decomposition, w0_pairs
 from .duality import phi
 from .relgen import (decompose_check, generate_all, relation_to_dict,
                      verify_relation)
@@ -87,13 +86,16 @@ _TERM_RE = re.compile(
 
 
 def parse_term(text):
-    """Parse the rendered term syntax L[k1,...|letters]@zN."""
+    """Parse the rendered term syntax L[k1,...|letters]@zN, no entry empty."""
     m = _TERM_RE.match(text.strip())
     if not m:
         raise ValueError(f"malformed term {text!r}; "
                          "expected L[2,1|one,param]@z1")
-    index = tuple(int(k) for k in m.group("index").split(",") if k)
-    letters = tuple(a for a in m.group("letters").split(",") if a)
+    index, letters = (tuple(g.split(",")) if g else ()
+                      for g in m.group("index", "letters"))
+    if "" in index + letters:
+        raise ValueError(f"empty entry in term {text!r}")
+    index = tuple(map(int, index))
     if any(a not in (ONE, PARAM) for a in letters):
         raise ValueError(f"term letters must be one/param: {text!r}")
     return HyperlogTerm(int(m.group("main")), index, letters)
@@ -417,13 +419,6 @@ _HANDLERS = {
 }
 
 
-def _command_degree(args):
-    """The degree a command works at, or None for harmonic and eval."""
-    if args.command == "phi":
-        return len(parse_z_word(args.w1)) + len(parse_z_word(args.w2))
-    return getattr(args, "degree", None)
-
-
 def run(argv):
     parser = build_parser()
     try:
@@ -442,9 +437,6 @@ def run(argv):
             overrides["tolerance"] = args.tol
         cfg = cfg._replace(**overrides)
         cfg.validate()
-        degree = _command_degree(args)
-        if degree is not None:
-            check_degree(degree, cfg.degree_cap)
         return _HANDLERS[args.command](args, cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,15 +2,18 @@
 the enveloping algebra: the letterwise theta substitution, the tensor
 splitting isomorphisms iota (deconcatenation followed by the two
 letter projections), the canonical integrable representative
-phi(W', W'') of a product-basis pair, read from the decomposition of
-the solution kernel and certified by its splitting, and the inverses
-of the splittings by linearity from phi.
+phi(W', W'') of a product-basis pair, and the inverses of the
+splittings by linearity from phi.  phi is the one gate between the
+kernel decomposition and its users: it certifies each pair's kernel
+coefficient once per process.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import AlphabetError, BarlogError, DomainError
-from .formspace import _chen_failure, is_integrable
+from .formspace import _chen_failure
 from .ipbenv import _as_direction, check_degree, omega_decomposition
 from .linalg import vec_add_into
 from .words import FORM_BASE, TensorPoly, WordPoly, _shuffle_words, shuffle
@@ -102,15 +105,14 @@ def iota_inv(t, direction="1x2", cap=None):
     right_log = _log_letter(d.right_alphabet)
     from_left = {v: k for k, v in d.theta_left.items()}
     from_right = {v: k for k, v in d.theta_right.items()}
-    phis, by_logs = {}, {}
+    by_logs = {}
     for (u1, u2), c in t.terms.items():
         for (x1, a), c1 in _log_split(u1, left_log).items():
             for (x2, b), c2 in _log_split(u2, right_log).items():
-                if (x1, x2) not in phis:
-                    phis[x1, x2] = phi([from_left[x] for x in x1],
-                                       [from_right[x] for x in x2], d, cap)
-                vec_add_into(by_logs.setdefault((a, b), {}),
-                             phis[x1, x2].terms, c * c1 * c2)
+                p = phi([from_left[x] for x in x1],
+                        [from_right[x] for x in x2], d, cap)
+                vec_add_into(by_logs.setdefault((a, b), {}), p.terms,
+                             c * c1 * c2)
     acc = {}
     for (a, b), vec in by_logs.items():
         logs = shuffle(WordPoly.monomial(FORM_BASE, (left_log,) * a),
@@ -119,22 +121,13 @@ def iota_inv(t, direction="1x2", cap=None):
     return WordPoly(FORM_BASE, acc)
 
 
-def splits_as_pair(p, w1, w2, direction="1x2"):
-    """Whether p is integrable and its tensor splitting is exactly the
-    theta monomial theta(W') x theta(W'') of the pair."""
-    d = _as_direction(direction)
-    t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
-                            theta(w1, d, "left"), theta(w2, d, "right"))
-    return is_integrable(p) and tensor_split(p, d) == t
-
-
 def phi(w1, w2, direction="1x2", cap=None):
     """The integrable representative of a product-basis pair: the
     preimage of theta(W') x theta(W'') under the splitting.
 
     By the tensor splitting of the normalized fundamental solution it
     is the pair's coefficient in the kernel decomposition; the
-    coefficient is returned only once its splitting is checked."""
+    coefficient is returned only once it is certified."""
     d = _as_direction(direction)
     w1, w2 = tuple(w1), tuple(w2)
     for w in (w1, w2):
@@ -143,10 +136,23 @@ def phi(w1, w2, direction="1x2", cap=None):
     # Letters outside the splitting raise AlphabetError before any
     # kernel is built.
     theta(w1, d, "left"), theta(w2, d, "right")
-    coeff = omega_decomposition(len(w1) + len(w2), d.name,
-                                cap=cap)[(w1, w2)]
-    if not splits_as_pair(coeff, w1, w2, d):
+    check_degree(len(w1) + len(w2), cap)
+    return _phi(w1, w2, d.name)
+
+
+@cache
+def _phi(w1, w2, direction):
+    """The pair's kernel coefficient, certified: it satisfies Chen's
+    condition and tensor_split gives the theta monomial of the pair
+    (BarlogError if not)."""
+    d = _as_direction(direction)
+    s = len(w1) + len(w2)
+    # phi has checked the cap, so the kernel is built at s.
+    coeff = omega_decomposition(s, direction, cap=s)[(w1, w2)]
+    t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
+                            theta(w1, d, "left"), theta(w2, d, "right"))
+    if _chen_failure(coeff) or tensor_split(coeff, d) != t:
         raise BarlogError(
-            f"kernel coefficient of {(w1, w2)} in {d.name} does not "
+            f"kernel coefficient of {(w1, w2)} in {direction} does not "
             "split as its theta monomial")
     return coeff

@@ -17,8 +17,8 @@ From these the module derives, by exact linear algebra on polynomial
 numerators, the relation space of the ten wedge products and the
 adjacent cut defects of Chen's integrability condition.  The canonical
 bases of the reduced bar algebra (bar_basis) and of its part with no
-word ending in z1 or z2 (bar0_basis) come from the kernel decomposition
-of ipbenv, as fibre times base of M_{0,5} over M_{0,4}.
+word ending in z1 or z2 (bar0_basis) come from the kernel coefficients
+that duality.phi certifies, as fibre times base of M_{0,5} over M_{0,4}.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .errors import BarlogError
-# DEFAULT_DEGREE_CAP is imported for the CLI and tests that read it here.
-from .ipbenv import DEFAULT_DEGREE_CAP, check_degree, omega_decomposition
+from .ipbenv import check_degree, w0_pairs
 from .linalg import RowReducer, canonical_basis, vec_add_into
 from .words import FORM_BASE, WordPoly, shuffle
 
@@ -244,9 +242,9 @@ def _bar_basis(s):
 
 def bar0_basis(s, cap=None):
     """Canonical basis of the subspace of bar_basis(s) spanned by
-    combinations with no word ending in z1 or z2: the span of the form
-    coefficients phi(W', W'') of omega_decomposition(s, "1x2"), each
-    certified integrable (BarlogError if one is not)."""
+    combinations with no word ending in z1 or z2: the span of the
+    kernel coefficients phi(W', W'') of the admissible 1x2 pairs, each
+    certified by phi (BarlogError if one is not)."""
     check_degree(s, cap)
     return _bar0_basis(s)
 
@@ -258,10 +256,7 @@ def _bar0_basis(s):
 
 @cache
 def _bar0_generators(s):
-    # The public callers have checked the cap, so the kernel is built at s.
-    phis = omega_decomposition(s, "1x2", cap=s)
-    for pair, p in phis.items():
-        if not is_integrable(p):
-            raise BarlogError(
-                f"kernel coefficient of {pair} is not integrable")
-    return tuple(phis.values())
+    # duality imports this module, so phi is imported here.  The public
+    # callers have checked the cap, so phi runs at cap s.
+    from .duality import phi
+    return tuple(phi(*pair, "1x2", s) for pair in w0_pairs(s, "1x2"))

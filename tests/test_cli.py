@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from barlog import ipbenv
 from barlog.cli import Config, load_config, parse_term, run, to_json
-from barlog.formspace import DEFAULT_DEGREE_CAP
 from barlog.harmonic import eval_sum, eval_tagged, mpl_harmonic_expand
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
+from barlog.ipbenv import DEFAULT_DEGREE_CAP
 from mp_series import DPS, mp_series
 
 
@@ -307,8 +307,14 @@ def test_config_validation():
 def test_parse_term():
     t = parse_term("L[2,1|one,param]@z2")
     assert t == HyperlogTerm(2, (2, 1), (ONE, PARAM))
+    assert parse_term("L[|]@z1") == HyperlogTerm(1, (), ())
     with pytest.raises(ValueError):
         parse_term("L[2|bogus]@z1")
+    # An empty entry is a typo, not a shorter term.
+    for text in ("L[2,,1|one,,one]@z1", "L[,2|,one]@z1", "L[2,|one,]@z1",
+                 "L[2|one,]@z1", "L[,|,]@z1"):
+        with pytest.raises(ValueError, match="empty entry"):
+            parse_term(text)
 
 
 def test_zero_terms_and_tol_are_rejected(capsys):
@@ -339,6 +345,39 @@ def test_degree_out_of_range_is_rejected_by_every_degree_command(capsys):
             code, out, err = capture(capsys, argv)
             assert (code, out) == (2, ""), argv
             assert "degree must be nonnegative" in err
+
+
+def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
+    # Chen's condition runs once per certified coefficient: 32 admissible
+    # pairs per direction at degree 3, and bases and relations share the
+    # 1x2 certificates.
+    from barlog import duality, formspace
+
+    calls = []
+    chen_failure = formspace._chen_failure
+
+    def counted(p):
+        calls.append(p)
+        return chen_failure(p)
+
+    for module in (formspace, duality):
+        monkeypatch.setattr(module, "_chen_failure", counted)
+    caches = (duality._phi, formspace._bar0_generators,
+              formspace._bar0_basis)
+    for argvs, expected in (
+            ([["verify", "--degree", "3"]], 64),
+            ([["basis", "--degree", "3", "--b0"],
+              ["relations", "--degree", "3"]], 32)):
+        for cached in caches:
+            cached.cache_clear()
+        calls.clear()
+        try:
+            for argv in argvs:
+                assert capture(capsys, argv)[0] == 0, argv
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+        assert len(calls) == expected, argvs
 
 
 def test_one_default_degree_cap(capsys):

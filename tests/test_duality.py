@@ -230,13 +230,20 @@ def test_phi_certifies_the_kernel_coefficient(monkeypatch):
     good = decomposition[pair]
     monkeypatch.setattr(duality, "omega_decomposition",
                         lambda s, direction, cap=None: decomposition)
-    for bad in (good.scale(2),  # integrable, wrong splitting
-                good + WordPoly.monomial(FORM_BASE, ("z1", "z2"))):
-        decomposition[pair] = bad
-        with pytest.raises(BarlogError, match="does not split"):
-            phi(*pair)
-    decomposition[pair] = good
-    assert phi(*pair) == good
+    duality._phi.cache_clear()
+    try:
+        for bad in (good.scale(2),  # integrable, wrong splitting
+                    WordPoly.zero(FORM_BASE),
+                    # z2 z1 splits to zero in 1x2: only Chen's
+                    # condition rejects it.
+                    good + WordPoly.monomial(FORM_BASE, ("z2", "z1"))):
+            decomposition[pair] = bad
+            with pytest.raises(BarlogError, match="does not split"):
+                phi(*pair)
+        decomposition[pair] = good
+        assert phi(*pair) == good
+    finally:
+        duality._phi.cache_clear()
 
 
 def test_phi_checks_letters_before_the_kernel(monkeypatch):

@@ -131,20 +131,23 @@ def test_bases_match_the_chen_oracle(s):
 
 
 def test_bar0_certifies_each_kernel_coefficient(monkeypatch):
-    from barlog import formspace
+    # The bases read the kernel coefficients through phi, the one gate
+    # that certifies them.
+    from barlog import duality, formspace
 
-    decomposition = dict(formspace.omega_decomposition(2, "1x2"))
+    decomposition = dict(duality.omega_decomposition(2, "1x2"))
     pair = (("Z11", "Z12"), ())
-    decomposition[pair] = decomposition[pair] + _m("z1", "z2")
-    monkeypatch.setattr(formspace, "omega_decomposition",
+    # z2 z1 fails Chen's condition and splits to zero in 1x2.
+    decomposition[pair] = decomposition[pair] + _m("z2", "z1")
+    monkeypatch.setattr(duality, "omega_decomposition",
                         lambda s, direction, cap=None: decomposition)
-    caches = (formspace._bar0_generators, formspace._bar0_basis,
-              formspace._bar_basis)
+    caches = (duality._phi, formspace._bar0_generators,
+              formspace._bar0_basis, formspace._bar_basis)
     for cached in caches:
         cached.cache_clear()
     try:
         for basis in (bar0_basis, bar_basis):
-            with pytest.raises(BarlogError, match="not integrable"):
+            with pytest.raises(BarlogError, match="does not split"):
                 basis(2)
     finally:
         for cached in caches:

@@ -124,33 +124,45 @@ def test_weight_homogeneous():
 
 
 def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
-    from barlog import relgen
-    from barlog.relgen import _symbolic_direction_check
+    # decompose_check reads every kernel coefficient through phi and
+    # rejects a coefficient outside the admissible pairs.
+    from barlog import duality, ipbenv
+    from barlog.errors import BarlogError
     from barlog.words import FORM_BASE, WordPoly
 
-    real = relgen.omega_decomposition
+    real = ipbenv._omega_decomposition
     good = real(2, "1x2")
-    assert _symbolic_direction_check(2, "1x2")
     pair = (("Z11", "Z12"), ())
-    for change in ({pair: good[pair].scale(2)},
-                   {pair: WordPoly.zero(FORM_BASE)},
-                   {(("Z1",), ("Z2",)): good[pair]}):
-        def wrong(s, direction="1x2", cap=None, change=change):
-            if (s, direction) == (2, "1x2"):
-                return {**good, **change}
-            return real(s, direction, cap)
+    duality._phi.cache_clear()
+    try:
+        assert decompose_check(2)["passed"]
+        for change, message in (
+                ({pair: good[pair].scale(2)}, "does not split"),
+                ({pair: WordPoly.zero(FORM_BASE)}, "does not split"),
+                ({pair: good[pair] + WordPoly.monomial(FORM_BASE,
+                                                       ("z2", "z1"))},
+                 "does not split"),
+                ({(("Z1",), ("Z2",)): good[pair]}, "non-admissible")):
+            def wrong(s, direction, change=change):
+                if (s, direction) == (2, "1x2"):
+                    return {**good, **change}
+                return real(s, direction)
 
-        monkeypatch.setattr(relgen, "omega_decomposition", wrong)
-        assert not _symbolic_direction_check(2, "1x2"), change
-        assert _symbolic_direction_check(2, "2x1")
-    monkeypatch.undo()
-    assert real(2, "1x2") == good and _symbolic_direction_check(2, "1x2")
+            monkeypatch.setattr(ipbenv, "_omega_decomposition", wrong)
+            duality._phi.cache_clear()
+            with pytest.raises(BarlogError, match=message):
+                decompose_check(2)
+        monkeypatch.undo()
+        duality._phi.cache_clear()
+        assert real(2, "1x2") == good and decompose_check(2)["passed"]
+    finally:
+        duality._phi.cache_clear()
 
 
 def test_generate_relation_checks_integrability_once(monkeypatch):
-    # phi certifies integrability; splitting its result in the other
-    # direction must not check it again.
-    from barlog import formspace
+    # phi certifies the coefficient once per process; the relation of
+    # the same pair reuses it without a Chen check of its own.
+    from barlog import duality, formspace
     from barlog.duality import phi
 
     calls = []
@@ -162,8 +174,29 @@ def test_generate_relation_checks_integrability_once(monkeypatch):
 
     monkeypatch.setattr(formspace, "chen_defect", counted)
     w1, w2 = ("Z11", "Z12"), ("Z22",)
-    phi(w1, w2, direction="1x2")
-    by_phi = len(calls)
-    calls.clear()
-    generate_relation(w1, w2)
-    assert by_phi > 0 and len(calls) == by_phi
+    duality._phi.cache_clear()
+    try:
+        phi(w1, w2, direction="1x2")
+        assert calls
+        calls.clear()
+        generate_relation(w1, w2)
+        assert not calls
+    finally:
+        duality._phi.cache_clear()
+
+
+def test_degree_is_checked_before_any_pair(monkeypatch):
+    from barlog import relgen
+    from barlog.errors import ResourceLimitError
+
+    def no_pairs(*args):
+        raise AssertionError("pairs enumerated for an invalid degree")
+
+    monkeypatch.setattr(relgen, "w0_pairs", no_pairs)
+    for check in (generate_all, decompose_check):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check(-1)
+        with pytest.raises(ResourceLimitError, match="exceeds cap 6"):
+            check(9)
+        with pytest.raises(ResourceLimitError, match="exceeds cap 2"):
+            check(3, cap=2)
