@@ -35,6 +35,17 @@ def theta(word, direction="1x2", side="left"):
     return tuple(out)
 
 
+def theta_pair(w1, w2, direction="1x2"):
+    """The theta images of a product-basis pair of the splitting:
+    ValueError for a word ending in Z1/Z2, AlphabetError for a letter
+    outside its factor."""
+    for w in (w1, w2):
+        if w and w[-1] in ("Z1", "Z2"):
+            raise ValueError(f"word {tuple(w)} ends in Z1/Z2 and is not "
+                             "allowed")
+    return theta(w1, direction, "left"), theta(w2, direction, "right")
+
+
 def iota(p, direction="1x2"):
     """Tensor splitting of an integrable form polynomial: Chen's
     condition (DomainError naming the first failing degree and cut),
@@ -130,12 +141,8 @@ def phi(w1, w2, direction="1x2", cap=None):
     coefficient is returned only once it is certified."""
     d = _as_direction(direction)
     w1, w2 = tuple(w1), tuple(w2)
-    for w in (w1, w2):
-        if w and w[-1] in ("Z1", "Z2"):
-            raise ValueError(f"word {w} ends in Z1/Z2 and is not allowed")
-    # Letters outside the splitting raise AlphabetError before any
-    # kernel is built.
-    theta(w1, d, "left"), theta(w2, d, "right")
+    # The words are checked before any kernel is built.
+    theta_pair(w1, w2, d)
     check_degree(len(w1) + len(w2), cap)
     return _phi(w1, w2, d.name)
 

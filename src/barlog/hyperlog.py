@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import AlphabetError, DivergentTermError, DomainError
 
@@ -104,7 +104,11 @@ class MplIndex(namedtuple("MplIndex", "index numbering")):
 def word_to_term(word):
     """Parse a word over a projected alphabet into a term: maximal runs
     of the main log letter become exponents."""
-    word = tuple(word)
+    return _word_to_term(tuple(word))
+
+
+@cache
+def _word_to_term(word):
     if not word:
         return HyperlogTerm(1, (), ())
     mains = {_MAIN_OF_LETTER.get(x) for x in word}

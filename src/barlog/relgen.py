@@ -7,19 +7,26 @@ Each relation equates a product L(theta1(W'); z1) L(theta2(W''); z2)
 with the contour integral of the split integrable representative
 phi(W', W''), read off factorwise: the left factor integrates along
 the z2 leg first, so each right-hand term is a product of a main-z2
-hyperlogarithm and a main-z1 one.
+hyperlogarithm and a main-z1 one.  That split is the change of product
+basis 2x1 -> 1x2: the coefficient of theta(q') x theta(q'') is the
+coefficient of the pair (W', W'') in the 1x2 normal form of the 2x1
+product word q' q''.  So the degree-s relations are the rows of one
+square integer matrix C_s over the admissible pairs, built from the
+word rewriting alone; neither the kernel nor phi is computed for them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
-from .duality import phi, tensor_split, theta
+from .duality import phi, theta_pair
 from .errors import BarlogError
 from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, eval_series, within_bound,
                        word_to_term)
-from .ipbenv import (alpha_pair, check_degree, omega_decomposition, w0_pairs,
-                     _reduce_word)
+from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, omega_decomposition,
+                     w0_pairs, _reduce_word)
+from .words import TensorPoly
 
 
 class Relation(namedtuple("Relation", "w1 w2 degree lhs rhs trivial")):
@@ -70,24 +77,42 @@ def _term_key(t):
     return (t.main_var, t.index, t.letters)
 
 
+@cache
+def _relation_rows(s):
+    """The rows of C_s: {(W', W''): 2x1 TensorPoly} over the admissible
+    1x2 pairs.  Each admissible 2x1 product word q' q'' puts the
+    coefficient of (W', W'') in its 1x2 normal form at the column
+    theta(q') x theta(q''); theta is injective, so no entry is written
+    twice.  No non-admissible 2x1 word reaches an admissible pair (the
+    tests check it), so the matrix is square."""
+    d = DIRECTIONS["2x1"]
+    rows = {p: {} for p in w0_pairs(s, "1x2")}
+    for q1, q2 in w0_pairs(s, d):
+        column = theta_pair(q1, q2, d)
+        for p, c in _reduce_word(q1 + q2, "1x2").items():
+            if p in rows:
+                rows[p][column] = c
+    return {p: TensorPoly(d.left_alphabet, d.right_alphabet, row)
+            for p, row in rows.items()}
+
+
 def generate_relation(w1, w2, cap=None):
     """The relation attached to a product-basis pair of the 1x2
-    splitting: both factor words must avoid trailing Z1/Z2.  cap is the
-    degree cap of phi (the default cap when None)."""
+    splitting, read from its row of C_s: both factor words must avoid
+    trailing Z1/Z2 (ValueError) and use their factor's letters
+    (AlphabetError), and the degree must not exceed the cap (the
+    default cap when None)."""
     w1, w2 = tuple(w1), tuple(w2)
-    lhs = (word_to_term(theta(w1, "1x2", "left")),
-           word_to_term(theta(w2, "1x2", "right")))
-    # phi's certification checked integrability, which no direction changes.
-    split = tensor_split(phi(w1, w2, direction="1x2", cap=cap), "2x1")
-    rhs = []
-    for (u, v), c in split.sorted_terms():
-        rhs.append((c, word_to_term(u), word_to_term(v)))
-    rhs = tuple(rhs)
+    lhs = tuple(map(word_to_term, theta_pair(w1, w2, "1x2")))
+    s = len(w1) + len(w2)
+    check_degree(s, cap)
+    rhs = tuple((c, word_to_term(u), word_to_term(v))
+                for (u, v), c in _relation_rows(s)[(w1, w2)].sorted_terms())
     trivial = (len(rhs) == 1 and rhs[0][0] == 1 and
                sorted(filter(None, map(_term_key, rhs[0][1:])))
                == sorted(filter(None, map(_term_key, lhs))))
-    return Relation(w1=w1, w2=w2, degree=len(w1) + len(w2),
-                    lhs=lhs, rhs=rhs, trivial=trivial)
+    return Relation(w1=w1, w2=w2, degree=s, lhs=lhs, rhs=rhs,
+                    trivial=trivial)
 
 
 def generate_all(s, cap=None):
@@ -138,9 +163,7 @@ def verify_relation(r, points, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
 
 def _theta_eval(pair, direction, z1, z2, max_n):
     """Value/bound of L(theta1(W'); main) L(theta2(W''); other)."""
-    w1, w2 = pair
-    t1 = word_to_term(theta(w1, direction, "left"))
-    t2 = word_to_term(theta(w2, direction, "right"))
+    t1, t2 = map(word_to_term, theta_pair(*pair, direction))
     return _product_eval(t1, t2, z1, z2, max_n)
 
 

@@ -349,8 +349,8 @@ def test_degree_out_of_range_is_rejected_by_every_degree_command(capsys):
 
 def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
     # Chen's condition runs once per certified coefficient: 32 admissible
-    # pairs per direction at degree 3, and bases and relations share the
-    # 1x2 certificates.
+    # pairs per direction at degree 3.  The relations read C_3 and
+    # certify nothing, so basis --b0 then relations runs 32.
     from barlog import duality, formspace
 
     calls = []
@@ -391,7 +391,8 @@ def test_one_default_degree_cap(capsys):
 def test_degree_cap_option_is_honored_by_every_degree_command(
         capsys, monkeypatch):
     # Below the default cap, degree 4 runs only on --degree-cap 4, which
-    # relations and verify must pass down to phi and the kernel.
+    # relations and verify must pass down to the relations, phi and the
+    # kernel.
     monkeypatch.setattr(ipbenv, "DEFAULT_DEGREE_CAP", 3)
     for command in ("basis", "relations", "decompose", "verify"):
         code, out, err = capture(capsys, [command, "--degree", "4",
@@ -419,8 +420,7 @@ def test_radius_is_not_an_option(tmp_path, capsys):
 def test_relations_degree_5_golden(capsys):
     # SHA-256 of the stdout of the route that solved each pair's
     # preimage against the Chen-condition nullspace basis (kept as the
-    # reference construction in tests/chen_oracle.py).  It also
-    # caches the degree-5 kernel that the basis --b0 golden reuses.
+    # reference construction in tests/chen_oracle.py).
     code, out, _ = capture(capsys, ["relations", "--degree", "5"])
     assert code == 0
     assert json.loads(out)["count"] == 308

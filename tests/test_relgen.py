@@ -1,11 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from barlog import relgen
+from barlog.errors import AlphabetError, ResourceLimitError
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
+from barlog.ipbenv import DIRECTIONS, _reduce_word, w0_pairs
 from barlog.relgen import (Relation, decompose_check, generate_all,
                            generate_relation, relation_to_dict,
                            verify_relation)
+from relation_oracle import relation_row_via_phi
 
 
 def term(main, index, letters):
@@ -82,9 +87,50 @@ def test_relations_all_valid_numerically():
         assert report[0]["passed"], r.render()
 
 
-def test_invalid_words_rejected():
-    with pytest.raises(ValueError):
-        generate_relation(("Z11", "Z1"), ())
+def test_invalid_words_rejected(monkeypatch):
+    # Each argument error is raised before any row of C_s is built.
+    def no_rows(s):
+        raise AssertionError("row built for an invalid pair")
+
+    monkeypatch.setattr(relgen, "_relation_rows", no_rows)
+    for w1, w2 in ((("Z11", "Z1"), ()), ((), ("Z22", "Z2"))):
+        with pytest.raises(ValueError, match="ends in Z1/Z2"):
+            generate_relation(w1, w2)
+    for w1, w2 in ((("Z22",), ()), ((), ("Z12",))):
+        with pytest.raises(AlphabetError, match="not in the"):
+            generate_relation(w1, w2)
+    with pytest.raises(ResourceLimitError, match="exceeds cap 3"):
+        generate_relation(("Z11", "Z12"), ("Z22", "Z22"), cap=3)
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_relation_rows_equal_the_phi_route(s):
+    rows = relgen._relation_rows(s)
+    assert list(rows) == w0_pairs(s, "1x2")
+    for p, row in rows.items():
+        assert relation_row_via_phi(*p).terms == row.terms, p
+
+
+@pytest.mark.parametrize("s, order, nonzeros",
+                         [(3, 32, 106), (4, 100, 780), (5, 308, 6171)])
+def test_relation_matrix_size(s, order, nonzeros):
+    rows = relgen._relation_rows(s)
+    assert len(rows) == order
+    assert sum(len(row.terms) for row in rows.values()) == nonzeros
+
+
+def test_relation_matrix_is_square():
+    # No non-admissible 2x1 product word reaches an admissible 1x2 pair,
+    # so the admissible 2x1 words index every column of C_s.
+    d = DIRECTIONS["2x1"]
+    for s in range(6):
+        rows, columns = set(w0_pairs(s, "1x2")), set(w0_pairs(s, d))
+        for s1 in range(s + 1):
+            for q in itertools.product(
+                    itertools.product(d.left_letters, repeat=s1),
+                    itertools.product(d.right_letters, repeat=s - s1)):
+                if q not in columns:
+                    assert not rows & set(_reduce_word(q[0] + q[1], "1x2")), q
 
 
 def test_decompose_check_low_degrees():
@@ -159,11 +205,10 @@ def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
         duality._phi.cache_clear()
 
 
-def test_generate_relation_checks_integrability_once(monkeypatch):
-    # phi certifies the coefficient once per process; the relation of
-    # the same pair reuses it without a Chen check of its own.
-    from barlog import duality, formspace
-    from barlog.duality import phi
+def test_relations_build_no_kernel_and_run_no_chen_check(monkeypatch):
+    # The relations read C_s from the word rewriting alone: no kernel,
+    # no phi and no Chen check on their path.
+    from barlog import duality, formspace, ipbenv
 
     calls = []
     chen_defect = formspace.chen_defect
@@ -173,16 +218,15 @@ def test_generate_relation_checks_integrability_once(monkeypatch):
         return chen_defect(*args)
 
     monkeypatch.setattr(formspace, "chen_defect", counted)
-    w1, w2 = ("Z11", "Z12"), ("Z22",)
-    duality._phi.cache_clear()
-    try:
-        phi(w1, w2, direction="1x2")
-        assert calls
-        calls.clear()
-        generate_relation(w1, w2)
-        assert not calls
-    finally:
-        duality._phi.cache_clear()
+    caches = (relgen._relation_rows, ipbenv._omega_decomposition,
+              duality._phi)
+    for cached in caches:
+        cached.cache_clear()
+    generate_all(4)
+    generate_relation(("Z11", "Z12"), ("Z22",))
+    assert not calls
+    assert ipbenv._omega_decomposition.cache_info().currsize == 0
+    assert duality._phi.cache_info().currsize == 0
 
 
 def test_degree_is_checked_before_any_pair(monkeypatch):
