@@ -13,29 +13,35 @@ Only 1x2 is written out; 2x1 is its image under the involution sigma
 Also provides the alpha action (Z1, Z2 act by commutator, the other
 letters by left multiplication), the symbolic degree-s kernel of the
 normalized fundamental solution, enumeration of the words not ending
-in Z1 or Z2, and the degree cap.
+in Z1 or Z2, and the degree cap.  The kernel's expansion over the
+alpha images of the admissible pairs is a readout of the rewriting:
+alpha(q) 1 = 0 for every non-admissible product word q, so the
+coefficient of pair p at form word w is the coefficient of p in the
+normal form of Z(w).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from functools import cache
 
 from .errors import BarlogError, ResourceLimitError
-from .linalg import RowReducer, vec_add_into
+from .linalg import vec_add_into
 from .words import FORM_BASE, LIE_BASE, WordPoly, word_sort_key
 
 DEFAULT_DEGREE_CAP = 6
 
 
 def check_degree(s, cap=None):
-    """Raise ValueError for a negative degree s, and ResourceLimitError
-    when s exceeds the cap (the default cap when cap is None)."""
+    """Raise TypeError for a degree or a cap that is not an integer,
+    ValueError for a negative degree s, and ResourceLimitError when s
+    exceeds the cap (the default cap when cap is None)."""
+    s = operator.index(s)
+    cap = DEFAULT_DEGREE_CAP if cap is None else operator.index(cap)
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    if cap is None:
-        cap = DEFAULT_DEGREE_CAP
     if s > cap:
         raise ResourceLimitError(f"degree {s} exceeds cap {cap}")
 
@@ -55,6 +61,8 @@ RELATORS = (
     vec_add_into(vec_add_into(_bracket("Z11", "Z22"), _bracket("Z1", "Z12")),
                  _bracket("Z2", "Z12"), -1),
 )
+
+_LIE = dict(zip(FORM_BASE, LIE_BASE))
 
 # The involution sigma: z1 <-> z2, on the Lie letters and on the form
 # letters.  It preserves the relators, the alpha action and the kernel,
@@ -85,13 +93,12 @@ class Direction(namedtuple(
     __slots__ = ()
 
     def __new__(cls, name, theta_left, theta_right, rules):
-        lie = dict(zip(FORM_BASE, LIE_BASE))
         return super().__new__(
             cls, name, theta_left, theta_right, rules,
             tuple(theta_left), tuple(theta_right),
             tuple(theta_left.values()), tuple(theta_right.values()),
-            {x: theta_left.get(lie[x]) for x in FORM_BASE},
-            {x: theta_right.get(lie[x]) for x in FORM_BASE})
+            {x: theta_left.get(_LIE[x]) for x in FORM_BASE},
+            {x: theta_right.get(_LIE[x]) for x in FORM_BASE})
 
     def __getnewargs__(self):
         return tuple(self[:4])
@@ -205,18 +212,23 @@ def normal_form(p, direction="1x2"):
     return NormalForm(name, _normalize(p.terms, name))
 
 
+def _admissible_rows(s, direction, columns):
+    """Read the admissible pairs off the word rewriting: for each
+    (column, Z word), the coefficient of every admissible pair in the
+    word's normal form goes to that pair's row at the column.  Returns
+    {(W', W''): {column: coeff}} in w0_pairs order; each column must
+    come once."""
+    rows = {p: {} for p in w0_pairs(s, direction)}
+    for column, word in columns:
+        for p, c in _reduce_word(word, direction).items():
+            if p in rows:
+                rows[p][column] = c
+    return rows
+
+
 # -- the alpha action ---------------------------------------------------
 
 _AD_LETTERS = {"Z1", "Z2"}
-
-
-def _alpha_letter(x, vec):
-    """One letter's action on {Z word: coeff}: Z1 and Z2 by
-    commutator, the others by left multiplication."""
-    out = {(x,) + w: c for w, c in vec.items()}
-    if x in _AD_LETTERS:
-        vec_add_into(out, {w + (x,): c for w, c in vec.items()}, -1)
-    return out
 
 
 def alpha_eval(word):
@@ -224,7 +236,10 @@ def alpha_eval(word):
     left: Z1 and Z2 by commutator, the others by left multiplication."""
     vec = {(): 1}
     for x in reversed(tuple(word)):
-        vec = _alpha_letter(x, vec)
+        out = {(x,) + w: c for w, c in vec.items()}
+        if x in _AD_LETTERS:
+            vec_add_into(out, {w + (x,): c for w, c in vec.items()}, -1)
+        vec = out
     return WordPoly(LIE_BASE, vec)
 
 
@@ -235,20 +250,9 @@ def alpha_pair(w1, w2):
 
 # -- the symbolic solution kernel ----------------------------------------
 
-@cache
-def _omega_raw(s):
-    """(ad(Omega0) + mu(Omega'))^s applied to 1 (x) I, before any
-    normal-form reduction: {form word: {Z word: coeff}}."""
-    if s == 0:
-        return {(): {(): 1}}
-    out = {}
-    for fw, vec in _omega_raw(s - 1).items():
-        for ftag, ztag in (("z1", "Z1"), ("z2", "Z2"), ("z11", "Z11"),
-                           ("z22", "Z22"), ("z12", "Z12")):
-            new = _alpha_letter(ztag, vec)
-            if new:
-                out[(ftag,) + fw] = new
-    return out
+def _z_word(fw):
+    """The Z word of a form word: z1 -> Z1, z11 -> Z11, and so on."""
+    return tuple(_LIE[x] for x in fw)
 
 
 class OmegaKernel(namedtuple("OmegaKernel", "degree direction terms")):
@@ -260,12 +264,14 @@ class OmegaKernel(namedtuple("OmegaKernel", "degree direction terms")):
 
 
 def omega_power(s, direction="1x2", cap=None):
-    """Symbolic degree-s kernel, Z parts in normal form."""
+    """Symbolic degree-s kernel, Z parts in normal form: each form word
+    w carries the normal form of alpha(Z(w)) applied to the identity."""
     check_degree(s, cap)
     name = _as_direction(direction).name
     terms = {(fw, pair): c
-             for fw, vec in _omega_raw(s).items()
-             for pair, c in _normalize(vec, name).items()}
+             for fw in itertools.product(FORM_BASE, repeat=s)
+             for pair, c in normal_form(alpha_eval(_z_word(fw)),
+                                        name).terms.items()}
     return OmegaKernel(degree=s, direction=name, terms=terms)
 
 
@@ -273,13 +279,12 @@ def omega_decomposition(s, direction="1x2", cap=None):
     """Exact expansion of the degree-s kernel over the alpha images of
     the admissible pairs: {(W', W''): form-word polynomial}.
 
-    The alpha images are linearly independent (checked), so the
-    expansion is unique; a solve failure would mean the kernel leaves
-    their span.  Coefficients are extracted against these images (which
-    are triangular over the product basis, with corrections carrying
-    trailing ad letters), not against raw product words: a raw
-    product-basis readout would smear each coefficient over the
-    correction terms of the other pairs.
+    The kernel is sum_w w (x) alpha(Z(w)) 1, alpha is a representation
+    of the quotient algebra, and alpha(q) 1 = 0 for every non-admissible
+    product word q.  So writing each Z(w) in normal form gives the
+    expansion at once: the coefficient of pair p is sum_w [p] NF(Z(w)) w,
+    a readout of the word rewriting.  The alpha images are linearly
+    independent (the tests check it), so the expansion is unique.
     """
     check_degree(s, cap)
     return _omega_decomposition(s, _as_direction(direction).name)
@@ -287,23 +292,10 @@ def omega_decomposition(s, direction="1x2", cap=None):
 
 @cache
 def _omega_decomposition(s, direction):
-    red = RowReducer()
-    pairs = w0_pairs(s, direction)
-    for p in pairs:
-        dep = red.add(normal_form(alpha_pair(*p), direction).terms, p)
-        if dep is not None:
-            raise BarlogError(
-                "alpha images of admissible pairs are dependent")
-    coeffs = {p: {} for p in pairs}
-    for fw, vec in _omega_raw(s).items():
-        rep = red.solve(_normalize(vec, direction))
-        if rep is None:
-            raise ValueError(
-                "kernel does not lie in the span of the alpha images")
-        for p, c in rep.items():
-            if c:
-                coeffs[p][fw] = c
-    return {p: WordPoly(FORM_BASE, terms) for p, terms in coeffs.items()}
+    rows = _admissible_rows(
+        s, direction, ((fw, _z_word(fw))
+                       for fw in itertools.product(FORM_BASE, repeat=s)))
+    return {p: WordPoly(FORM_BASE, row) for p, row in rows.items()}
 
 
 # -- word enumeration -----------------------------------------------------

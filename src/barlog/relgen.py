@@ -25,7 +25,7 @@ from .errors import BarlogError
 from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, eval_series, within_bound,
                        word_to_term)
 from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, omega_decomposition,
-                     w0_pairs, _reduce_word)
+                     w0_pairs, _admissible_rows, _reduce_word)
 from .words import TensorPoly
 
 
@@ -86,12 +86,8 @@ def _relation_rows(s):
     twice.  No non-admissible 2x1 word reaches an admissible pair (the
     tests check it), so the matrix is square."""
     d = DIRECTIONS["2x1"]
-    rows = {p: {} for p in w0_pairs(s, "1x2")}
-    for q1, q2 in w0_pairs(s, d):
-        column = theta_pair(q1, q2, d)
-        for p, c in _reduce_word(q1 + q2, "1x2").items():
-            if p in rows:
-                rows[p][column] = c
+    rows = _admissible_rows(s, "1x2", ((theta_pair(q1, q2, d), q1 + q2)
+                                       for q1, q2 in w0_pairs(s, d)))
     return {p: TensorPoly(d.left_alphabet, d.right_alphabet, row)
             for p, row in rows.items()}
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlog.formspace import bar0_basis, bar_basis, wedge_relation_space
-from barlog.ipbenv import _omega_raw, omega_decomposition, omega_power
+from barlog.ipbenv import omega_decomposition, omega_power
 from barlog.linalg import RowReducer, num, vec_add_into
 
 
@@ -186,7 +186,6 @@ def test_bases_and_kernel_coefficients_are_int_at_degree_4():
         "bar_basis(4)": [p.terms for p in bar_basis(4)],
         "bar0_basis(4)": [p.terms for p in bar0_basis(4)],
         "wedge coordinates": wedge_relation_space().coords.values(),
-        "_omega_raw(4)": _omega_raw(4).values(),
     }
     for d in ("1x2", "2x1"):
         cases[f"omega_decomposition(4, {d})"] = [

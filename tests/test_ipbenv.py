@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from barlog import formspace, ipbenv, linalg, relgen
 from barlog.errors import ResourceLimitError
 from barlog.formspace import is_integrable
-from barlog.ipbenv import (DIRECTIONS, RELATORS, _omega_raw,
-                           _reduce_word, alpha_eval, alpha_pair, enumerate_w0,
-                           normal_form, omega_decomposition, omega_power,
-                           w0_pairs)
-from barlog.linalg import RowReducer
+from barlog.ipbenv import (DIRECTIONS, RELATORS, _reduce_word, alpha_eval,
+                           alpha_pair, enumerate_w0, normal_form,
+                           omega_decomposition, omega_power, w0_pairs)
+from barlog.linalg import RowReducer, vec_add_into
 from barlog.words import LIE_BASE, WordPoly
+from kernel_oracle import alpha_image_reducer, omega_decomposition_by_solve
 from rightmost_oracle import reduce_word_rightmost
 
 
@@ -87,19 +88,6 @@ def test_alpha_examples():
         alpha_eval(("Z11", "Z2", "Z22"))
 
 
-def test_omega_kernel_applies_alpha_to_each_form_word():
-    """The raw kernel and alpha_eval share one letter action: each form
-    word's Z part is alpha of its Z word, and the form words the kernel
-    leaves out are exactly those whose alpha vanishes."""
-    to_z = {"z1": "Z1", "z11": "Z11", "z2": "Z2", "z22": "Z22",
-            "z12": "Z12"}
-    for s in range(5):
-        raw = _omega_raw(s)
-        for fw in itertools.product(to_z, repeat=s):
-            alpha = alpha_eval(tuple(to_z[x] for x in fw))
-            assert WordPoly(LIE_BASE, raw.get(fw, {})) == alpha, fw
-
-
 def test_omega_low_degrees():
     k0 = omega_power(0)
     assert k0.terms == {((), ((), ())): 1}
@@ -109,6 +97,53 @@ def test_omega_low_degrees():
         (("z22",), ((), ("Z22",))): 1,
         (("z12",), (("Z12",), ())): 1,
     }
+
+
+def test_alpha_images_of_the_admissible_pairs_are_independent():
+    """The expansion over the alpha images is unique."""
+    for s in range(6):
+        for d in ("1x2", "2x1"):
+            assert alpha_image_reducer(s, d).rank == len(w0_pairs(s, d))
+
+
+def test_decomposition_reads_the_rewriting_as_the_solve_does():
+    """The readout of the normal forms of the Z words equals the solve
+    against the alpha images, pair order included."""
+    for s in range(6):
+        for d in ("1x2", "2x1"):
+            got = omega_decomposition(s, d)
+            want = omega_decomposition_by_solve(s, d)
+            assert list(got) == list(want)
+            assert got == want
+
+
+def test_decomposition_expands_the_kernel_over_the_alpha_images():
+    """sum_p coeff_p (x) NF(alpha_pair(p)) is the kernel itself, each
+    form word carrying the normal form of its alpha image."""
+    for s in range(5):
+        for d in ("1x2", "2x1"):
+            acc = {}
+            for p, coeff in omega_decomposition(s, d).items():
+                image = normal_form(alpha_pair(*p), d).terms
+                for fw, c in coeff.terms.items():
+                    vec_add_into(acc, {(fw, pair): v
+                                       for pair, v in image.items()}, c)
+            assert acc == omega_power(s, d).terms
+
+
+def test_decomposition_runs_no_row_reduction(monkeypatch):
+    """The decomposition is read off the rewriting, with no solve."""
+    def boom(*args):
+        raise AssertionError("RowReducer used by the decomposition")
+
+    monkeypatch.setattr(linalg.RowReducer, "add", boom)
+    monkeypatch.setattr(linalg.RowReducer, "solve", boom)
+    ipbenv._omega_decomposition.cache_clear()
+    try:
+        for d in ("1x2", "2x1"):
+            assert len(omega_decomposition(4, d)) == len(w0_pairs(4, d))
+    finally:
+        ipbenv._omega_decomposition.cache_clear()
 
 
 def test_omega_pairs_are_admissible():
@@ -187,6 +222,22 @@ def test_degree_cap():
         omega_decomposition(2, cap=1)
     with pytest.raises(ValueError, match="nonnegative"):
         omega_power(-1)
+
+
+@pytest.mark.parametrize("entry", [
+    omega_power, omega_decomposition, relgen.generate_all,
+    formspace.bar_basis, relgen.decompose_check])
+def test_non_integer_degree_or_cap_is_a_type_error(entry):
+    """check_degree takes the integer index of the degree and the cap,
+    so a float or a string fails before any cache is touched."""
+    caches = (ipbenv._reduce_word, ipbenv._omega_decomposition,
+              relgen._relation_rows, formspace._bar_basis)
+    before = [c.cache_info() for c in caches]
+    for args, kwargs in (((2.5,), {}), (("3",), {}), ((3,), {"cap": 2.5}),
+                         ((3,), {"cap": "6"})):
+        with pytest.raises(TypeError):
+            entry(*args, **kwargs)
+    assert [c.cache_info() for c in caches] == before
 
 
 def test_split_pair_rejects_words_out_of_normal_form():
