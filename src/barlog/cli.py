@@ -14,6 +14,7 @@ import math
 import re
 import sys
 from collections import namedtuple
+from functools import cache
 
 from .errors import BarlogError
 from .formspace import bar0_basis, bar_basis
@@ -25,7 +26,7 @@ from .ipbenv import DEFAULT_DEGREE_CAP, omega_decomposition, w0_pairs
 from .duality import phi
 from .relgen import (decompose_check, generate_all, relation_to_dict,
                      verify_relation)
-from .words import poly_to_dict
+from .words import WordPoly
 
 
 class Config(namedtuple("Config",
@@ -108,11 +109,14 @@ _encode_scalar = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 def to_json(x, indent="\n"):
     """json.dumps(x, indent=2, sort_keys=True), byte for byte, without
     the pure-Python encoder that json.dumps falls back to when indent is
-    set: strings and scalars go through the C encoder.  Non-finite
+    set: strings and scalars go through the C encoder.  A WordPoly is
+    written as json.dumps writes its words.poly_to_dict.  Non-finite
     floats raise ValueError, as with allow_nan=False, so the output is
     always standard JSON."""
     if isinstance(x, str):
         return _encode_str(x)
+    if isinstance(x, WordPoly):
+        return _poly_json(x, indent)
     if isinstance(x, dict):
         if not x:
             return "{}"
@@ -130,6 +134,33 @@ def to_json(x, indent="\n"):
             items = (to_json(v, inner) for v in x)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     return _encode_scalar(x)
+
+
+@cache
+def _word_json(word, indent):
+    """A word (or an alphabet) as a JSON list of strings at an indent."""
+    if not word:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(map(_encode_str, word)) \
+        + indent + "]"
+
+
+def _poly_json(p, indent):
+    """to_json(words.poly_to_dict(p), indent), without building a dict
+    per term: {"alphabet": [...], "terms": [{"coeff", "word"}, ...]}."""
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    head = (f'{{{i1}"alphabet": {_word_json(p.alphabet, i1)},'
+            f'{i1}"terms": ')
+    if not p.terms:
+        return f"{head}[]{indent}}}"
+    terms = f",{i2}".join(
+        f'{{{i3}"coeff": {_encode_str(str(c))},'
+        f'{i3}"word": {_word_json(w, i3)}{i2}}}'
+        for w, c in p.sorted_terms())
+    return f"{head}[{i2}{terms}{i1}]{indent}}}"
 
 
 def _finite_or_none(x):
@@ -159,7 +190,7 @@ def _cmd_basis(args, cfg):
         "degree": args.degree,
         "reduced": bool(args.b0),
         "dimension": len(basis),
-        "elements": [poly_to_dict(b) for b in basis],
+        "elements": basis,
     }
 
     def render(p):
@@ -176,7 +207,7 @@ def _cmd_phi(args, cfg):
     w2 = parse_z_word(args.w2)
     p = phi(w1, w2, direction=args.direction, cap=cfg.degree_cap)
     payload = {"w1": list(w1), "w2": list(w2), "direction": args.direction,
-               "phi": poly_to_dict(p)}
+               "phi": p}
     _emit(payload, cfg, args.out, lambda d: repr(p) + "\n")
     return 0
 
@@ -275,10 +306,9 @@ def _cmd_eval(args, cfg):
 def _cmd_decompose(args, cfg):
     decomposition = omega_decomposition(args.degree, args.direction,
                                         cap=cfg.degree_cap)
-    pairs = []
-    for pair in w0_pairs(args.degree, args.direction):
-        pairs.append({"w1": list(pair[0]), "w2": list(pair[1]),
-                      "coefficient": poly_to_dict(decomposition[pair])})
+    pairs = [{"w1": list(w1), "w2": list(w2),
+              "coefficient": decomposition[w1, w2]}
+             for w1, w2 in w0_pairs(args.degree, args.direction)]
     payload = {"degree": args.degree, "direction": args.direction,
                "pairs": pairs}
 
@@ -287,8 +317,8 @@ def _cmd_decompose(args, cfg):
         for rec in p["pairs"]:
             lines.append(f"({','.join(rec['w1']) or '1'}) x "
                          f"({','.join(rec['w2']) or '1'}): "
-                         + " + ".join(f"{t['coeff']}*({','.join(t['word'])})"
-                                      for t in rec["coefficient"]["terms"]))
+                         + " + ".join(f"{c}*({','.join(w)})" for w, c
+                                      in rec["coefficient"].sorted_terms()))
         return "\n".join(lines) + "\n"
 
     _emit(payload, cfg, args.out, render)

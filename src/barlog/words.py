@@ -34,10 +34,10 @@ LIE_BASE = ("Z1", "Z11", "Z2", "Z22", "Z12")
 def word_sort_key(alphabet):
     """Sort key on words: degree first, then lexicographic in the
     alphabet's letter order."""
-    index = {a: i for i, a in enumerate(alphabet)}
+    index = {a: i for i, a in enumerate(alphabet)}.__getitem__
 
     def key(word):
-        return (len(word), tuple(index[x] for x in word))
+        return (len(word), tuple(map(index, word)))
 
     return key
 

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barlog import ipbenv
@@ -11,6 +12,7 @@ from barlog.cli import Config, load_config, parse_term, run, to_json
 from barlog.harmonic import eval_sum, eval_tagged, mpl_harmonic_expand
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
 from barlog.ipbenv import DEFAULT_DEGREE_CAP
+from barlog.words import FORM_BASE, LIE_BASE, WordPoly, poly_to_dict
 from mp_series import DPS, mp_series
 
 
@@ -234,6 +236,41 @@ def test_to_json_matches_indented_json_dumps(x):
     assert to_json(x) == json.dumps(x, indent=2, sort_keys=True)
 
 
+_polys = st.sampled_from((FORM_BASE, LIE_BASE)).flatmap(
+    lambda a: st.dictionaries(
+        st.lists(st.sampled_from(a), max_size=4).map(tuple),
+        st.integers(-3, 3) | st.fractions(max_denominator=6),
+        max_size=6).map(lambda terms: WordPoly(a, terms)))
+_poly_values = st.recursive(
+    _polys | _json_scalars,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=8)
+
+
+def _polys_as_dicts(x):
+    if isinstance(x, WordPoly):
+        return poly_to_dict(x)
+    if isinstance(x, dict):
+        return {k: _polys_as_dicts(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_polys_as_dicts(v) for v in x]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_values)
+@example(WordPoly.zero(FORM_BASE))
+@example({"a": [WordPoly.unit(LIE_BASE)]})
+@example([WordPoly(FORM_BASE, {("z12", "z1"): Fraction(-3, 4), (): 2})])
+def test_to_json_renders_a_polynomial_as_its_dict(x):
+    # A WordPoly is written straight from its terms, in the text
+    # json.dumps gives words.poly_to_dict of it, at any indent.
+    assert to_json(x) == json.dumps(_polys_as_dicts(x), indent=2,
+                                    sort_keys=True)
+
+
 def test_decompose(capsys):
     code, out, _ = capture(capsys, ["decompose", "--degree", "2",
                                     "--direction", "1x2"])
@@ -441,5 +478,34 @@ def test_basis_degree_4_golden(capsys, argv, digest):
     # Chen-condition nullspace, before their construction moved to the
     # kernel decomposition.
     code, out, _ = capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("decompose --degree 4 --format text",
+     "2b4596fe8e52b2c154c7e7c44b82a26651b67fb7aa32ae7bb6966a8e09b3cd86"),
+    ("decompose --degree 4 --direction 2x1 --format text",
+     "1fccdd2352f9de128822c733a3812dde29da1068b9ce760466b475bd5a40d557"),
+    ("decompose --degree 0",
+     "c7da0984d238e0cbe05c39712960e9bcd3c3a268e799dcf36128fe16a0922889"),
+    ("phi --w1 Z11,Z12 --w2 Z22",
+     "dd555225aaa38fb521b0b4cc66a6dc60f4c28d610ab109163b16d32c250a1e17"),
+    ("phi --w1 Z22,Z12 --w2 Z11 --direction 2x1",
+     "7421f994d612540e46d1b91f6a89b43051ca2619c88892ac4f9438d4ff81943b"),
+    ("phi --w1 Z11,Z12 --w2 Z22 --format text",
+     "a50e95f059ece1d3416709f5d9b22528cd6fa1fa73fe2d83233e02769b6e05c3"),
+    ("basis --degree 3",
+     "348037b3686e55a018781bdc22bcae7844f1b85bcde2ae2925161a685d42d12f"),
+    ("basis --degree 3 --b0",
+     "232246378ecb1b47331a9c9bb7f69e7aff9430602af1b60340b1f07974e14c81"),
+    ("basis --degree 3 --format text",
+     "47c6ac2b4c973fe4f2c67e36c13088553a4609dbad4ed2555a6990ccb286d2f6"),
+])
+def test_polynomial_outputs_golden(capsys, argv, digest):
+    # SHA-256 of the stdout of each command while its polynomials were
+    # rendered through words.poly_to_dict; the empty word of degree 0
+    # is written as [].
+    code, out, _ = capture(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
