@@ -16,8 +16,7 @@ of a proven tail bound and a first-order rounding estimate, implements the
 exact differential recursion of the numbering calculus, and provides
 an adaptive Gauss-Legendre quadrature oracle for iterated integrals of
 form words along polyline contours.  The oracle lives in the quadrature
-module, the package's only user of numpy, which eval_quadrature imports
-on its first call.
+module, which eval_quadrature imports on its first call.
 """
 
 from __future__ import annotations
@@ -364,9 +363,12 @@ def eval_quadrature(p, path, tol=1e-10, max_refine=7):
     until two successive evaluations differ by less than tol / 2, and
     DomainError, giving the last difference and tol, is raised when
     max_refine doublings do not reach that.  A start at a singular
-    point (such as the origin) is handled by geometric grading of the
-    first segment; words whose innermost letter is a pure-log letter
-    are rejected there as divergent.
+    point (such as the origin) needs no special panels, since every
+    integral accepted there is analytic on the first leg (see the
+    quadrature module).  DivergentTermError rejects, before any panel
+    is built, the words whose integral from such a start diverges: an
+    innermost letter that is pure-log or singular at the start, or a
+    letter with a double pole there.
     """
     from .quadrature import iterated_integral
     return iterated_integral(p, path, tol, max_refine)

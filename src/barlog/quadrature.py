@@ -1,19 +1,30 @@
 """Adaptive Gauss-Legendre quadrature of form words along polyline
-contours: the oracle behind hyperlog.eval_quadrature, and the package's
-only user of numpy, which is loaded with this module on the first
-integration.
+contours: the oracle behind hyperlog.eval_quadrature, in plain Python.
 
-The quadrature works level by level.  A level holds each path segment's
-16-node panels as arrays, pulls each letter back once over all panels,
-and integrates each word suffix once, in one array pass over all
-panels, so the words of a polynomial share their common suffixes.
-Levels double the panels until two successive values agree to tol / 2,
-and a quadrature that does not get there raises DomainError.
+The quadrature works level by level.  A level splits every path
+segment into the same number of equal panels of 16 Gauss-Legendre
+nodes, pulls each letter back once over all nodes, and integrates each
+word suffix once, so the words of a polynomial share their common
+suffixes.  Levels double the panels until two successive values agree
+to tol / 2, and a quadrature that does not get there raises DomainError.
+
+Plain panels suffice because every integral they are given is analytic
+on each segment, and Gauss quadrature converges geometrically on such
+integrands.  Away from the start this holds because the contour keeps
+off every singular locus.  At a singular start, where some letter's
+atom vanishes, the first leg is straight, every pulled-back letter has
+at most a simple pole at t = 0, and the innermost letter is regular
+there; so by induction every iterated integral along that leg is O(t)
+and analytic, and the next letter's simple pole times it is analytic
+again.  Words that break these conditions diverge and are rejected
+before any panel is built.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import math
+from operator import mul
 
 from .errors import (AlphabetError, ContourError, DivergentTermError,
                      DomainError)
@@ -21,24 +32,48 @@ from .errors import (AlphabetError, ContourError, DivergentTermError,
 _GL_N = 16
 
 
-def _gl_tables(n=_GL_N):
-    x, w = np.polynomial.legendre.leggauss(n)
-    # Legendre values P_j(x_i), j = 0..n.
-    P = np.zeros((n + 1, n))
-    P[0] = 1.0
-    P[1] = x
+def _legendre(n, x):
+    """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
+    p_prev, p = 1.0, x
     for j in range(1, n):
-        P[j + 1] = ((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1)
-    # Value -> coefficient matrix: c_j = (2j+1)/2 sum_i w_i g_i P_j(x_i).
-    C = ((2 * np.arange(n) + 1) / 2)[:, None] * P[:n] * w[None, :]
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, p_prev
+
+
+def _gl_tables(n=_GL_N):
+    """Nodes x and weights w of n-point Gauss-Legendre on [-1, 1] in
+    ascending order, and the matrix cum taking the node values of a
+    polynomial g of degree < n to the node values of its integral from
+    -1.  n is even."""
+    half = []
+    for i in range(n // 2):
+        # Newton on P_n from the asymptotic position of its i-th root;
+        # it has converged to rounding after four steps.
+        t = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(6):
+            p, p_prev = _legendre(n, t)
+            dp = n * (t * p - p_prev) / (t * t - 1)
+            t -= p / dp
+        half.append((t, 2 / ((1 - t * t) * dp * dp)))
+    x = [-t for t, _ in half] + [t for t, _ in reversed(half)]
+    w = [wt for _, wt in half] + [wt for _, wt in reversed(half)]
+    # Legendre values P[j][i] = P_j(x_i), j = 0..n.
+    P = [[1.0] * n, list(x)]
+    for j in range(1, n):
+        P.append([((2 * j + 1) * xi * a - j * b) / (j + 1)
+                  for xi, a, b in zip(x, P[j], P[j - 1])])
+    # Node values -> Legendre coefficients:
+    # c_j = (2j+1)/2 sum_k w_k g_k P_j(x_k).
+    C = [[(2 * j + 1) / 2 * P[j][k] * w[k] for k in range(n)]
+         for j in range(n)]
     # Antiderivative basis at the nodes: T_0 = x + 1,
     # T_j = (P_{j+1} - P_{j-1}) / (2j+1) for j >= 1 (zero at x = -1).
-    T = np.zeros((n, n))
-    T[0] = x + 1.0
+    T = [[xi + 1.0 for xi in x]]
     for j in range(1, n):
-        T[j] = (P[j + 1] - P[j - 1]) / (2 * j + 1)
-    cum = T.T @ C       # node values of g -> node values of its integral
-    return x, w, cum
+        T.append([(a - b) / (2 * j + 1) for a, b in zip(P[j + 1], P[j - 1])])
+    cum = tuple(tuple(sum(T[j][i] * C[j][k] for j in range(n))
+                      for k in range(n)) for i in range(n))
+    return tuple(x), tuple(w), cum
 
 
 _GL_X, _GL_W, _GL_CUM = _gl_tables()
@@ -60,62 +95,45 @@ _ATOM_EVAL = {
 
 
 def _form_pullback(tag, z1, z2, dz1, dz2):
-    """omega(gamma(t)) gamma'(t) for one letter along a linear leg;
-    vectorized over node arrays.  Components with zero derivative are
-    skipped so axis-riding legs never divide by zero."""
-    out = np.zeros_like(z1, dtype=complex)
+    """omega(gamma(t)) gamma'(t) for one letter at the point (z1, z2)
+    of a linear leg with derivative (dz1, dz2).  Components with zero
+    derivative are skipped, so axis-riding legs never divide by zero.
+    Plain arithmetic, so z1 and z2 may also be arrays of points."""
+    out = 0j
     if tag == "z1":
         if dz1 != 0:
-            out += dz1 / z1
+            out = dz1 / z1
     elif tag == "z11":
         if dz1 != 0:
-            out += dz1 / (1 - z1)
+            out = dz1 / (1 - z1)
     elif tag == "z2":
         if dz2 != 0:
-            out += dz2 / z2
+            out = dz2 / z2
     elif tag == "z22":
         if dz2 != 0:
-            out += dz2 / (1 - z2)
+            out = dz2 / (1 - z2)
     elif tag in ("z12", "z12_1", "z12_2"):
         den = 1 - z1 * z2
         if tag != "z12_2" and dz1 != 0:
-            out += z2 * dz1 / den
+            out = out + z2 * dz1 / den
         if tag != "z12_1" and dz2 != 0:
-            out += z1 * dz2 / den
+            out = out + z1 * dz2 / den
     else:
         raise AlphabetError(f"unknown form letter {tag!r}")
     return out
 
 
-def _panel_breaks(graded, pieces):
-    """Breakpoints in [0, 1] for one segment: geometric toward 0 when
-    graded (for integrable singular starts), each geometric cell split
-    uniformly into `pieces`."""
-    if graded:
-        base = [0.0] + [2.0 ** -g for g in range(44, -1, -1)]
-    else:
-        base = [0.0, 1.0]
-    breaks = []
-    for a, b in zip(base[:-1], base[1:]):
-        for q in range(pieces):
-            breaks.append(a + (b - a) * q / pieces)
-    breaks.append(1.0)
-    return breaks
-
-
-def _build_panels(path, pieces, graded_first):
-    """Gauss-Legendre panels of each path segment, in path order: one
-    (z1 nodes, z2 nodes, dz1, dz2, half-widths) tuple per segment, with
-    node arrays of shape (P, 16) and half-widths of shape (P,)."""
+def _build_panels(path, pieces):
+    """Nodes of one level: each path segment split into `pieces` equal
+    panels.  One (z1 nodes, z2 nodes, dz1, dz2) tuple per segment, in
+    path order; the node lists run over the segment's panels in order,
+    _GL_N nodes to a panel."""
+    ts = [(q + (1 + x) / 2) / pieces for q in range(pieces) for x in _GL_X]
     segments = []
-    for seg, (p0, p1) in enumerate(zip(path[:-1], path[1:])):
-        z10, z20 = complex(p0[0]), complex(p0[1])
-        dz1, dz2 = complex(p1[0]) - z10, complex(p1[1]) - z20
-        breaks = np.array(_panel_breaks(graded_first and seg == 0, pieces))
-        a, b = breaks[:-1], breaks[1:]
-        half = (b - a) / 2.0
-        tn = ((a + b) / 2.0)[:, None] + half[:, None] * _GL_X
-        segments.append((z10 + tn * dz1, z20 + tn * dz2, dz1, dz2, half))
+    for (z10, z20), (z11, z21) in zip(path[:-1], path[1:]):
+        dz1, dz2 = z11 - z10, z21 - z20
+        segments.append(([z10 + t * dz1 for t in ts],
+                         [z20 + t * dz2 for t in ts], dz1, dz2))
     return segments
 
 
@@ -123,18 +141,21 @@ def _level_integrals(words, segments):
     """Iterated integrals of words over one level's panels, as a dict
     word -> value.  The innermost letter is the last one.
 
-    Each letter is pulled back once over all panels, and each word
-    suffix is integrated once, in one array pass over all panels: its
-    node values are the panel start values plus the local integrals
-    g @ _GL_CUM.T, and the start values are the exclusive cumulative
-    sum of the panel totals g @ _GL_W.  Words are taken in the order of
+    Each letter is pulled back once over all nodes, and each word
+    suffix is integrated once over all panels: its value is the sum of
+    the panel totals half * (w . g).  A proper suffix also needs its
+    node values, the panel start values plus half * (_GL_CUM g); a
+    whole word needs only its total.  Words are taken in the order of
     their reversed letters, so the words sharing a suffix come together
     and only the node values of the current suffix chain are kept.
     """
-    half = np.concatenate([s[4] for s in segments])
+    pieces = len(segments[0][0]) // _GL_N
+    half = 0.5 / pieces
+    proper = {w[i:] for w in words for i in range(1, len(w))}
     pullbacks = {}
-    # chain[j] = (letter, node values, integral) of a suffix of length j
-    chain = [(None, np.ones((len(half), _GL_N), dtype=complex), 1.0 + 0j)]
+    # chain[j] = (letter, node values or None, integral) of a suffix of
+    # length j; the empty suffix has node values 1.
+    chain = [(None, None, 1.0 + 0j)]
     out = {}
     for word in sorted(words, key=lambda w: w[::-1]):
         k = 0
@@ -142,25 +163,36 @@ def _level_integrals(words, segments):
                and chain[k + 1][0] == word[-1 - k]):
             k += 1
         del chain[k + 1:]
-        for tag in reversed(word[:len(word) - k]):
-            if tag not in pullbacks:
-                pullbacks[tag] = np.concatenate(
-                    [_form_pullback(tag, *s[:4]) for s in segments])
-            g = pullbacks[tag] * chain[-1][1]
-            ends = np.cumsum(half * (g @ _GL_W))
-            starts = np.concatenate(([0j], ends[:-1]))
-            nodes = starts[:, None] + half[:, None] * (g @ _GL_CUM.T)
-            chain.append((tag, nodes, ends[-1]))
+        for j in range(len(word) - k - 1, -1, -1):
+            tag = word[j]
+            g = pullbacks.get(tag)
+            if g is None:
+                g = pullbacks[tag] = [
+                    _form_pullback(tag, a, b, dz1, dz2)
+                    for z1n, z2n, dz1, dz2 in segments
+                    for a, b in zip(z1n, z2n)]
+            inner = chain[-1][1]
+            if inner is not None:
+                g = list(map(mul, g, inner))
+            keep = word[j:] in proper
+            nodes = [] if keep else None
+            start = 0j
+            for lo in range(0, len(g), _GL_N):
+                gp = g[lo:lo + _GL_N]
+                if keep:
+                    nodes.extend(start + half * sum(map(mul, row, gp))
+                                 for row in _GL_CUM)
+                start += half * sum(map(mul, _GL_W, gp))
+            chain.append((tag, nodes, start))
         out[word] = chain[-1][2]
     return out
 
 
 def _check_contour(path, atoms, skip_start):
-    for seg, (p0, p1) in enumerate(zip(path[:-1], path[1:])):
-        z10, z20 = complex(p0[0]), complex(p0[1])
-        dz1 = complex(p1[0]) - z10
-        dz2 = complex(p1[1]) - z20
-        for t in np.linspace(0.0, 1.0, 33):
+    for seg, ((z10, z20), (z11, z21)) in enumerate(zip(path[:-1], path[1:])):
+        dz1, dz2 = z11 - z10, z21 - z20
+        for i in range(33):
+            t = i / 32
             if seg == 0 and skip_start and t < 0.05:
                 continue
             z1 = z10 + t * dz1
@@ -172,33 +204,56 @@ def _check_contour(path, atoms, skip_start):
                         f"segment {seg}")
 
 
+def _check_start(words, path, vanishing):
+    """Reject the words whose integral from a start where the atoms
+    `vanishing` vanish diverges: a pure-log innermost letter, an
+    innermost letter whose atom vanishes there, and any letter with a
+    pole of order >= 2 there.  Only z12_1 and z12_2 can have one: where
+    1 - z1 z2 has a double zero at the start of the first leg, but their
+    sum z12 has a simple pole."""
+    if not vanishing:
+        return
+    (z1, z2), (e1, e2) = path[0], path[1]
+    double = set()
+    if "1-z1z2" in vanishing and abs(z1 * (e2 - z2) + z2 * (e1 - z1)) < 1e-9:
+        double = {"z12_1", "z12_2"}
+    for w in words:
+        if not w:
+            continue
+        if w[-1] in ("z1", "z2"):
+            raise DivergentTermError(
+                f"word {w} ends in a pure-log letter; its integral "
+                "from a singular base point diverges")
+        if vanishing.intersection(_LETTER_ATOMS[w[-1]]):
+            raise DivergentTermError(
+                f"the innermost letter of word {w} is singular at the "
+                "start; its integral diverges")
+        if double.intersection(w):
+            raise DivergentTermError(
+                f"word {w} has a letter with a double pole at the "
+                "start; its integral diverges")
+
+
 def iterated_integral(p, path, tol, max_refine):
     """Iterated integral of a form polynomial along a polyline; see
     hyperlog.eval_quadrature."""
     path = [(complex(a), complex(b)) for a, b in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
-    if not np.isfinite(path).all():
+    if not all(cmath.isfinite(z) for point in path for z in point):
         raise DomainError(f"path points must be finite: {path}")
     atoms = set()
     for w in p.terms:
         for x in w:
             atoms.update(_LETTER_ATOMS[x])
     z1s, z2s = path[0]
-    start_singular = any(abs(_ATOM_EVAL[a](z1s, z2s)) < 1e-9
-                         for a in _ATOM_EVAL)
-    _check_contour(path, atoms, skip_start=start_singular)
-    if start_singular:
-        for w in p.terms:
-            if w and w[-1] in ("z1", "z2"):
-                raise DivergentTermError(
-                    f"word {w} ends in a pure-log letter; its integral "
-                    "from a singular base point diverges")
+    vanishing = {a for a, f in _ATOM_EVAL.items() if abs(f(z1s, z2s)) < 1e-9}
+    _check_contour(path, atoms, skip_start=bool(vanishing))
+    _check_start(p.terms, path, vanishing)
     prev, diff = None, float("inf")
     pieces = 2
     for _ in range(max_refine + 1):
-        values = _level_integrals(
-            p.terms, _build_panels(path, pieces, graded_first=start_singular))
+        values = _level_integrals(p.terms, _build_panels(path, pieces))
         total = 0.0 + 0j
         for w, c in p.terms.items():
             total += complex(c) * values[w]
