@@ -15,17 +15,12 @@ import re
 import sys
 from collections import namedtuple
 from functools import cache
+from itertools import chain
 
 from .errors import BarlogError
-from .formspace import bar0_basis, bar_basis
-from .harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
-                       recursion_expand)
 from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, ONE, PARAM, HyperlogTerm,
                        eval_series, within_bound)
 from .ipbenv import DEFAULT_DEGREE_CAP, omega_decomposition, w0_pairs
-from .duality import phi
-from .relgen import (decompose_check, generate_all, relation_to_dict,
-                     verify_relation)
 from .words import WordPoly
 
 
@@ -125,25 +120,25 @@ def to_json(x, indent="\n"):
             _encode_str(k) + ": " + to_json(x[k], inner) for k in sorted(x))
             + indent + "}")
     if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
         inner = indent + "  "
         if all(isinstance(v, str) for v in x):
-            items = map(_encode_str, x)
-        else:
-            items = (to_json(v, inner) for v in x)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+            return _list_json(map(_encode_str, x), indent)
+        return _list_json((to_json(v, inner) for v in x), indent)
     return _encode_scalar(x)
+
+
+def _list_json(items, indent):
+    """A JSON list, at an indent, of items already rendered at the
+    indent one level in."""
+    inner = indent + "  "
+    body = ("," + inner).join(items)
+    return "[" + inner + body + indent + "]" if body else "[]"
 
 
 @cache
 def _word_json(word, indent):
     """A word (or an alphabet) as a JSON list of strings at an indent."""
-    if not word:
-        return "[]"
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(map(_encode_str, word)) \
-        + indent + "]"
+    return _list_json(map(_encode_str, word), indent)
 
 
 def _poly_json(p, indent):
@@ -152,15 +147,11 @@ def _poly_json(p, indent):
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
-    head = (f'{{{i1}"alphabet": {_word_json(p.alphabet, i1)},'
-            f'{i1}"terms": ')
-    if not p.terms:
-        return f"{head}[]{indent}}}"
-    terms = f",{i2}".join(
-        f'{{{i3}"coeff": {_encode_str(str(c))},'
-        f'{i3}"word": {_word_json(w, i3)}{i2}}}'
-        for w, c in p.sorted_terms())
-    return f"{head}[{i2}{terms}{i1}]{indent}}}"
+    terms = _list_json((f'{{{i3}"coeff": {_encode_str(str(c))},'
+                        f'{i3}"word": {_word_json(w, i3)}{i2}}}'
+                        for w, c in p.sorted_terms()), i1)
+    return (f'{{{i1}"alphabet": {_word_json(p.alphabet, i1)},'
+            f'{i1}"terms": {terms}{indent}}}')
 
 
 def _finite_or_none(x):
@@ -169,21 +160,32 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
+def _write(chunks, out):
+    """Write an iterable of strings to the --out file, or to stdout
+    when there is none, each as it is produced."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
+
+
 def _emit(payload, cfg, out, renderer):
     if cfg.format == "json":
         text = to_json(payload) + "\n"
     else:
         text = renderer(payload)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write((text,), out)
 
 
 # -- subcommand handlers -----------------------------------------------------
+#
+# Each handler imports the modules that only its command needs, so that
+# a run loads no more of the package than its command uses.
 
 def _cmd_basis(args, cfg):
+    from .formspace import bar0_basis, bar_basis
+
     basis = (bar0_basis if args.b0 else bar_basis)(
         args.degree, cap=cfg.degree_cap)
     payload = {
@@ -203,6 +205,8 @@ def _cmd_basis(args, cfg):
 
 
 def _cmd_phi(args, cfg):
+    from .duality import phi
+
     w1 = parse_z_word(args.w1)
     w2 = parse_z_word(args.w2)
     p = phi(w1, w2, direction=args.direction, cap=cfg.degree_cap)
@@ -213,36 +217,88 @@ def _cmd_phi(args, cfg):
 
 
 def _cmd_relations(args, cfg):
+    from .relgen import generate_all, verify_relation
+
     relations = generate_all(args.degree, cfg.degree_cap)
-    failed = False
-    records = []
+    # Every relation is checked before the first byte is written, so a
+    # failing evaluation leaves no partial output.
+    checks = [(None, None)] * len(relations)
     if args.verify:
         points = [(args.z1, args.z2)]
-        reports = [verify_relation(r, points, cfg.series_terms,
-                                   cfg.tolerance) for r in relations]
-        for r, rep in zip(relations, reports):
-            ok = all(entry["passed"] for entry in rep)
-            failed = failed or not ok
-            records.append(relation_to_dict(
-                r, verified=ok,
-                residual=max(entry["residual"] for entry in rep)))
+        checks = []
+        for r in relations:
+            rep = verify_relation(r, points, cfg.series_terms, cfg.tolerance)
+            checks.append((all(entry["passed"] for entry in rep),
+                           max(entry["residual"] for entry in rep)))
+    if cfg.format == "json":
+        head = (f'{{\n  "count": {len(relations)},'
+                f'\n  "degree": {args.degree},\n  "relations": ')
+        items = _stream_list((_relation_json(r, *check)
+                              for r, check in zip(relations, checks)),
+                             "\n  ")
+        tail = "\n}\n"
     else:
-        records = [relation_to_dict(r) for r in relations]
-    payload = {"degree": args.degree, "count": len(records),
-               "relations": records}
+        head = f"degree: {args.degree}\ncount: {len(relations)}\n"
+        items = (_relation_line(r, verified)
+                 for r, (verified, _) in zip(relations, checks))
+        tail = ""
+    _write(chain((head,), items, (tail,)), args.out)
+    return 1 if any(verified is False for verified, _ in checks) else 0
 
-    def render(p):
-        lines = [f"degree: {p['degree']}", f"count: {p['count']}"]
-        for r, rec in zip(relations, records):
-            mark = ""
-            if "verified" in rec:
-                mark = " [ok]" if rec["verified"] else " [FAILED]"
-            flag = " (trivial)" if r.trivial else ""
-            lines.append(r.render() + flag + mark)
-        return "\n".join(lines) + "\n"
 
-    _emit(payload, cfg, args.out, render)
-    return 1 if failed else 0
+def _relation_line(r, verified):
+    mark = ""
+    if verified is not None:
+        mark = " [ok]" if verified else " [FAILED]"
+    flag = " (trivial)" if r.trivial else ""
+    return r.render() + flag + mark + "\n"
+
+
+def _stream_list(items, indent):
+    """_list_json(items, indent) in chunks, one per item, so that the
+    whole list is never held as one string."""
+    sep = "[" + indent + "  "
+    for item in items:
+        yield sep + item
+        sep = "," + indent + "  "
+    yield "[]" if sep[0] == "[" else indent + "]"
+
+
+@cache
+def _term_json(t):
+    """A term's rendered string as a JSON string, once per term: the
+    relations of one degree share few terms among many right-hand
+    sides."""
+    return _encode_str(t.render())
+
+
+# Indents, in the relations output, of a relation, of its fields, of
+# an entry of its lhs or rhs, and of that entry's fields.
+_RELATION = "\n    "
+_FIELD = _RELATION + "  "
+_ENTRY = _FIELD + "  "
+_ENTRY_FIELD = _ENTRY + "  "
+
+
+def _relation_json(r, verified=None, residual=None):
+    """to_json(relgen.relation_to_dict(r, verified, residual), _RELATION),
+    written straight from the Relation."""
+    lhs = _list_json((f'{{{_ENTRY_FIELD}"coeff": "1",'
+                      f'{_ENTRY_FIELD}"term": {_term_json(t)}{_ENTRY}}}'
+                      for t in r.lhs), _FIELD)
+    rhs = _list_json((f'{{{_ENTRY_FIELD}"coeff": {_encode_str(str(c))},'
+                      f'{_ENTRY_FIELD}"factor1": {_term_json(t1)},'
+                      f'{_ENTRY_FIELD}"factor2": {_term_json(t2)}{_ENTRY}}}'
+                      for c, t2, t1 in r.sorted_rhs()), _FIELD)
+    fields = [f'"degree": {r.degree}', f'"lhs": {lhs}']
+    if verified is not None:
+        fields.append(f'"residual": {_encode_scalar(residual)}')
+    fields += [f'"rhs": {rhs}', f'"trivial": {_encode_scalar(r.trivial)}']
+    if verified is not None:
+        fields.append(f'"verified": {_encode_scalar(verified)}')
+    fields += [f'"w1": {_word_json(r.w1, _FIELD)}',
+               f'"w2": {_word_json(r.w2, _FIELD)}']
+    return "{" + _FIELD + ("," + _FIELD).join(fields) + _RELATION + "}"
 
 
 def _sum_payload(s):
@@ -252,6 +308,9 @@ def _sum_payload(s):
 
 
 def _cmd_harmonic(args, cfg):
+    from .harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
+                           recursion_expand)
+
     left = tuple(int(k) for k in args.left.split(","))
     right = tuple(int(k) for k in args.right.split(","))
     expansion = mpl_harmonic_expand(left, right)
@@ -326,6 +385,8 @@ def _cmd_decompose(args, cfg):
 
 
 def _cmd_verify(args, cfg):
+    from .relgen import decompose_check, generate_all, verify_relation
+
     point = (args.z1, args.z2)
     check = decompose_check(args.degree, point, max_n=cfg.series_terms,
                             tol=cfg.tolerance, cap=cfg.degree_cap)

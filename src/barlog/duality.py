@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import AlphabetError, BarlogError, DomainError
-from .formspace import _chen_failure
 from .ipbenv import _as_direction, check_degree, omega_decomposition
 from .linalg import vec_add_into
 from .words import FORM_BASE, TensorPoly, WordPoly, _shuffle_words, shuffle
@@ -50,6 +49,9 @@ def iota(p, direction="1x2"):
     """Tensor splitting of an integrable form polynomial: Chen's
     condition (DomainError naming the first failing degree and cut),
     then tensor_split(p, direction)."""
+    # formspace loads only where a form is checked, not with duality.
+    from .formspace import _chen_failure
+
     if failure := _chen_failure(p):
         raise DomainError(
             "polynomial does not satisfy the integrability condition "
@@ -152,6 +154,8 @@ def _phi(w1, w2, direction):
     """The pair's kernel coefficient, certified: it satisfies Chen's
     condition and tensor_split gives the theta monomial of the pair
     (BarlogError if not)."""
+    from .formspace import _chen_failure
+
     d = _as_direction(direction)
     s = len(w1) + len(w2)
     # phi has checked the cap, so the kernel is built at s.

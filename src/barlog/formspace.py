@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
+from .duality import phi
 from .ipbenv import check_degree, w0_pairs
 from .linalg import RowReducer, canonical_basis, vec_add_into
 from .words import FORM_BASE, WordPoly, shuffle
@@ -256,7 +257,5 @@ def _bar0_basis(s):
 
 @cache
 def _bar0_generators(s):
-    # duality imports this module, so phi is imported here.  The public
-    # callers have checked the cap, so phi runs at cap s.
-    from .duality import phi
+    # The public callers have checked the cap, so phi runs at cap s.
     return tuple(phi(*pair, "1x2", s) for pair in w0_pairs(s, "1x2"))

@@ -85,12 +85,16 @@ _LETTER_ATOMS = {
     "z12": ("1-z1z2",), "z12_1": ("1-z1z2",), "z12_2": ("1-z1z2",),
 }
 
-_ATOM_EVAL = {
-    "z1": lambda z1, z2: z1,
-    "1-z1": lambda z1, z2: 1 - z1,
-    "z2": lambda z1, z2: z2,
-    "1-z2": lambda z1, z2: 1 - z2,
-    "1-z1z2": lambda z1, z2: 1 - z1 * z2,
+# Each atom along a leg (z1 + t dz1, z2 + t dz2), as the coefficients
+# (c0, c1, c2) of its polynomial c0 + c1 t + c2 t^2; c0 is its value at
+# the start.
+_ATOM_POLY = {
+    "z1": lambda z1, z2, dz1, dz2: (z1, dz1, 0),
+    "1-z1": lambda z1, z2, dz1, dz2: (1 - z1, -dz1, 0),
+    "z2": lambda z1, z2, dz1, dz2: (z2, dz2, 0),
+    "1-z2": lambda z1, z2, dz1, dz2: (1 - z2, -dz2, 0),
+    "1-z1z2": lambda z1, z2, dz1, dz2: (1 - z1 * z2, -(z1 * dz2 + z2 * dz1),
+                                        -dz1 * dz2),
 }
 
 
@@ -188,19 +192,38 @@ def _level_integrals(words, segments):
     return out
 
 
-def _check_contour(path, atoms, skip_start):
+def _zeros(c0, c1, c2):
+    """The zeros of c0 + c1 t + c2 t^2, a polynomial that is not zero."""
+    if c2 == 0:
+        return [] if c1 == 0 else [-c0 / c1]
+    root = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
+    # The sign that adds c1 and root without cancellation; the other
+    # zero is then c0 / (c2 t).
+    q = -(c1 + root if (c1.conjugate() * root).real >= 0 else c1 - root) / 2
+    return [q / c2, c0 / q] if q else [0, 0]
+
+
+def _check_contour(path, atoms):
+    """ContourError where a leg meets the zero set of an atom.  Along a
+    leg each atom is a polynomial of degree <= 2 in t, so its zeros are
+    solved for, and the leg is rejected where the atom, at the point of
+    [0, 1] nearest a zero, is below 1e-9.  A zero at the start of the
+    first leg is divided out first: a singular start is judged by
+    _check_start."""
     for seg, ((z10, z20), (z11, z21)) in enumerate(zip(path[:-1], path[1:])):
-        dz1, dz2 = z11 - z10, z21 - z20
-        for i in range(33):
-            t = i / 32
-            if seg == 0 and skip_start and t < 0.05:
-                continue
-            z1 = z10 + t * dz1
-            z2 = z20 + t * dz2
-            for atom in atoms:
-                if abs(_ATOM_EVAL[atom](z1, z2)) < 1e-9:
+        for atom in atoms:
+            coeffs = _ATOM_POLY[atom](z10, z20, z11 - z10, z21 - z20)
+            while seg == 0 and coeffs and abs(coeffs[0]) < 1e-9:
+                coeffs = coeffs[1:]
+            coeffs += (0,) * (3 - len(coeffs))
+            if not any(coeffs):
+                raise ContourError(
+                    f"segment {seg} lies on the locus {atom} = 0")
+            for zero in _zeros(*coeffs):
+                t = min(max(zero.real, 0.0), 1.0)
+                if abs(coeffs[0] + t * (coeffs[1] + t * coeffs[2])) < 1e-9:
                     raise ContourError(
-                        f"contour touches {atom} = 0 near t={t} of "
+                        f"contour touches {atom} = 0 near t={t:.6g} of "
                         f"segment {seg}")
 
 
@@ -247,8 +270,9 @@ def iterated_integral(p, path, tol, max_refine):
         for x in w:
             atoms.update(_LETTER_ATOMS[x])
     z1s, z2s = path[0]
-    vanishing = {a for a, f in _ATOM_EVAL.items() if abs(f(z1s, z2s)) < 1e-9}
-    _check_contour(path, atoms, skip_start=bool(vanishing))
+    vanishing = {a for a, f in _ATOM_POLY.items()
+                 if abs(f(z1s, z2s, 0, 0)[0]) < 1e-9}
+    _check_contour(path, atoms)
     _check_start(p.terms, path, vanishing)
     prev, diff = None, float("inf")
     pieces = 2

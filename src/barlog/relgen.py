@@ -33,13 +33,16 @@ class Relation(namedtuple("Relation", "w1 w2 degree lhs rhs trivial")):
     """One generalized harmonic product relation.
 
     lhs is the ordered pair of factor terms (main z1, main z2); rhs is
-    a tuple of (coefficient, main-z2 term, main-z1 term) triples.
+    a tuple of (coefficient, main-z2 term, main-z1 term) triples, from
+    generate_relation in the word order of the relation's row of C_s.
     Equality ignores degree, trivial and the order of rhs, and so does
     the hash.
     """
     __slots__ = ()
 
     def sorted_rhs(self):
+        """rhs in printed order, by the main-z2 term's index and
+        letters, then the main-z1 term's."""
         return tuple(sorted(self.rhs, key=lambda t: (t[1].index,
                                                      t[1].letters,
                                                      t[2].index,
@@ -58,7 +61,7 @@ class Relation(namedtuple("Relation", "w1 w2 degree lhs rhs trivial")):
         return (isinstance(other, Relation)
                 and (self.w1, self.w2) == (other.w1, other.w2)
                 and self.lhs == other.lhs
-                and sorted(self.sorted_rhs()) == sorted(other.sorted_rhs()))
+                and sorted(self.rhs) == sorted(other.rhs))
 
     def __ne__(self, other):
         return not self == other
@@ -102,8 +105,10 @@ def generate_relation(w1, w2, cap=None):
     lhs = tuple(map(word_to_term, theta_pair(w1, w2, "1x2")))
     s = len(w1) + len(w2)
     check_degree(s, cap)
+    # The row is in the word order of its 2x1 columns already (the tests
+    # check it), and verify_relation sums in this order.
     rhs = tuple((c, word_to_term(u), word_to_term(v))
-                for (u, v), c in _relation_rows(s)[(w1, w2)].sorted_terms())
+                for (u, v), c in _relation_rows(s)[(w1, w2)].terms.items())
     trivial = (len(rhs) == 1 and rhs[0][0] == 1 and
                sorted(filter(None, map(_term_key, rhs[0][1:])))
                == sorted(filter(None, map(_term_key, lhs))))

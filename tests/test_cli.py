@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barlog import ipbenv
+from barlog import cli
 from barlog.cli import Config, load_config, parse_term, run, to_json
 from barlog.harmonic import eval_sum, eval_tagged, mpl_harmonic_expand
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
 from barlog.ipbenv import DEFAULT_DEGREE_CAP
+from barlog.relgen import generate_all, relation_to_dict, verify_relation
 from barlog.words import FORM_BASE, LIE_BASE, WordPoly, poly_to_dict
 from mp_series import DPS, mp_series
 
@@ -387,7 +389,8 @@ def test_degree_out_of_range_is_rejected_by_every_degree_command(capsys):
 def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
     # Chen's condition runs once per certified coefficient: 32 admissible
     # pairs per direction at degree 3.  The relations read C_3 and
-    # certify nothing, so basis --b0 then relations runs 32.
+    # certify nothing, so basis --b0 then relations runs 32.  duality
+    # reads formspace._chen_failure where it certifies.
     from barlog import duality, formspace
 
     calls = []
@@ -397,8 +400,7 @@ def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
         calls.append(p)
         return chen_failure(p)
 
-    for module in (formspace, duality):
-        monkeypatch.setattr(module, "_chen_failure", counted)
+    monkeypatch.setattr(formspace, "_chen_failure", counted)
     caches = (duality._phi, formspace._bar0_generators,
               formspace._bar0_basis)
     for argvs, expected in (
@@ -463,6 +465,53 @@ def test_relations_degree_5_golden(capsys):
     assert json.loads(out)["count"] == 308
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b7a712563ecdcd320c0bc79cf45ec080a84af6738bb93b64cfc2702270c05ba8")
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("degree", range(6))
+def test_streamed_relations_equal_the_dict_payload(tmp_path, capsys, degree,
+                                                   verify):
+    # relations writes each relation straight from its Relation; the
+    # reference is to_json of the relation_to_dict payload.
+    argv = ["relations", "--degree", str(degree)] + ["--verify"] * verify
+    records = []
+    for r in generate_all(degree):
+        checked = {}
+        if verify:
+            report = verify_relation(r, [(0.3, 0.4)])
+            checked = {"verified": all(e["passed"] for e in report),
+                       "residual": max(e["residual"] for e in report)}
+        records.append(relation_to_dict(r, **checked))
+    expected = to_json({"degree": degree, "count": len(records),
+                        "relations": records}) + "\n"
+    assert capture(capsys, argv) == (0, expected, "")
+    target = tmp_path / "relations.json"
+    assert capture(capsys, argv + ["--out", str(target)]) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("items", [[], ["1"], ['"a"', "[]", "{}"]])
+def test_streamed_list_equals_the_whole_list(items):
+    for indent in ("\n", "\n  "):
+        assert ("".join(cli._stream_list(iter(items), indent))
+                == cli._list_json(items, indent)
+                == to_json(list(map(json.loads, items)), indent))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("relations --degree 5 --verify",
+     "0c537d70f18d1f649bfbdfc042abec0c153f8deedc8fa1dc043ec4df9781faef"),
+    ("relations --degree 5 --format text",
+     "c1757b8cec1183fee4713d0f252de3aeeb019098e1b34a0f8b7870cc42104be1"),
+    ("relations --degree 4 --verify --format text",
+     "f87f903c504fd842e88a9b95a99871f966566c2d1b0b0c797194cc940f919eb4"),
+])
+def test_relations_outputs_golden(capsys, argv, digest):
+    # SHA-256 of the stdout of each command while the whole payload was
+    # built as one string before it was written.
+    code, out, _ = capture(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

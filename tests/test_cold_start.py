@@ -1,5 +1,7 @@
-"""The cold path of a barlog process: numpy, dataclasses and inspect
-are never loaded, not even by the quadrature oracle.
+"""The cold path of a barlog process: `import barlog` loads only the
+exception types, each command loads only the modules it uses, and
+numpy, dataclasses and inspect are never loaded, not even by the
+quadrature oracle.
 
 Each check runs in a fresh interpreter, since the test process itself
 has these modules loaded by other tests.
@@ -84,3 +86,63 @@ v = barlog.eval_quadrature(p, [(0, 0), (0.5, 0)], tol=1e-12)
 print('numpy' in sys.modules, abs(v - math.log(2)) < 1e-12)
 """)
     assert out == "True\nFalse True\n"
+
+
+def test_import_barlog_loads_only_the_exception_types():
+    out = run_python("""
+import sys
+import barlog
+print(*sorted(m for m in sys.modules if m.split('.')[0] == 'barlog'))
+""")
+    assert out == "barlog barlog.errors\n"
+
+
+# The package modules each command loads, and no others.
+COMMAND_MODULES = [
+    (["relations", "--degree", "3"],
+     "cli duality errors hyperlog ipbenv linalg relgen words"),
+    (["decompose", "--degree", "3"],
+     "cli errors hyperlog ipbenv linalg words"),
+]
+
+
+def test_each_command_loads_only_what_it_uses():
+    for argv, modules in COMMAND_MODULES:
+        out = run_python(f"""
+import contextlib, io, sys
+from barlog import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run({argv!r})
+print(code, *sorted(m[7:] for m in sys.modules if m.startswith('barlog.')))
+""")
+        assert out == f"0 {modules}\n", argv
+
+
+def test_public_names_are_their_modules_objects():
+    out = run_python("""
+import importlib, sys
+import barlog
+names = barlog.__all__
+values = {n: getattr(barlog, n) for n in names}
+same = all(values[n] is getattr(importlib.import_module('barlog.' + m), n)
+           for m, ns in barlog._EXPORTS.items() for n in ns)
+print(len(names), len(set(names)), same,
+      set(names) == {n for ns in barlog._EXPORTS.values() for n in ns})
+print(barlog.relgen is sys.modules['barlog.relgen'],
+      barlog.quadrature is sys.modules['barlog.quadrature'],
+      hasattr(barlog, 'no_such_name'), hasattr(barlog, '_no_such_name'))
+""")
+    assert out == "57 57 True True\nTrue True False False\n"
+
+
+def test_dir_and_star_import_cover_all():
+    out = run_python("""
+import barlog
+print(set(barlog.__all__) <= set(dir(barlog)))
+ns = {}
+exec('from barlog import *', ns)
+del ns['__builtins__']
+print(sorted(ns) == sorted(barlog.__all__),
+      all(ns[n] is getattr(barlog, n) for n in ns))
+""")
+    assert out == "True\nTrue True\n"

@@ -156,14 +156,21 @@ def test_quadrature_divergent_from_origin():
 
 
 def test_quadrature_contour_error():
-    p = WordPoly.monomial(FORM_BASE, ("z11",))
-    # path passes through z1 = 1
-    with pytest.raises(ContourError):
-        eval_quadrature(p, [(0.5, 0.1), (1.5, 0.1)])
-    # singular product locus z1*z2 = 1
-    p = WordPoly.monomial(FORM_BASE, ("z12",))
-    with pytest.raises(ContourError):
-        eval_quadrature(p, [(0.5, 0.5), (2.0, 0.5)])
+    for word, path in [
+            # path passes through z1 = 1, at t = 1/2 and between the
+            # samples of a 33-point grid
+            (("z11",), [(0.5, 0.1), (1.5, 0.1)]),
+            (("z11",), [(0.5, 0.1), (1.51, 0.1)]),
+            # singular product locus z1*z2 = 1
+            (("z12",), [(0.5, 0.5), (2.0, 0.5)]),
+            (("z12",), [(0.5, 0.5), (2.01, 0.5)]),
+            # a singular start hides no pole further along the first leg
+            (("z11",), [(0, 0), (2.02, 0)]),
+            # the second leg lies on z1 = 0
+            (("z1", "z11"), [(0.5, 0), (0, 0.2), (0, 0.5)])]:
+        p = WordPoly.monomial(FORM_BASE, word)
+        with pytest.raises(ContourError):
+            eval_quadrature(p, path)
 
 
 def test_quadrature_axis_leg_is_fine():

@@ -5,7 +5,7 @@ import pytest
 
 from barlog import relgen
 from barlog.errors import AlphabetError, ResourceLimitError
-from barlog.hyperlog import ONE, PARAM, HyperlogTerm
+from barlog.hyperlog import ONE, PARAM, HyperlogTerm, term_to_word
 from barlog.ipbenv import DIRECTIONS, _reduce_word, w0_pairs
 from barlog.relgen import (Relation, decompose_check, generate_all,
                            generate_relation, relation_to_dict,
@@ -127,6 +127,19 @@ def test_relation_matrix_is_square():
                     itertools.product(d.right_letters, repeat=s - s1)):
                 if q not in columns:
                     assert not rows & set(_reduce_word(q[0] + q[1], "1x2")), q
+
+
+def test_relation_rows_are_in_word_order():
+    # The rows of C_s come in the word order of their 2x1 columns, with
+    # no sort; generate_relation keeps that order and verify_relation
+    # sums in it, which fixes the last bits of each residual.
+    for s in range(6):
+        rows = relgen._relation_rows(s)
+        for r in generate_all(s):
+            row = rows[r.w1, r.w2]
+            assert list(row.terms) == [w for w, _ in row.sorted_terms()]
+            assert [(term_to_word(t2), term_to_word(t1))
+                    for _, t2, t1 in r.rhs] == list(row.terms)
 
 
 def test_decompose_check_low_degrees():
