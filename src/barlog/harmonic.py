@@ -5,18 +5,19 @@ Provides the classical quasi-shuffle product of indices, its closed
 partial-fraction expansion, the two-variable harmonic expansion of a
 product Li_k(z1) Li_l(z2) into 2MPLs of both orientations, the exact
 action of the one-variable integral operators on a 2MPL (the
-preparation recursion), truncated multiple zeta values with tail
-bounds, and the symbolic equivalence check between the operator
-recursion and the harmonic expansion.
+preparation recursion), the symbolic equivalence check between the
+operator recursion and the harmonic expansion, and multiple zeta
+values by the Hoelder convolution of series at 1/2, with a bound made
+of the series' proven tail bounds and rounding estimates.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from collections import namedtuple
 
 from .errors import DivergentTermError
-from .hyperlog import DEFAULT_MAX_N, MplIndex, eval_series, nested_sum
+from .hyperlog import DEFAULT_MAX_N, MplIndex, eval_series, word_to_term
 from .linalg import num, vec_add_into, vec_scale
 
 
@@ -253,41 +254,66 @@ def equivalence_check(max_weight):
 
 class MzvResult(namedtuple("MzvResult",
                            "value truncation_bound terms_used")):
-    """A truncated MZV (float), its tail bound (float) and the number of
-    terms summed."""
+    """A multiple zeta value (float), its bound (float) and the number
+    of series terms summed."""
     __slots__ = ()
 
 
-def mzv_truncated(index, max_n=100000):
-    """Truncated nested harmonic sum zeta(k1, ..., kr) with an explicit
-    tail bound.
+# The letters dt/t and dt/(1-t) of an MZV word, written as the form
+# letters of main variable z1 so that word_to_term reads a word ending
+# in dt/(1-t) as the all-one term of its index.
+_OMEGA0, _OMEGA1 = "z1", "z11"
+_SWAP = {_OMEGA0: _OMEGA1, _OMEGA1: _OMEGA0}
 
-    Requires every ki >= 1, and k1 >= 2 (else the series diverges).
-    The leading-entry terms satisfy the proven majorant
 
-        T(n) <= (1 + ln n)^(r-1) / ((r-1)! n^k1)
+def _li_half(word, max_n):
+    """Li(word; 1/2) of a word ending in dt/(1-t), by eval_series."""
+    return eval_series(word_to_term(word), 0.5, 0.0, max_n)
 
-    (the inner sum over r-1 distinct smaller indices of products of
-    1/m is at most the (r-1)-th power of the harmonic sum over (r-1)!),
-    so the tail is bounded by the corresponding integral from max_n.
-    max_n is the number of terms summed and must be at least 1.
+
+def mzv_truncated(index, max_n=DEFAULT_MAX_N):
+    """zeta(k1, ..., kr) by the Hoelder convolution at 1/2 (Borwein,
+    Bradley, Broadhurst and Lisonek, math/9910045), with a bound.
+
+    Let w be the word of the index, each entry k giving
+    omega0^(k-1) omega1 (omega0 = dt/t, omega1 = dt/(1-t)), outermost
+    letter first.  Splitting the path [0, 1] at 1/2 (Chen's formula)
+    and sending t to 1 - t on the upper leg gives
+
+        zeta(w) = sum_{j=0}^{|w|} Li(rev-swap(w[:j]); 1/2) Li(w[j:]; 1/2)
+
+    where rev-swap reverses a word and exchanges omega0 and omega1: each
+    letter's minus sign from the map cancels against the reversed
+    orientation.  Both factors end in omega1 (w starts with omega0), so
+    each is an all-one series at 1/2, summed by eval_series with at
+    most max_n terms.  The bound is the sum of the products' bounds
+    (EvalResult.times) plus gamma_(|w|+2) times the sum of the
+    products' moduli, for the rounding of the outer sum; terms_used is
+    the sum of the factors' terms_used.
+
+    Requires max_n >= 1 and every ki >= 1 (else ValueError), and
+    k1 >= 2 (else the series diverges: DivergentTermError).
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     index = tuple(index)
-    r = len(index)
-    if r == 0:
+    if not index:
         return MzvResult(1.0, 0.0, 0)
     if any(k < 1 for k in index):
         raise ValueError(f"index entries must be positive: {index}")
     if index[0] < 2:
         raise DivergentTermError(
             f"zeta{index} diverges: leading entry must be >= 2")
-    total, _, _ = nested_sum([1.0] * r, index, 1.0, max_n)
-    # I(m) = integral_N^inf (1 + ln t)^m t^(-(a+1)) dt with a = k1 - 1:
-    # I(m) = (1 + ln N)^m / (a N^a) + (m / a) I(m - 1).
-    a = index[0] - 1
-    im = 1.0 / (a * max_n ** a)
-    for m in range(1, r):
-        im = (1.0 + math.log(max_n)) ** m / (a * max_n ** a) + m / a * im
-    return MzvResult(total, im / math.factorial(r - 1), max_n)
+    word = tuple(x for k in index for x in (_OMEGA0,) * (k - 1) + (_OMEGA1,))
+    total = bound = abs_sum = 0.0
+    terms = 0
+    for j in range(len(word) + 1):
+        lower = _li_half(tuple(_SWAP[x] for x in reversed(word[:j])), max_n)
+        upper = _li_half(word[j:], max_n)
+        value, b = lower.times(upper)
+        total += value.real
+        bound += b
+        abs_sum += abs(value)
+        terms += lower.terms_used + upper.terms_used
+    k_eps = (len(word) + 2) * sys.float_info.epsilon
+    return MzvResult(total, bound + k_eps / (1.0 - k_eps) * abs_sum, terms)

@@ -149,11 +149,13 @@ class EvalResult(namedtuple("EvalResult",
 
     def times(self, other):
         """(value, bound) of the product of two results: each bound
-        times the other value, plus the product of the bounds."""
+        times the other value, plus the product of the bounds.  An
+        infinite bound stays infinite, even against an exact factor."""
+        a, b = self.truncation_bound, other.truncation_bound
+        if math.inf in (a, b):
+            return self.value * other.value, math.inf
         return (self.value * other.value,
-                abs(self.value) * other.truncation_bound
-                + abs(other.value) * self.truncation_bound
-                + self.truncation_bound * other.truncation_bound)
+                abs(self.value) * b + abs(other.value) * a + a * b)
 
 
 # Terms summed between two stop tests of nested_sum.
@@ -169,9 +171,8 @@ def _tail_bound(q, k1, r, n):
     multiply to at most max(1, |alpha_j|)^m, and the sum over chains of
     1/(n2 ... nr) is at most H(m-1)^(r-1) / (r-1)!.  So the m-th tail
     term is at most q^m M(m) with M(m) = (1 + ln m)^(r-1) /
-    ((r-1)! m^k1), the majorant mzv_truncated also proves.  Since
-    (1 + ln(m+1)) / (1 + ln m) falls with m, the ratio of consecutive
-    majorant terms beyond n is at most
+    ((r-1)! m^k1).  Since (1 + ln(m+1)) / (1 + ln m) falls with m, the
+    ratio of consecutive majorant terms beyond n is at most
     q ((1 + ln(n+2)) / (1 + ln(n+1)))^(r-1), and the tail is at most the
     geometric sum from q^(n+1) M(n+1).  Where that ratio is not below 1
     the bound is inf.
@@ -204,8 +205,7 @@ def _rounding_estimate(r, n, abs_sum):
 
 def nested_sum(alphas, ks, z, max_n):
     """(total, n, bound) of the nested series sum over m <= n of
-    z^m T[0](m), on floats or complex numbers, z's type setting the
-    type of the running sums.
+    z^m T[0](m), on complex numbers.
 
     T[j](m) is the inner sum with the j-th summation index fixed at m,
     including its own 1/m^k_j and geometric factors; C[j] accumulates
@@ -214,31 +214,28 @@ def nested_sum(alphas, ks, z, max_n):
     n is max_n or the first multiple of _STOP_STRIDE below it at which
     the proven tail bound (_tail_bound) is at most the estimated
     rounding error (_rounding_estimate): more terms could not make the
-    value more certain.  Where q = |z| max(1, |alpha_j|) is not below 1,
-    as for the MZVs at z = 1, the tail majorant diverges, so the sum
-    runs to max_n with a single test.  bound is the tail bound plus the
-    rounding estimate at n; the tail part is proven (inf where its
-    majorant does not converge), the rounding part is a first-order
-    count that assumes the sums C do not cancel far below their terms
-    (ROADMAP 3(f)).  The terms are computed the same way wherever the
-    sum stops.  An index entry k for which n**k leaves the float range
-    before the sum stops raises DomainError.
+    value more certain.  Where q = |z| max(1, |alpha_j|) is not below 1
+    the tail majorant diverges, so the sum runs to max_n.  bound is the
+    tail bound plus the rounding estimate at n; the tail part is proven
+    (inf where its majorant does not converge), the rounding part is a
+    first-order count that assumes the sums C do not cancel far below
+    their terms (ROADMAP 3(f)).  The terms are computed the same way
+    wherever the sum stops.  An index entry k for which n**k leaves the
+    float range before the sum stops raises DomainError.
     """
     r = len(ks)
-    zero, one = type(z)(0.0), type(z)(1.0)
-    T = [zero] * r
-    C = [zero] * (r - 1)
+    T = [0j] * r
+    C = [0j] * (r - 1)
     inner = range(r - 1)
     a_last, k_last = alphas[r - 1], ks[r - 1]
     q = abs(z) * max(1.0, *map(abs, alphas))
-    ar_pow = z_pow = one
-    total = zero
+    ar_pow = z_pow = 1 + 0j
+    total = 0j
     abs_sum = 0.0
-    stride = _STOP_STRIDE if q < 1 else max_n
     n = 0
     try:
         while True:
-            for n in range(n + 1, min(n + stride, max_n) + 1):
+            for n in range(n + 1, min(n + _STOP_STRIDE, max_n) + 1):
                 for j in inner:
                     C[j] = alphas[j] * (C[j] + T[j + 1])
                     T[j] = C[j] / n ** ks[j]

@@ -7,11 +7,17 @@ m^(r-1) chains of T[0](m) is at most max(1, |alpha|)^m in modulus, so
 with q = |z| max(1, |alpha|) the tail beyond N is at most
 q^(N+1) (N+1)^(r-1) / (1 - q (1 + 1/(N+1))^(r-1)).  The sum runs until
 that is below REF_TAIL, which the tests add to the library's bound.
+
+mp_mzv builds a multiple zeta value from those series at 1/2 by the
+Hoelder convolution, with the error that the series' tails carry into
+the products.
 """
+
+from functools import cache
 
 import mpmath
 
-from barlog.hyperlog import ONE
+from barlog.hyperlog import ONE, HyperlogTerm
 
 DPS = 50
 REF_TAIL = 1e-30
@@ -50,3 +56,38 @@ def mp_series(t, z1, z2):
             z_pow *= z
             total += z_pow * T[0]
         return total, REF_TAIL
+
+
+def mzv_word(index):
+    """The word of zeta(index) over '0' (dt/t) and '1' (dt/(1-t)),
+    outermost letter first: each entry k gives '0'^(k-1) '1'."""
+    return "".join("0" * (k - 1) + "1" for k in index)
+
+
+@cache
+def _mp_li_half(word):
+    """Li(word; 1/2) of a word ending in '1' (or empty), at 50 digits."""
+    index = tuple(len(run) + 1 for run in word.split("1")[:-1])
+    if not index:
+        return mpmath.mpf(1), 0.0
+    value, tail = mp_series(HyperlogTerm(1, index, (ONE,) * len(index)),
+                            0.5, 0.0)
+    return value.real, tail
+
+
+def mp_mzv(index):
+    """(value, error bound) of zeta(index), k1 >= 2, at 50 digits:
+
+        zeta(w) = sum_j Li(rev-swap(w[:j]); 1/2) Li(w[j:]; 1/2),
+
+    rev-swap reversing a word and exchanging '0' and '1'."""
+    word = mzv_word(index)
+    swap = str.maketrans("01", "10")
+    with mpmath.workdps(DPS):
+        total, error = mpmath.mpf(0), 0.0
+        for j in range(len(word) + 1):
+            a, ea = _mp_li_half(word[:j][::-1].translate(swap))
+            b, eb = _mp_li_half(word[j:])
+            total += a * b
+            error += float(abs(a)) * eb + float(abs(b)) * ea + ea * eb
+        return total, error

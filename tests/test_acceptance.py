@@ -180,7 +180,7 @@ def test_criterion_08_harmonic_equivalence():
 
 def test_criterion_09_mzv_numerics():
     n = 100000
-    tol = 1e-4
+    tol = 1e-12
     z2 = mzv_truncated((2,), n)
     z3 = mzv_truncated((3,), n)
     lhs = z2.value * z3.value

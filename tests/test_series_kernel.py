@@ -1,26 +1,33 @@
-"""The shared nested-sum kernel and the eval_series cache.
+"""The shared nested-sum kernel, the eval_series cache, and the
+multiple zeta values built on it.
 
-The oracles below are verbatim copies of the list-allocating loops that
-eval_series and mzv_truncated used before they shared nested_sum.
-mzv_truncated must match its oracle bit for bit (compared by repr,
-which round-trips floats and shows the sign of zeros).  eval_series
-chooses its own length within max_n, so its value must match the
-oracle run to that length, terms_used, bit for bit, whether it is
-computed or served from the cache; its bound is checked against mpmath
-in test_series_honesty.py.
+reference_eval_series is a verbatim copy of the list-allocating loop
+that eval_series used before nested_sum.  eval_series chooses its own
+length within max_n, so its value must match the oracle run to that
+length, terms_used, bit for bit (compared by repr, which round-trips
+floats and shows the sign of zeros), whether it is computed or served
+from the cache; its bound is checked against mpmath in
+test_series_honesty.py.
+
+reference_mzv_truncated is the direct sum of zeta(k1, ..., kr) at
+z = 1 with its integral tail bound, which mzv_truncated used before the
+Hoelder convolution.  mzv_truncated is checked against a 50-digit
+reference (mp_series.mp_mzv) and, independently, against that loop.
 """
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlog import hyperlog
 from barlog.errors import DivergentTermError, DomainError
-from barlog.harmonic import MzvResult, mzv_truncated
+from barlog.harmonic import MzvResult, all_indices, mzv_truncated
 from barlog.hyperlog import (ONE, PARAM, EvalResult, HyperlogTerm,
                              eval_series)
+from mp_series import DPS, mp_mzv, mzv_word
 
 
 def reference_eval_series(t, z1, z2, max_n=100000):
@@ -135,16 +142,81 @@ def test_eval_series_matches_reference_loop(t, main, param, max_n):
     assert assert_matches_reference_loop(t, z1, z2, max_n) is first
 
 
-@settings(max_examples=100, deadline=None)
-@given(first=st.integers(2, 4), rest=st.lists(st.integers(1, 4),
-                                              max_size=3),
-       max_n=st.integers(1, 300))
-def test_mzv_truncated_matches_reference_loop(first, rest, max_n):
-    index = (first, *rest)
-    got = mzv_truncated(index, max_n)
-    expected = reference_mzv_truncated(index, max_n)
-    assert got == expected
-    assert repr(got) == repr(expected)
+# Every admissible index of weight <= 7: 63 of them.
+ADMISSIBLE = [idx for w in range(2, 8) for idx in all_indices(w)
+              if idx[0] >= 2]
+
+
+def test_mzv_reference_matches_mpmath_and_closed_forms():
+    # Each reference is within about 1e-29 of its value (its series'
+    # tails, REF_TAIL each), and a sum below holds at most 32 of them.
+    tol = 1e-27
+    ref = {idx: mp_mzv(idx)[0] for idx in ADMISSIBLE}
+    with mpmath.workdps(DPS):
+        z = {k: mpmath.zeta(k) for k in range(2, 8)}
+        for k in range(2, 8):
+            assert abs(ref[(k,)] - z[k]) < tol
+        assert abs(ref[(2, 1)] - z[3]) < tol
+        assert abs(ref[(3, 2)] - (3 * z[2] * z[3] - 11 * z[5] / 2)) < tol
+        assert abs(ref[(2, 3)] - (9 * z[5] / 2 - 2 * z[2] * z[3])) < tol
+        # The sum theorem: the admissible indices of one weight and depth
+        # add up to zeta(weight).
+        for w in range(2, 8):
+            for depth in range(1, w):
+                total = sum(v for idx, v in ref.items()
+                            if sum(idx) == w and len(idx) == depth)
+                assert abs(total - z[w]) < tol, (w, depth)
+
+
+def _mzv_error(got, index):
+    """(|value - reference|, reference error), at 50 digits."""
+    ref, ref_err = mp_mzv(index)
+    with mpmath.workdps(DPS):
+        return abs(mpmath.mpf(got.value) - ref), ref_err
+
+
+@pytest.mark.parametrize("max_n", [1, 7, 40, 100000])
+def test_mzv_bound_covers_the_error(max_n):
+    for index in ADMISSIBLE:
+        got = mzv_truncated(index, max_n)
+        assert not math.isnan(got.truncation_bound), index
+        assert got.terms_used <= 2 * (len(mzv_word(index)) + 1) * max_n
+        error, ref_err = _mzv_error(got, index)
+        assert error <= got.truncation_bound + ref_err, (index, max_n)
+
+
+def test_mzv_at_the_default_cap_is_within_1e_12():
+    for index in ADMISSIBLE:
+        got = mzv_truncated(index)
+        error, _ = _mzv_error(got, index)
+        assert error <= 1e-12, index
+        assert got.truncation_bound <= 1e-12, index
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.sampled_from(ADMISSIBLE), n=st.integers(50, 3000))
+def test_mzv_agrees_with_the_direct_loop(index, n):
+    # From 50 terms on the loop's majorant (1 + ln t)^(r-1) / t^k1
+    # decreases for every index of weight <= 7, so its integral bounds
+    # the tail.  The loop's rounding is estimated as the series kernel's
+    # is, its terms being positive.
+    loop = reference_mzv_truncated(index, n)
+    got = mzv_truncated(index)
+    loop_rounding = hyperlog._rounding_estimate(len(index), n, loop.value)
+    assert abs(got.value - loop.value) <= (
+        loop.truncation_bound + loop_rounding + got.truncation_bound)
+
+
+def test_times_keeps_an_infinite_bound():
+    exact, loose = EvalResult(1.0, 0.0, 0), EvalResult(0.5, math.inf, 1)
+    zero_loose = EvalResult(0.0, math.inf, 1)
+    for a, b in ((exact, loose), (loose, exact), (exact, zero_loose),
+                 (zero_loose, loose)):
+        value, bound = a.times(b)
+        assert bound == math.inf
+        assert value == a.value * b.value
+    assert EvalResult(2.0, 0.5, 3).times(EvalResult(-1j, 0.25, 4)) == (
+        -2j, 2.0 * 0.25 + 1.0 * 0.5 + 0.5 * 0.25)
 
 
 def test_signed_zeros_share_cache_entries_exactly():
