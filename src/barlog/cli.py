@@ -17,11 +17,8 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain
 
+from .defaults import DEFAULT_DEGREE_CAP, DEFAULT_MAX_N, DEFAULT_TOL
 from .errors import BarlogError
-from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, ONE, PARAM, HyperlogTerm,
-                       eval_series, within_bound)
-from .ipbenv import DEFAULT_DEGREE_CAP, omega_decomposition, w0_pairs
-from .words import WordPoly
 
 
 class Config(namedtuple("Config",
@@ -77,13 +74,17 @@ def parse_z_word(text):
     return tuple(x.strip() for x in text.split(","))
 
 
-_TERM_RE = re.compile(
-    r"^L\[(?P<index>[0-9,]*)\|(?P<letters>[a-z,]*)\]@z(?P<main>[12])$")
+@cache
+def _term_re():
+    return re.compile(
+        r"^L\[(?P<index>[0-9,]*)\|(?P<letters>[a-z,]*)\]@z(?P<main>[12])$")
 
 
 def parse_term(text):
     """Parse the rendered term syntax L[k1,...|letters]@zN, no entry empty."""
-    m = _TERM_RE.match(text.strip())
+    from .hyperlog import ONE, PARAM, HyperlogTerm
+
+    m = _term_re().match(text.strip())
     if not m:
         raise ValueError(f"malformed term {text!r}; "
                          "expected L[2,1|one,param]@z1")
@@ -110,7 +111,10 @@ def to_json(x, indent="\n"):
     always standard JSON."""
     if isinstance(x, str):
         return _encode_str(x)
-    if isinstance(x, WordPoly):
+    # No WordPoly exists before words is loaded, and eval and harmonic
+    # never load it.
+    words = sys.modules.get(__package__ + ".words")
+    if words and isinstance(x, words.WordPoly):
         return _poly_json(x, indent)
     if isinstance(x, dict):
         if not x:
@@ -307,12 +311,22 @@ def _sum_payload(s):
             for (index, numbering, orientation), c in s.sorted_terms()]
 
 
+def _index_arg(flag, text):
+    """The integers of a comma-separated --left or --right index."""
+    try:
+        return tuple(int(k) for k in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated positive "
+                         f"integers, got {text!r}") from None
+
+
 def _cmd_harmonic(args, cfg):
     from .harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
                            recursion_expand)
+    from .hyperlog import within_bound
 
-    left = tuple(int(k) for k in args.left.split(","))
-    right = tuple(int(k) for k in args.right.split(","))
+    left = _index_arg("--left", args.left)
+    right = _index_arg("--right", args.right)
     expansion = mpl_harmonic_expand(left, right)
     matches = expansion == recursion_expand(left, right)
     payload = {"left": list(left), "right": list(right),
@@ -350,6 +364,8 @@ def _cmd_harmonic(args, cfg):
 
 
 def _cmd_eval(args, cfg):
+    from .hyperlog import eval_series
+
     term = parse_term(args.term)
     r = eval_series(term, args.z1, args.z2, cfg.series_terms)
     payload = {"term": term.render(),
@@ -363,6 +379,8 @@ def _cmd_eval(args, cfg):
 
 
 def _cmd_decompose(args, cfg):
+    from .ipbenv import omega_decomposition, w0_pairs
+
     decomposition = omega_decomposition(args.degree, args.direction,
                                         cap=cfg.degree_cap)
     pairs = [{"w1": list(w1), "w2": list(w2),
@@ -427,13 +445,93 @@ class _UsageError(Exception):
     pass
 
 
-_TERMS_HELP = (f"cap on the terms of each series (default {DEFAULT_MAX_N}); "
-               "a series stops earlier once its proven tail bound is below "
-               "its first-order rounding estimate, and the bound it "
-               "reports is the sum of the two")
+def _terms_help():
+    return (f"cap on the terms of each series (default {DEFAULT_MAX_N}); "
+            "a series stops earlier once its proven tail bound is below "
+            "its first-order rounding estimate, and the bound it reports "
+            "is the sum of the two")
 
 
-def build_parser():
+def _degree(p):
+    p.add_argument("--degree", type=int, required=True)
+
+
+def _direction(p):
+    p.add_argument("--direction", choices=("1x2", "2x1"), default="1x2")
+
+
+def _terms(p):
+    p.add_argument("--terms", type=int, help=_terms_help())
+
+
+def _numeric_check(p):
+    p.add_argument("--z1", type=float, default=0.3)
+    p.add_argument("--z2", type=float, default=0.4)
+    _terms(p)
+    p.add_argument("--tol", type=float)
+
+
+def _basis_args(p):
+    _degree(p)
+    p.add_argument("--b0", action="store_true",
+                   help="restrict to words not ending in z1/z2")
+
+
+def _phi_args(p):
+    p.add_argument("--w1", required=True)
+    p.add_argument("--w2", required=True)
+    _direction(p)
+
+
+def _relations_args(p):
+    _degree(p)
+    p.add_argument("--verify", action="store_true")
+    _numeric_check(p)
+
+
+def _harmonic_args(p):
+    p.add_argument("--left", required=True)
+    p.add_argument("--right", required=True)
+    p.add_argument("--numeric", help="z1,z2 evaluation point")
+    _terms(p)
+
+
+def _eval_args(p):
+    p.add_argument("--term", required=True)
+    p.add_argument("--z1", type=float, required=True)
+    p.add_argument("--z2", type=float, required=True)
+    _terms(p)
+
+
+def _decompose_args(p):
+    _degree(p)
+    _direction(p)
+
+
+def _verify_args(p):
+    _degree(p)
+    _numeric_check(p)
+
+
+# Each command: its handler, its help line, and the function that adds
+# its own arguments (every command also takes --out, last).
+_COMMANDS = {
+    "basis": (_cmd_basis, "bar-algebra basis at one degree", _basis_args),
+    "phi": (_cmd_phi, "integrable representative of a pair", _phi_args),
+    "relations": (_cmd_relations, "generalized harmonic relations",
+                  _relations_args),
+    "harmonic": (_cmd_harmonic, "two-variable harmonic expansion",
+                 _harmonic_args),
+    "eval": (_cmd_eval, "evaluate one term by series", _eval_args),
+    "decompose": (_cmd_decompose, "solution-kernel decomposition",
+                  _decompose_args),
+    "verify": (_cmd_verify, "decomposition + relation check", _verify_args),
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with the subparser of every command, or of
+    the one command named."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value config file")
@@ -444,74 +542,19 @@ def build_parser():
 
     parser = _Parser(prog="barlog", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add("basis", help="bar-algebra basis at one degree")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--b0", action="store_true",
-                   help="restrict to words not ending in z1/z2")
-    p.add_argument("--out")
-
-    p = add("phi", help="integrable representative of a pair")
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
-    p.add_argument("--direction", choices=("1x2", "2x1"), default="1x2")
-    p.add_argument("--out")
-
-    p = add("relations", help="generalized harmonic relations")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--z1", type=float, default=0.3)
-    p.add_argument("--z2", type=float, default=0.4)
-    p.add_argument("--terms", type=int, help=_TERMS_HELP)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out")
-
-    p = add("harmonic", help="two-variable harmonic expansion")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--numeric", help="z1,z2 evaluation point")
-    p.add_argument("--terms", type=int, help=_TERMS_HELP)
-    p.add_argument("--out")
-
-    p = add("eval", help="evaluate one term by series")
-    p.add_argument("--term", required=True)
-    p.add_argument("--z1", type=float, required=True)
-    p.add_argument("--z2", type=float, required=True)
-    p.add_argument("--terms", type=int, help=_TERMS_HELP)
-    p.add_argument("--out")
-
-    p = add("decompose", help="solution-kernel decomposition")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--direction", choices=("1x2", "2x1"), default="1x2")
-    p.add_argument("--out")
-
-    p = add("verify", help="decomposition + relation check")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--z1", type=float, default=0.3)
-    p.add_argument("--z2", type=float, default=0.4)
-    p.add_argument("--terms", type=int, help=_TERMS_HELP)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out")
-
+    for name, (_, help_line, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common], help=help_line)
+            add_args(p)
+            p.add_argument("--out")
     return parser
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "phi": _cmd_phi,
-    "relations": _cmd_relations,
-    "harmonic": _cmd_harmonic,
-    "eval": _cmd_eval,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv):
-    parser = build_parser()
+    # A run that names its command first builds only that subparser;
+    # help, errors and a flag before the command need them all.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         cfg = Config()
@@ -528,7 +571,7 @@ def run(argv):
             overrides["tolerance"] = args.tol
         cfg = cfg._replace(**overrides)
         cfg.validate()
-        return _HANDLERS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

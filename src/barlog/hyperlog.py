@@ -26,6 +26,7 @@ import sys
 from collections import namedtuple
 from functools import cache, lru_cache
 
+from .defaults import DEFAULT_MAX_N, DEFAULT_TOL  # noqa: F401
 from .errors import AlphabetError, DivergentTermError, DomainError
 
 ONE = "one"
@@ -39,10 +40,6 @@ _LOG_LETTER = {1: "z1", 2: "z2"}
 _ONE_LETTER = {1: "z11", 2: "z22"}
 _PARAM_LETTER = {1: "z12_1", 2: "z12_2"}
 _EPS = sys.float_info.epsilon
-
-# Defaults of the cap on series terms and of the verification tolerance.
-DEFAULT_MAX_N = 100000
-DEFAULT_TOL = 1e-8
 
 
 class HyperlogTerm(namedtuple("HyperlogTerm", "main_var index letters")):
@@ -286,7 +283,7 @@ def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     if not abs(z) < 1:
         raise DomainError(f"|z{t.main_var}| = {abs(z)} must be < 1")
     if not abs(param) <= 1 + 1e-15:
-        raise DomainError(f"|parameter| = {abs(param)} must be <= 1")
+        raise DomainError(f"|z{3 - t.main_var}| = {abs(param)} must be <= 1")
     return _series(tuple(t.index), tuple(t.letters), z, param, max_n)
 
 

@@ -27,11 +27,10 @@ import operator
 from collections import namedtuple
 from functools import cache
 
+from .defaults import DEFAULT_DEGREE_CAP
 from .errors import BarlogError, ResourceLimitError
 from .linalg import vec_add_into
 from .words import FORM_BASE, LIE_BASE, WordPoly, word_sort_key
-
-DEFAULT_DEGREE_CAP = 6
 
 
 def check_degree(s, cap=None):

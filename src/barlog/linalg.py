@@ -5,7 +5,9 @@ A coefficient is an int or a Fraction: num() keeps every integral value
 an int, and a Fraction appears only where a pivot inverse (or a parsed
 coefficient) is non-integral.  The two compare and hash equal, so the
 choice never changes a result, a dict order or a printed value; it only
-keeps integer work out of Fraction arithmetic.
+keeps integer work out of Fraction arithmetic.  fractions (which loads
+decimal and numbers too) is imported at the first coefficient that is
+not an int, so integral work never loads it.
 
 The reducer keeps its stored rows fully reduced (RREF) and, for each
 stored row, an expression of that row as a combination of the vectors
@@ -16,7 +18,17 @@ single pass, both a canonical spanning set and the dependencies
 
 from __future__ import annotations
 
-from fractions import Fraction
+# fractions.Fraction once _fraction() has imported it.  Read it as
+# `Fraction or _fraction()`: a Fraction made elsewhere can reach this
+# module before it has looked the class up.
+Fraction = None
+
+
+def _fraction():
+    """Import fractions.Fraction, bind it to Fraction and return it."""
+    global Fraction
+    from fractions import Fraction
+    return Fraction
 
 
 def num(c):
@@ -24,8 +36,9 @@ def num(c):
     a Fraction."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
+    fraction = Fraction or _fraction()
+    if type(c) is not fraction:
+        c = fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -46,7 +59,8 @@ def vec_add_into(target, vec, coeff=1):
         c = target.get(k)
         c = coeff * v if c is None else c + coeff * v
         if c:
-            if type(c) is Fraction and c.denominator == 1:
+            if (type(c) is not int and type(c) is (Fraction or _fraction())
+                    and c.denominator == 1):
                 c = c.numerator
             target[k] = c
         else:
@@ -97,7 +111,10 @@ class RowReducer:
         pivot = min(residual)
         lead = residual[pivot]
         # A unit pivot is its own inverse; only other pivots divide.
-        inv = lead if lead in (1, -1) else num(Fraction(1) / lead)
+        if lead in (1, -1):
+            inv = lead
+        else:
+            inv = num((Fraction or _fraction())(1) / lead)
         row = vec_scale(residual, inv)
         combo = vec_add_into({tag: inv}, rep, -inv)
         # Back-substitute to keep all stored rows fully reduced.

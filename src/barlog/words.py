@@ -15,7 +15,6 @@ make the word space a graded commutative Hopf algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .errors import AlphabetError
@@ -325,5 +324,5 @@ def poly_to_dict(p):
 
 def poly_from_dict(data):
     alphabet = tuple(data["alphabet"])
-    terms = [(tuple(t["word"]), Fraction(t["coeff"])) for t in data["terms"]]
+    terms = [(tuple(t["word"]), t["coeff"]) for t in data["terms"]]
     return WordPoly(alphabet, terms)

@@ -76,6 +76,22 @@ def test_harmonic_rejects_bad_input(capsys):
                                           "--numeric", point])
         assert (code, out) == (2, "")
         assert "expects z1,z2" in err
+    for flag, argv in (("--left", ["--left", "1,", "--right", "1"]),
+                       ("--right", ["--left", "2", "--right", "a"])):
+        code, out, err = capture(capsys, ["harmonic"] + argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {flag} expects comma-separated "
+                              "positive integers"), err
+
+
+def test_parameter_out_of_range_names_its_coordinate(capsys):
+    for argv, message in (
+            (["relations", "--degree", "2", "--verify", "--z1", "1.5"],
+             "|z1| = 1.5 must be <= 1"),
+            (["eval", "--term", "L[1|param]@z1", "--z1", "0.3",
+              "--z2", "-2"], "|z2| = 2.0 must be <= 1")):
+        code, out, err = capture(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_harmonic_bound_covers_both_sides(capsys):
