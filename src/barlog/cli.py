@@ -30,10 +30,15 @@ class Config(namedtuple("Config",
     __slots__ = ()
 
     def validate(self):
-        if self.degree_cap <= 0 or self.series_terms <= 0 \
-                or not 0 < self.tolerance < math.inf:
-            raise ValueError("caps must be positive and tolerance finite "
-                             "and positive")
+        """Name a bad setting by its flag and its config key."""
+        for flag, key in (("--degree-cap", "degree_cap"),
+                          ("--terms", "series_terms")):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{flag} ({key}) must be positive, "
+                                 f"got {getattr(self, key)}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("--tol (tolerance) must be finite and positive, "
+                             f"got {self.tolerance}")
         if self.format not in ("json", "text"):
             raise ValueError("format must be json or text")
 
@@ -106,9 +111,9 @@ def to_json(x, indent="\n"):
     """json.dumps(x, indent=2, sort_keys=True), byte for byte, without
     the pure-Python encoder that json.dumps falls back to when indent is
     set: strings and scalars go through the C encoder.  A WordPoly is
-    written as json.dumps writes its words.poly_to_dict.  Non-finite
-    floats raise ValueError, as with allow_nan=False, so the output is
-    always standard JSON."""
+    written as json.dumps writes its poly_to_dict (the dict form of
+    tests/json_oracle.py).  Non-finite floats raise ValueError, as with
+    allow_nan=False, so the output is always standard JSON."""
     if isinstance(x, str):
         return _encode_str(x)
     # No WordPoly exists before words is loaded, and eval and harmonic
@@ -146,8 +151,9 @@ def _word_json(word, indent):
 
 
 def _poly_json(p, indent):
-    """to_json(words.poly_to_dict(p), indent), without building a dict
-    per term: {"alphabet": [...], "terms": [{"coeff", "word"}, ...]}."""
+    """to_json(poly_to_dict(p), indent), with the dict form of
+    tests/json_oracle.py, without building a dict per term:
+    {"alphabet": [...], "terms": [{"coeff", "word"}, ...]}."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -268,14 +274,6 @@ def _stream_list(items, indent):
     yield "[]" if sep[0] == "[" else indent + "]"
 
 
-@cache
-def _term_json(t):
-    """A term's rendered string as a JSON string, once per term: the
-    relations of one degree share few terms among many right-hand
-    sides."""
-    return _encode_str(t.render())
-
-
 # Indents, in the relations output, of a relation, of its fields, of
 # an entry of its lhs or rhs, and of that entry's fields.
 _RELATION = "\n    "
@@ -285,15 +283,16 @@ _ENTRY_FIELD = _ENTRY + "  "
 
 
 def _relation_json(r, verified=None, residual=None):
-    """to_json(relgen.relation_to_dict(r, verified, residual), _RELATION),
-    written straight from the Relation."""
+    """to_json(relation_to_dict(r, verified, residual), _RELATION), with
+    the dict form of tests/json_oracle.py, written straight from the
+    Relation."""
     lhs = _list_json((f'{{{_ENTRY_FIELD}"coeff": "1",'
-                      f'{_ENTRY_FIELD}"term": {_term_json(t)}{_ENTRY}}}'
-                      for t in r.lhs), _FIELD)
+                      f'{_ENTRY_FIELD}"term": {_encode_str(t.render())}'
+                      f'{_ENTRY}}}' for t in r.lhs), _FIELD)
     rhs = _list_json((f'{{{_ENTRY_FIELD}"coeff": {_encode_str(str(c))},'
-                      f'{_ENTRY_FIELD}"factor1": {_term_json(t1)},'
-                      f'{_ENTRY_FIELD}"factor2": {_term_json(t2)}{_ENTRY}}}'
-                      for c, t2, t1 in r.sorted_rhs()), _FIELD)
+                      f'{_ENTRY_FIELD}"factor1": {_encode_str(t1.render())},'
+                      f'{_ENTRY_FIELD}"factor2": {_encode_str(t2.render())}'
+                      f'{_ENTRY}}}' for c, t2, t1 in r.sorted_rhs()), _FIELD)
     fields = [f'"degree": {r.degree}', f'"lhs": {lhs}']
     if verified is not None:
         fields.append(f'"residual": {_encode_scalar(residual)}')
@@ -312,12 +311,16 @@ def _sum_payload(s):
 
 
 def _index_arg(flag, text):
-    """The integers of a comma-separated --left or --right index."""
+    """The positive integers of a comma-separated --left or --right
+    index."""
     try:
-        return tuple(int(k) for k in text.split(","))
+        index = tuple(int(k) for k in text.split(","))
+        if min(index) >= 1:
+            return index
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated positive "
-                         f"integers, got {text!r}") from None
+        pass
+    raise ValueError(f"{flag} expects comma-separated positive integers, "
+                     f"got {text!r}")
 
 
 def _cmd_harmonic(args, cfg):

@@ -67,8 +67,11 @@ class HyperlogTerm(namedtuple("HyperlogTerm", "main_var index letters")):
     def weight(self):
         return sum(self.index)
 
+    @cache
     def render(self):
-        """Compact display form, e.g. L[1,1|one,param]@z1."""
+        """Compact display form, e.g. L[1,1|one,param]@z1, built once
+        per distinct term: the relations of one degree share few terms
+        among many right-hand sides."""
         return (f"L[{','.join(map(str, self.index))}|"
                 f"{','.join(self.letters)}]@z{self.main_var}")
 

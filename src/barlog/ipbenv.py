@@ -30,7 +30,7 @@ from functools import cache
 from .defaults import DEFAULT_DEGREE_CAP
 from .errors import BarlogError, ResourceLimitError
 from .linalg import vec_add_into
-from .words import FORM_BASE, LIE_BASE, WordPoly, word_sort_key
+from .words import FORM_BASE, LIE_BASE, WordPoly
 
 
 def check_degree(s, cap=None):
@@ -165,17 +165,6 @@ class NormalForm(namedtuple("NormalForm", "direction terms")):
     """A polynomial written in the product basis of one direction:
     terms maps (left word, right word) pairs to coefficients."""
     __slots__ = ()
-
-    def coefficient(self, w1, w2):
-        return self.terms.get((tuple(w1), tuple(w2)), 0)
-
-    def pairs(self):
-        return set(self.terms)
-
-    def sorted_terms(self):
-        key = word_sort_key(LIE_BASE)
-        return sorted(self.terms.items(),
-                      key=lambda item: (key(item[0][0]), key(item[0][1])))
 
     def as_poly(self):
         return WordPoly(LIE_BASE,

@@ -153,19 +153,3 @@ def canonical_basis(vectors):
     for vec in vectors:
         red.add(vec, 0)  # one shared tag: each combination stays one entry
     return [row for _, row, _ in red.rows()]
-
-
-def nullspace_combos(vectors):
-    """Dependencies among the given vectors.
-
-    Returns a list of {input index: coefficient} dicts; each dict d
-    satisfies sum(d[i] * vectors[i]) == 0 and the dicts are linearly
-    independent (each has coefficient 1 on a distinct last index).
-    """
-    red = RowReducer()
-    combos = []
-    for i, vec in enumerate(vectors):
-        dep = red.add(vec, i)
-        if dep is not None:
-            combos.append(dep)
-    return combos

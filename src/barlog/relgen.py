@@ -49,10 +49,10 @@ class Relation(namedtuple("Relation", "w1 w2 degree lhs rhs trivial")):
                                                      t[2].letters)))
 
     def render(self):
-        left = " * ".join(_term_text(t) for t in self.lhs if t.depth) or "1"
+        left = " * ".join(t.render() for t in self.lhs if t.depth) or "1"
         parts = []
         for c, t2, t1 in self.sorted_rhs():
-            factors = [_term_text(t) for t in (t2, t1) if t.depth]
+            factors = [t.render() for t in (t2, t1) if t.depth]
             body = " * ".join(factors) or "1"
             parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*{body}")
         return f"{left} = {' '.join(parts)}"
@@ -217,28 +217,3 @@ def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
         "bound": ba + bb,
         "passed": within_bound(residual, ba + bb, tol),
     }
-
-
-# -- JSON rendering ----------------------------------------------------------
-
-@cache
-def _term_text(t):
-    """t.render(), once per distinct term: the relations of one degree
-    share few terms among many right-hand sides."""
-    return t.render()
-
-
-def relation_to_dict(r, verified=None, residual=None):
-    out = {
-        "degree": r.degree,
-        "w1": list(r.w1),
-        "w2": list(r.w2),
-        "trivial": r.trivial,
-        "lhs": [{"term": _term_text(t), "coeff": "1"} for t in r.lhs],
-        "rhs": [{"factor2": _term_text(t2), "factor1": _term_text(t1),
-                 "coeff": str(c)} for c, t2, t1 in r.sorted_rhs()],
-    }
-    if verified is not None:
-        out["verified"] = verified
-        out["residual"] = residual
-    return out

@@ -19,9 +19,24 @@ from functools import cache
 from barlog.duality import tensor_split
 from barlog.formspace import _poly_vector, _vector_poly, _word_key, chen_defect
 from barlog.ipbenv import DIRECTIONS
-from barlog.linalg import (RowReducer, canonical_basis, nullspace_combos,
-                           vec_add_into)
+from barlog.linalg import RowReducer, canonical_basis, vec_add_into
 from barlog.words import FORM_BASE, WordPoly
+
+
+def nullspace_combos(vectors):
+    """Dependencies among the given vectors.
+
+    Returns a list of {input index: coefficient} dicts; each dict d
+    satisfies sum(d[i] * vectors[i]) == 0 and the dicts are linearly
+    independent (each has coefficient 1 on a distinct last index).
+    """
+    red = RowReducer()
+    combos = []
+    for i, vec in enumerate(vectors):
+        dep = red.add(vec, i)
+        if dep is not None:
+            combos.append(dep)
+    return combos
 
 
 def _kernel_basis(polys, images):

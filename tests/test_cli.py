@@ -13,8 +13,9 @@ from barlog.cli import Config, load_config, parse_term, run, to_json
 from barlog.harmonic import eval_sum, eval_tagged, mpl_harmonic_expand
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
 from barlog.ipbenv import DEFAULT_DEGREE_CAP
-from barlog.relgen import generate_all, relation_to_dict, verify_relation
-from barlog.words import FORM_BASE, LIE_BASE, WordPoly, poly_to_dict
+from barlog.relgen import generate_all, verify_relation
+from barlog.words import FORM_BASE, LIE_BASE, WordPoly
+from json_oracle import poly_to_dict, relation_to_dict
 from mp_series import DPS, mp_series
 
 
@@ -64,12 +65,15 @@ def test_harmonic(capsys):
 
 
 def test_harmonic_rejects_bad_input(capsys):
-    for argv in (["--left=-1,2", "--right", "1"],
-                 ["--left", "0", "--right", "1"],
-                 ["--left", "2", "--right", "1,0"]):
+    # An entry below 1 is named by its flag, as a malformed one is.
+    for flag, text, argv in (
+            ("--left", "-1,2", ["--left=-1,2", "--right", "1"]),
+            ("--left", "0", ["--left", "0", "--right", "1"]),
+            ("--right", "1,0", ["--left", "2", "--right", "1,0"])):
         code, out, err = capture(capsys, ["harmonic"] + argv)
         assert (code, out) == (2, ""), argv
-        assert "must be positive" in err
+        assert err == (f"error: {flag} expects comma-separated positive "
+                       f"integers, got {text!r}\n")
     for point in ("0.3", "0.3,0.4,0.5"):
         code, out, err = capture(capsys, ["harmonic", "--left", "2",
                                           "--right", "1",
@@ -284,7 +288,7 @@ def _polys_as_dicts(x):
 @example([WordPoly(FORM_BASE, {("z12", "z1"): Fraction(-3, 4), (): 2})])
 def test_to_json_renders_a_polynomial_as_its_dict(x):
     # A WordPoly is written straight from its terms, in the text
-    # json.dumps gives words.poly_to_dict of it, at any indent.
+    # json.dumps gives json_oracle.poly_to_dict of it, at any indent.
     assert to_json(x) == json.dumps(_polys_as_dicts(x), indent=2,
                                     sort_keys=True)
 
@@ -377,13 +381,37 @@ def test_zero_terms_and_tol_are_rejected(capsys):
         "eval", "--term", "L[2|one]@z1", "--z1", "0.3", "--z2", "0.4",
         "--terms", "0"])
     assert (code, out) == (2, "")
-    assert "must be positive" in err
+    assert err == "error: --terms (series_terms) must be positive, got 0\n"
     # A NaN tolerance would fail every comparison, and so every check.
-    for tol in ("0", "nan", "inf"):
+    for tol, shown in (("0", "0.0"), ("nan", "nan"), ("inf", "inf")):
         code, out, err = capture(capsys, [
             "verify", "--degree", "1", "--terms", "500", "--tol", tol])
         assert (code, out) == (2, "")
-        assert "must be positive and tolerance finite" in err
+        assert err == ("error: --tol (tolerance) must be finite and "
+                       f"positive, got {shown}\n")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["relations", "--degree", "2", "--tol", "nan"], None,
+     "--tol (tolerance) must be finite and positive, got nan"),
+    (["relations", "--degree", "2", "--verify", "--terms", "0"], None,
+     "--terms (series_terms) must be positive, got 0"),
+    (["relations", "--degree", "1", "--degree-cap", "-1"], None,
+     "--degree-cap (degree_cap) must be positive, got -1"),
+    (["relations", "--degree", "1"], "degree_cap = 0\n",
+     "--degree-cap (degree_cap) must be positive, got 0"),
+    (["relations", "--degree", "1", "--verify"], "series_terms = -5\n",
+     "--terms (series_terms) must be positive, got -5"),
+    (["relations", "--degree", "1", "--verify"], "tolerance = -1e-3\n",
+     "--tol (tolerance) must be finite and positive, got -0.001"),
+])
+def test_bad_setting_names_its_flag_and_key(tmp_path, capsys, argv, config,
+                                            message):
+    if config is not None:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert capture(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_degree_out_of_range_is_rejected_by_every_degree_command(capsys):
@@ -569,8 +597,8 @@ def test_basis_degree_4_golden(capsys, argv, digest):
 ])
 def test_polynomial_outputs_golden(capsys, argv, digest):
     # SHA-256 of the stdout of each command while its polynomials were
-    # rendered through words.poly_to_dict; the empty word of degree 0
-    # is written as [].
+    # rendered through json_oracle.poly_to_dict; the empty word of
+    # degree 0 is written as [].
     code, out, _ = capture(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -140,7 +140,7 @@ print(barlog.relgen is sys.modules['barlog.relgen'],
       barlog.quadrature is sys.modules['barlog.quadrature'],
       hasattr(barlog, 'no_such_name'), hasattr(barlog, '_no_such_name'))
 """)
-    assert out == "57 57 True True\nTrue True False False\n"
+    assert out == "53 53 True True\nTrue True False False\n"
 
 
 def test_dir_and_star_import_cover_all():
@@ -204,11 +204,9 @@ print(*(f'{k}={type(v).__name__}:{v}' for k, v in t.items()))
     assert out == "None\nk=int:1 h=Fraction:1/3 x=float:0.5\n"
     out = run_python("""
 import sys
-from barlog.words import poly_from_dict
+from barlog.words import WordPoly
 print('fractions' in sys.modules)
-p = poly_from_dict({'alphabet': ['z1'],
-                    'terms': [{'word': ['z1'], 'coeff': '1/3'},
-                              {'word': [], 'coeff': '4/2'}]})
+p = WordPoly(['z1'], [(['z1'], '1/3'), ([], '4/2')])
 print(*(f'{w}={type(c).__name__}:{c}' for w, c in p.sorted_terms()))
 """)
     assert out == "False\n()=int:2 ('z1',)=Fraction:1/3\n"

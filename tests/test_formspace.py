@@ -13,7 +13,7 @@ from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
                               relation_space_contains, wedge_relation_space)
 from barlog.linalg import RowReducer, vec_add_into
 from barlog.quadrature import _form_pullback
-from barlog.words import FORM_BASE, WordPoly, concat, shuffle
+from barlog.words import FORM_BASE, WordPoly, shuffle
 from chen_oracle import chen_bar0_basis, chen_bar_basis
 
 # The four relations spanning the kernel of the wedge map: the two

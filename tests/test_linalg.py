@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from barlog.linalg import RowReducer, canonical_basis, nullspace_combos
+from barlog.linalg import RowReducer, canonical_basis
+from chen_oracle import nullspace_combos
 
 
 def test_rank_and_dependencies():

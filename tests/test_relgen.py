@@ -8,8 +8,8 @@ from barlog.errors import AlphabetError, ResourceLimitError
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm, term_to_word
 from barlog.ipbenv import DIRECTIONS, _reduce_word, w0_pairs
 from barlog.relgen import (Relation, decompose_check, generate_all,
-                           generate_relation, relation_to_dict,
-                           verify_relation)
+                           generate_relation, verify_relation)
+from json_oracle import relation_to_dict
 from relation_oracle import relation_row_via_phi
 
 

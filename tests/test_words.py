@@ -1,13 +1,14 @@
-import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlog.errors import AlphabetError
-from barlog.words import (FORM_BASE, FORM_PURE1, FORM_PURE2, TensorPoly,
-                          WordPoly, antipode, concat, counit, deconcat,
-                          poly_from_dict, poly_to_dict, shuffle)
+from barlog.words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, FORM_PURE1,
+                          FORM_PURE2, LIE_BASE, TensorPoly, WordPoly,
+                          shuffle)
 
 
 def rand_poly(rng, alphabet=FORM_BASE, max_deg=3, n_terms=3):
@@ -42,48 +43,6 @@ def test_shuffle_example():
                                                  ("z2", "z1"): 1})
 
 
-def test_concat_grading():
-    rng = random.Random(8)
-    p = rand_poly(rng, max_deg=2)
-    q = rand_poly(rng, max_deg=2)
-    pq = concat(p, q)
-    assert pq.max_degree() <= p.max_degree() + q.max_degree()
-
-
-def test_deconcat_counit():
-    w = WordPoly.monomial(FORM_BASE, ("z1", "z11", "z12"))
-    d = deconcat(w)
-    # s+1 cuts of a single word
-    assert len(d.terms) == 4
-    assert d.coefficient((), ("z1", "z11", "z12")) == 1
-    assert d.coefficient(("z1",), ("z11", "z12")) == 1
-    assert counit(WordPoly.unit(FORM_BASE)) == 1
-    assert counit(w) == 0
-
-
-def test_antipode_convolution_identity():
-    # m(S x id)Delta = unit * counit on the concatenation Hopf structure's
-    # dual shuffle side: verify S is the inverse of id under shuffle
-    # convolution with deconcatenation.
-    rng = random.Random(9)
-    for _ in range(5):
-        deg = rng.randrange(1, 4)
-        word = tuple(rng.choice(FORM_BASE) for _ in range(deg))
-        p = WordPoly.monomial(FORM_BASE, word)
-        acc = WordPoly.zero(FORM_BASE)
-        for (w1, w2), c in deconcat(p).terms.items():
-            acc = acc + shuffle(
-                antipode(WordPoly.monomial(FORM_BASE, w1)),
-                WordPoly.monomial(FORM_BASE, w2)).scale(c)
-        assert acc == WordPoly.zero(FORM_BASE)  # counit(word) = 0
-
-
-def test_antipode_sign():
-    w = WordPoly.monomial(FORM_BASE, ("z1", "z2", "z12"))
-    assert antipode(w) == WordPoly.monomial(
-        FORM_BASE, ("z12", "z2", "z1"), -1)
-
-
 def test_alphabet_checked():
     with pytest.raises(AlphabetError):
         WordPoly.monomial(FORM_BASE, ("nope",))
@@ -112,15 +71,65 @@ def test_list_words():
         TensorPoly(FORM_BASE, FORM_BASE, [((["z1"], ["z2", "nope"]), 1)])
 
 
-def test_json_round_trip():
-    rng = random.Random(10)
-    p = rand_poly(rng)
-    assert poly_from_dict(json.loads(json.dumps(poly_to_dict(p)))) == p
+# The spaces of the property test: a class and its alphabets.  Spaces
+# 2k and 2k+1 hold the same class over different alphabets.
+_SPACES = [(WordPoly, (FORM_BASE,)), (WordPoly, (LIE_BASE,)),
+           (TensorPoly, (FORM_PURE1, FORM_PURE2)),
+           (TensorPoly, (FORM_MAIN1, FORM_MAIN2))]
+_COEFFS = (st.integers(-3, 3)
+           | st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
 
-def test_tensor_shuffle_mul():
-    a = TensorPoly.monomial(FORM_BASE, FORM_BASE, ("z1",), ())
-    b = TensorPoly.monomial(FORM_BASE, FORM_BASE, ("z2",), ())
-    ab = a.shuffle_mul(b)
-    assert ab.coefficient(("z1", "z2"), ()) == 1
-    assert ab.coefficient(("z2", "z1"), ()) == 1
+def _polys(space):
+    cls, alphabets = _SPACES[space]
+    words = [st.lists(st.sampled_from(a), max_size=3).map(tuple)
+             for a in alphabets]
+    keys = words[0] if cls is WordPoly else st.tuples(*words)
+    return st.dictionaries(keys, _COEFFS, max_size=5).map(
+        lambda terms: cls(*alphabets, terms))
+
+
+def _word_key(alphabet, word):
+    return (len(word), [alphabet.index(x) for x in word])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(_SPACES) - 1).flatmap(
+    lambda i: st.tuples(st.just(i), _polys(i), _polys(i), _COEFFS,
+                        _polys(i ^ 1), _polys(i ^ 2))))
+def test_polynomial_laws(case):
+    # WordPoly and TensorPoly share one implementation of these laws.
+    space, p, q, c, other_alphabets, other_class = case
+    cls, alphabets = _SPACES[space]
+    assert p + q == q + p
+    assert not p - p and not -p + p
+    assert (p + q).scale(c) == p.scale(c) + q.scale(c)
+    assert p - q == p + q.scale(-1)
+    parts = p.degree_parts()
+    assert sum(parts.values(), cls.zero(*alphabets)) == p
+    for s, part in parts.items():
+        assert part and part.degree_parts().keys() == {s}
+    words = (lambda k: (k,)) if cls is WordPoly else (lambda k: k)
+    keys = [[_word_key(a, w) for a, w in zip(alphabets, words(k))]
+            for k, _ in p.sorted_terms()]
+    assert keys == sorted(keys) and dict(p.sorted_terms()) == p.terms
+    # A copy built in another term order, and one built through a
+    # cancelling sum, are equal and hash equal.
+    for copy in (cls(*alphabets, list(p.terms.items())[::-1]), p + q - q):
+        assert copy == p and hash(copy) == hash(p)
+    for stranger in (other_alphabets, other_class):
+        assert p != stranger
+        with pytest.raises(AlphabetError):
+            p + stranger
+        with pytest.raises(AlphabetError):
+            p - stranger
+
+
+def test_reprs():
+    assert repr(WordPoly.zero(FORM_BASE)) == "WordPoly(0)"
+    assert repr(TensorPoly.zero(FORM_PURE1, FORM_PURE2)) == "TensorPoly(0)"
+    assert (repr(WordPoly(FORM_BASE, {("z2", "z1"): -1, (): Fraction(1, 2)}))
+            == "WordPoly(1/2*(1) + -1*(z2,z1))")
+    assert (repr(TensorPoly(FORM_PURE1, FORM_PURE2,
+                            {(("z11",), ()): 3, ((), ("z2", "z22")): 1}))
+            == "TensorPoly(1*(1)x(z2,z22) + 3*(z11)x(1))")
