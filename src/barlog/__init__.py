@@ -29,7 +29,7 @@ _EXPORTS = {
     "hyperlog": ("EvalResult", "HyperlogTerm", "MplIndex", "eval_mpl",
                  "eval_quadrature", "eval_series", "partial_derivative",
                  "term_to_word", "word_to_term"),
-    "harmonic": ("TaggedMplSum", "equivalence_check", "index_harmonic",
+    "harmonic": ("equivalence_check", "index_harmonic",
                  "closed_harmonic_expand", "mpl_harmonic_expand",
                  "mzv_truncated", "recursion_expand"),
     "relgen": ("Relation", "decompose_check", "generate_all",

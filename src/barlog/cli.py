@@ -40,7 +40,8 @@ class Config(namedtuple("Config",
             raise ValueError("--tol (tolerance) must be finite and positive, "
                              f"got {self.tolerance}")
         if self.format not in ("json", "text"):
-            raise ValueError("format must be json or text")
+            raise ValueError("--format (format) must be json or text, "
+                             f"got {self.format!r}")
 
 
 _CONFIG_FIELDS = {
@@ -307,7 +308,7 @@ def _relation_json(r, verified=None, residual=None):
 def _sum_payload(s):
     return [{"index": list(index), "numbering": list(numbering),
              "orientation": orientation, "coeff": str(c)}
-            for (index, numbering, orientation), c in s.sorted_terms()]
+            for (index, numbering, orientation), c in sorted(s.items())]
 
 
 def _index_arg(flag, text):

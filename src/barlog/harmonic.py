@@ -9,16 +9,21 @@ preparation recursion), the symbolic equivalence check between the
 operator recursion and the harmonic expansion, and multiple zeta
 values by the Hoelder convolution of series at 1/2, with a bound made
 of the series' proven tail bounds and rounding estimates.
+
+The two-variable expansions are tagged sums: plain dicts
+{(index, numbering, orientation): integer coefficient}, summed by
+linalg.vec_add_into like the {index: coefficient} dicts of the
+one-variable products.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
 
 from .errors import DivergentTermError
-from .hyperlog import DEFAULT_MAX_N, MplIndex, eval_series, word_to_term
-from .linalg import num, vec_add_into, vec_scale
+from .hyperlog import (DEFAULT_MAX_N, EvalResult, MplIndex, eval_series,
+                       word_to_term)
+from .linalg import vec_add_into
 
 
 def _prefixed(head, product):
@@ -74,44 +79,12 @@ def canonical_tag(tag):
     return tag
 
 
-class TaggedMplSum:
-    """Rational combination of tagged 2MPL terms: {tag: coefficient}.
-
-    A coefficient is an int or a Fraction (see linalg.num); the two
-    compare and hash equal, and a Fraction appears only for a
-    non-integral coefficient.  Every expansion in this module is
-    integral."""
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def single(cls, index, numbering, orientation, coeff=1):
-        return cls({_tag(index, numbering, orientation): num(coeff)})
-
-    def add(self, tag, coeff):
-        vec_add_into(self.terms, {tag: coeff})
-
-    def __add__(self, other):
-        return TaggedMplSum(vec_add_into(dict(self.terms), other.terms))
-
-    def scale(self, coeff):
-        return TaggedMplSum(vec_scale(self.terms, coeff))
-
-    def canonicalize(self):
-        out = TaggedMplSum()
-        for t, c in self.terms.items():
-            out.add(canonical_tag(t), c)
-        return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0])
-
-    def __eq__(self, other):
-        return isinstance(other, TaggedMplSum) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"TaggedMplSum({self.terms!r})"
+def _canonical(s):
+    """A tagged sum with every tag canonical, equal tags merged."""
+    out = {}
+    for t, c in s.items():
+        vec_add_into(out, {canonical_tag(t): c})
+    return out
 
 
 def eval_tagged(tag, z1, z2, max_n=DEFAULT_MAX_N):
@@ -126,12 +99,13 @@ def eval_tagged(tag, z1, z2, max_n=DEFAULT_MAX_N):
 
 
 def eval_sum(s, z1, z2, max_n=DEFAULT_MAX_N):
-    """(value, bound) of a tagged sum: each term by eval_tagged, at most
-    max_n series terms each, and the bound the sum of |coefficient|
-    times each term's truncation_bound (tail plus rounding estimate)."""
+    """(value, bound) of a tagged sum {(index, numbering, orientation):
+    coefficient}: each term by eval_tagged, at most max_n series terms
+    each, and the bound the sum of |coefficient| times each term's
+    truncation_bound (tail plus rounding estimate)."""
     total = 0.0 + 0j
     bound = 0.0
-    for tag, c in s.terms.items():
+    for tag, c in s.items():
         r = eval_tagged(tag, z1, z2, max_n)
         total += complex(c) * r.value
         bound += abs(c) * r.truncation_bound
@@ -141,7 +115,8 @@ def eval_sum(s, z1, z2, max_n=DEFAULT_MAX_N):
 # -- the two-variable harmonic expansion ------------------------------------
 
 def mpl_harmonic_expand(k, l):
-    """Expansion of Li_k(z1) Li_l(z2) into tagged 2MPL terms.
+    """Expansion of Li_k(z1) Li_l(z2) into a tagged sum of 2MPL terms,
+    every tag canonical.
 
     Splits the double summation domain by which variable carries the
     larger summation index and by how deep the interleaving reaches.
@@ -150,25 +125,26 @@ def mpl_harmonic_expand(k, l):
     if not k or not l:
         raise ValueError("both indices must be nonempty")
     i, j = len(k), len(l)
-    out = TaggedMplSum()
+    out = {}
 
     def emit(prefix, tail_product, first, orientation):
         for idx, c in tail_product.items():
             index = prefix + idx
-            out.add(_tag(index, (first, len(index) - first), orientation), c)
+            vec_add_into(out, {_tag(index, (first, len(index) - first),
+                                    orientation): c})
 
     for p in range(1, i):
         emit(k[:p] + (l[0],), index_harmonic(k[p:], l[1:]), p, "12")
         emit(k[:p] + (l[0] + k[p],), index_harmonic(k[p + 1:], l[1:]),
              p, "12")
-    out.add(_tag(k + l, (i, j), "12"), 1)
+    vec_add_into(out, {_tag(k + l, (i, j), "12"): 1})
     for p in range(1, j):
         emit(l[:p] + (k[0],), index_harmonic(l[p:], k[1:]), p, "21")
         emit(l[:p] + (k[0] + l[p],), index_harmonic(l[p + 1:], k[1:]),
              p, "21")
-    out.add(_tag(l + k, (j, i), "21"), 1)
+    vec_add_into(out, {_tag(l + k, (j, i), "21"): 1})
     emit((k[0] + l[0],), index_harmonic(k[1:], l[1:]), 0, "21")
-    return out.canonicalize()
+    return _canonical(out)
 
 
 # -- the preparation recursion ----------------------------------------------
@@ -183,31 +159,30 @@ def prepare2(index, numbering, k):
     """
     index = tuple(index)
     i, j = numbering
-    out = TaggedMplSum()
+    out = {}
     for s in range(i):
         pos = i - s
         ins = index[:pos] + (k,) + index[pos:]
-        out.add(_tag(ins, (pos, j + s + 1), "12"), 1)
+        vec_add_into(out, {_tag(ins, (pos, j + s + 1), "12"): 1})
         merged = index[:pos - 1] + (index[pos - 1] + k,) + index[pos:]
-        out.add(_tag(merged, (pos - 1, j + s + 1), "12"), 1)
-    out.add(_tag((k,) + index, (1, i + j), "21"), 1)
-    return out
+        vec_add_into(out, {_tag(merged, (pos - 1, j + s + 1), "12"): 1})
+    return vec_add_into(out, {_tag((k,) + index, (1, i + j), "21"): 1})
 
 
 def apply_operator(s, k):
     """Apply the weight-k second-variable integral operator to every
     term of a tagged sum."""
-    out = TaggedMplSum()
-    for (index, (i, j), orientation), c in s.terms.items():
+    out = {}
+    for (index, (i, j), orientation), c in s.items():
         if orientation in ("12", "prod"):
             # A "prod" term is the numbering-(0, j) case of either
             # orientation; treat it as orientation 12 with i = 0.
             piece = prepare2(index, (i, j), k)
         elif orientation == "21":
-            piece = TaggedMplSum.single((k,) + index, (i + 1, j), "21")
+            piece = {_tag((k,) + index, (i + 1, j), "21"): 1}
         else:
             raise ValueError(f"unknown orientation {orientation!r}")
-        out = out + piece.scale(c)
+        vec_add_into(out, piece, c)
     return out
 
 
@@ -215,10 +190,10 @@ def recursion_expand(k, l):
     """Li_k(z1) Li_l(z2) by iterating the integral operators of l
     (innermost entry first) on Li_k(i, 0; z1, z2)."""
     k, l = tuple(k), tuple(l)
-    s = TaggedMplSum.single(k, (len(k), 0), "12")
+    s = {_tag(k, (len(k), 0), "12"): 1}
     for weight in reversed(l):
         s = apply_operator(s, weight)
-    return s.canonicalize()
+    return _canonical(s)
 
 
 def all_indices(weight):
@@ -252,13 +227,6 @@ def equivalence_check(max_weight):
 
 # -- truncated multiple zeta values -----------------------------------------
 
-class MzvResult(namedtuple("MzvResult",
-                           "value truncation_bound terms_used")):
-    """A multiple zeta value (float), its bound (float) and the number
-    of series terms summed."""
-    __slots__ = ()
-
-
 # The letters dt/t and dt/(1-t) of an MZV word, written as the form
 # letters of main variable z1 so that word_to_term reads a word ending
 # in dt/(1-t) as the all-one term of its index.
@@ -273,7 +241,8 @@ def _li_half(word, max_n):
 
 def mzv_truncated(index, max_n=DEFAULT_MAX_N):
     """zeta(k1, ..., kr) by the Hoelder convolution at 1/2 (Borwein,
-    Bradley, Broadhurst and Lisonek, math/9910045), with a bound.
+    Bradley, Broadhurst and Lisonek, math/9910045), with a bound: an
+    EvalResult whose value is a float.
 
     Let w be the word of the index, each entry k giving
     omega0^(k-1) omega1 (omega0 = dt/t, omega1 = dt/(1-t)), outermost
@@ -298,7 +267,7 @@ def mzv_truncated(index, max_n=DEFAULT_MAX_N):
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     index = tuple(index)
     if not index:
-        return MzvResult(1.0, 0.0, 0)
+        return EvalResult(1.0, 0.0, 0)
     if any(k < 1 for k in index):
         raise ValueError(f"index entries must be positive: {index}")
     if index[0] < 2:
@@ -316,4 +285,4 @@ def mzv_truncated(index, max_n=DEFAULT_MAX_N):
         abs_sum += abs(value)
         terms += lower.terms_used + upper.terms_used
     k_eps = (len(word) + 2) * sys.float_info.epsilon
-    return MzvResult(total, bound + k_eps / (1.0 - k_eps) * abs_sum, terms)
+    return EvalResult(total, bound + k_eps / (1.0 - k_eps) * abs_sum, terms)

@@ -143,8 +143,8 @@ def term_to_word(t):
 
 class EvalResult(namedtuple("EvalResult",
                             "value truncation_bound terms_used")):
-    """A series value (complex), its bound (float) and the number of
-    terms summed."""
+    """A series value (complex; a float from harmonic.mzv_truncated),
+    its bound (float) and the number of terms summed."""
     __slots__ = ()
 
     def times(self, other):

@@ -161,16 +161,6 @@ def _reduce_word(word, direction):
     return out
 
 
-class NormalForm(namedtuple("NormalForm", "direction terms")):
-    """A polynomial written in the product basis of one direction:
-    terms maps (left word, right word) pairs to coefficients."""
-    __slots__ = ()
-
-    def as_poly(self):
-        return WordPoly(LIE_BASE,
-                        {w1 + w2: c for (w1, w2), c in self.terms.items()})
-
-
 def _split_pair(word, d):
     right = set(d.right_letters)
     cut = len(word)
@@ -184,20 +174,15 @@ def _split_pair(word, d):
     return w1, w2
 
 
-def _normalize(terms, direction):
-    """{word: coeff} rewritten to {(W', W''): coeff} in the product
-    basis of the named direction."""
-    acc = {}
-    for word, coeff in terms.items():
-        vec_add_into(acc, _reduce_word(word, direction), coeff)
-    return acc
-
-
 def normal_form(p, direction="1x2"):
     """Rewrite a polynomial over the Z letters into the product basis
-    of the requested direction."""
+    of the requested direction: {(W', W''): coeff}, W' over its left
+    letters and W'' over its right ones."""
     name = _as_direction(direction).name
-    return NormalForm(name, _normalize(p.terms, name))
+    acc = {}
+    for word, coeff in p.terms.items():
+        vec_add_into(acc, _reduce_word(word, name), coeff)
+    return acc
 
 
 def _admissible_rows(s, direction, columns):
@@ -243,24 +228,17 @@ def _z_word(fw):
     return tuple(_LIE[x] for x in fw)
 
 
-class OmegaKernel(namedtuple("OmegaKernel", "degree direction terms")):
-    """The degree-s kernel of the normalized fundamental solution with
-    its Z part reduced to the product basis of one direction:
-    terms maps (form word, (W', W'')) to coefficients.  Its expansion
-    over the admissible pairs is omega_decomposition."""
-    __slots__ = ()
-
-
 def omega_power(s, direction="1x2", cap=None):
     """Symbolic degree-s kernel, Z parts in normal form: each form word
-    w carries the normal form of alpha(Z(w)) applied to the identity."""
+    w carries the normal form of alpha(Z(w)) applied to the identity,
+    as {(w, (W', W'')): coeff}.  Its expansion over the admissible
+    pairs is omega_decomposition."""
     check_degree(s, cap)
     name = _as_direction(direction).name
-    terms = {(fw, pair): c
-             for fw in itertools.product(FORM_BASE, repeat=s)
-             for pair, c in normal_form(alpha_eval(_z_word(fw)),
-                                        name).terms.items()}
-    return OmegaKernel(degree=s, direction=name, terms=terms)
+    return {(fw, pair): c
+            for fw in itertools.product(FORM_BASE, repeat=s)
+            for pair, c in normal_form(alpha_eval(_z_word(fw)),
+                                       name).items()}
 
 
 def omega_decomposition(s, direction="1x2", cap=None):

@@ -23,7 +23,7 @@ def alpha_image_reducer(s, direction):
     dependent)."""
     red = RowReducer()
     for p in w0_pairs(s, direction):
-        if red.add(normal_form(alpha_pair(*p), direction).terms, p) is not None:
+        if red.add(normal_form(alpha_pair(*p), direction), p) is not None:
             raise BarlogError("alpha images of admissible pairs are dependent")
     return red
 
@@ -36,7 +36,7 @@ def omega_decomposition_by_solve(s, direction):
     coeffs = {p: {} for p in w0_pairs(s, direction)}
     for fw in itertools.product(FORM_BASE, repeat=s):
         image = alpha_eval(tuple(TO_Z[x] for x in fw))
-        rep = red.solve(normal_form(image, direction).terms)
+        rep = red.solve(normal_form(image, direction))
         if rep is None:
             raise ValueError(
                 "kernel does not lie in the span of the alpha images")

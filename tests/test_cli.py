@@ -404,6 +404,8 @@ def test_zero_terms_and_tol_are_rejected(capsys):
      "--terms (series_terms) must be positive, got -5"),
     (["relations", "--degree", "1", "--verify"], "tolerance = -1e-3\n",
      "--tol (tolerance) must be finite and positive, got -0.001"),
+    (["basis", "--degree", "1"], "format = xml\n",
+     "--format (format) must be json or text, got 'xml'"),
 ])
 def test_bad_setting_names_its_flag_and_key(tmp_path, capsys, argv, config,
                                             message):
@@ -594,6 +596,14 @@ def test_basis_degree_4_golden(capsys, argv, digest):
      "232246378ecb1b47331a9c9bb7f69e7aff9430602af1b60340b1f07974e14c81"),
     ("basis --degree 3 --format text",
      "47c6ac2b4c973fe4f2c67e36c13088553a4609dbad4ed2555a6990ccb286d2f6"),
+    # The terms in sorted tag order, and the numeric check's series
+    # summed in the expansion's own term order.
+    ("harmonic --left 2,1 --right 1,2 --numeric 0.3,0.4",
+     "241c3b62389897fa2cc1d37baa85ff3d0d05ce59203ba8847dcbc5e05ce103c9"),
+    ("harmonic --left 3,1,2 --right 2,1,1",
+     "4d94ea4428fdbdc6ad86c14547fdec6491de92951dde6e10aad3f473328830db"),
+    ("harmonic --left 2,1,1 --right 1,3 --numeric 0.3,0.4 --format text",
+     "97ad6a214351338e908a223cdf2ac847425ffa66b878715b65ee8b229c963c17"),
 ])
 def test_polynomial_outputs_golden(capsys, argv, digest):
     # SHA-256 of the stdout of each command while its polynomials were
@@ -602,3 +612,4 @@ def test_polynomial_outputs_golden(capsys, argv, digest):
     code, out, _ = capture(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+

@@ -8,9 +8,8 @@ import pytest
 
 from barlog.cli import Config
 from barlog.formspace import WedgeSpace
-from barlog.harmonic import MzvResult
 from barlog.hyperlog import EvalResult, HyperlogTerm, MplIndex
-from barlog.ipbenv import Direction, NormalForm, OmegaKernel
+from barlog.ipbenv import Direction
 from barlog.relgen import Relation
 
 T = HyperlogTerm(1, (2, 1), ("one", "param"))
@@ -27,8 +26,6 @@ RECORDS = [
      tuple),
     (EvalResult(0.5j, 1e-12, 3),
      "EvalResult(value=0.5j, truncation_bound=1e-12, terms_used=3)", tuple),
-    (MzvResult(1.25, 0.5, 10),
-     "MzvResult(value=1.25, truncation_bound=0.5, terms_used=10)", tuple),
     # A Direction is built from its theta maps and rules; the other
     # fields are derived from the theta maps.
     (Direction("1x2", {"Z1": "z1"}, {"Z2": "z2"}, {}),
@@ -38,11 +35,6 @@ RECORDS = [
      "right_alphabet=('z2',), left_map={'z1': 'z1', 'z11': None, "
      "'z2': None, 'z22': None, 'z12': None}, right_map={'z1': None, "
      "'z11': None, 'z2': 'z2', 'z22': None, 'z12': None})", None),
-    (NormalForm("1x2", {(("Z11",), ("Z22",)): 2}),
-     "NormalForm(direction='1x2', terms={(('Z11',), ('Z22',)): 2})", None),
-    (OmegaKernel(1, "2x1", {(("z11",), (("Z11",), ())): 1}),
-     "OmegaKernel(degree=1, direction='2x1', "
-     "terms={(('z11',), (('Z11',), ())): 1})", None),
     (WedgeSpace((("z1", "z2"),), 1, (), (("z1", "z2"),), {}),
      "WedgeSpace(pairs=(('z1', 'z2'),), dimension=1, relations=(), "
      "basis_pairs=(('z1', 'z2'),), coords={})", None),

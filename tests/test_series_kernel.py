@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from barlog import hyperlog
 from barlog.errors import DivergentTermError, DomainError
-from barlog.harmonic import MzvResult, all_indices, mzv_truncated
+from barlog.harmonic import all_indices, mzv_truncated
 from barlog.hyperlog import (ONE, PARAM, EvalResult, HyperlogTerm,
                              eval_series)
 from mp_series import DPS, mp_mzv, mzv_word
@@ -71,7 +71,7 @@ def reference_mzv_truncated(index, max_n=100000):
     index = tuple(index)
     r = len(index)
     if r == 0:
-        return MzvResult(1.0, 0.0, 0)
+        return EvalResult(1.0, 0.0, 0)
     if index[0] < 2:
         raise DivergentTermError(
             f"zeta{index} diverges: leading entry must be >= 2")
@@ -92,7 +92,7 @@ def reference_mzv_truncated(index, max_n=100000):
     im = 1.0 / (a * max_n ** a)
     for m in range(1, r):
         im = (1.0 + math.log(max_n)) ** m / (a * max_n ** a) + m / a * im
-    return MzvResult(total, im / math.factorial(r - 1), max_n)
+    return EvalResult(total, im / math.factorial(r - 1), max_n)
 
 
 @st.composite
