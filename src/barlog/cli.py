@@ -14,6 +14,7 @@ import math
 import re
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
 from itertools import chain
 
@@ -108,13 +109,43 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
-def to_json(x, indent="\n"):
-    """json.dumps(x, indent=2, sort_keys=True), byte for byte, without
-    the pure-Python encoder that json.dumps falls back to when indent is
-    set: strings and scalars go through the C encoder.  A WordPoly is
-    written as json.dumps writes its poly_to_dict (the dict form of
+class _Rendered(str):
+    """JSON text that json_chunks writes as it is."""
+    __slots__ = ()
+
+
+def json_chunks(x, indent="\n"):
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, in chunks,
+    without the pure-Python encoder that json.dumps falls back to when
+    indent is set: strings and scalars go through the C encoder.  A
+    dict, list, tuple or iterator is written one item at a time, so the
+    whole text is never held as one string; a tuple or an iterator is
+    written as a list.  A leaf is one chunk: _Rendered text as it is, and
+    a WordPoly as json.dumps writes its poly_to_dict (the dict form of
     tests/json_oracle.py).  Non-finite floats raise ValueError, as with
     allow_nan=False, so the output is always standard JSON."""
+    if isinstance(x, dict):
+        brackets = "{}"
+        items = ((_encode_str(k) + ": ", x[k]) for k in sorted(x))
+    elif isinstance(x, (list, tuple, Iterator)):
+        brackets = "[]"
+        items = (("", v) for v in x)
+    else:
+        yield _leaf_json(x, indent)
+        return
+    inner = indent + "  "
+    sep = brackets[0] + inner
+    for key, v in items:
+        yield sep + key
+        yield from json_chunks(v, inner)
+        sep = "," + inner
+    yield indent + brackets[1] if sep[0] == "," else brackets
+
+
+def _leaf_json(x, indent):
+    """A value that json_chunks writes as one chunk."""
+    if isinstance(x, _Rendered):
+        return x
     if isinstance(x, str):
         return _encode_str(x)
     # No WordPoly exists before words is loaded, and eval and harmonic
@@ -122,18 +153,6 @@ def to_json(x, indent="\n"):
     words = sys.modules.get(__package__ + ".words")
     if words and isinstance(x, words.WordPoly):
         return _poly_json(x, indent)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = indent + "  "
-        return ("{" + inner + ("," + inner).join(
-            _encode_str(k) + ": " + to_json(x[k], inner) for k in sorted(x))
-            + indent + "}")
-    if isinstance(x, (list, tuple)):
-        inner = indent + "  "
-        if all(isinstance(v, str) for v in x):
-            return _list_json(map(_encode_str, x), indent)
-        return _list_json((to_json(v, inner) for v in x), indent)
     return _encode_scalar(x)
 
 
@@ -152,8 +171,8 @@ def _word_json(word, indent):
 
 
 def _poly_json(p, indent):
-    """to_json(poly_to_dict(p), indent), with the dict form of
-    tests/json_oracle.py, without building a dict per term:
+    """json_chunks(poly_to_dict(p), indent) as one chunk, with the dict
+    form of tests/json_oracle.py, without building a dict per term:
     {"alphabet": [...], "terms": [{"coeff", "word"}, ...]}."""
     i1 = indent + "  "
     i2 = i1 + "  "
@@ -181,12 +200,12 @@ def _write(chunks, out):
         sys.stdout.writelines(chunks)
 
 
-def _emit(payload, cfg, out, renderer):
-    if cfg.format == "json":
-        text = to_json(payload) + "\n"
-    else:
-        text = renderer(payload)
-    _write((text,), out)
+def _emit(payload, text, cfg, out):
+    """Write the payload by json_chunks, or in text format the chunks
+    that text() yields.  Each handler computes everything that can fail
+    before it calls this, so a failing command writes no output."""
+    _write(chain(json_chunks(payload), ("\n",)) if cfg.format == "json"
+           else text(), out)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -206,12 +225,12 @@ def _cmd_basis(args, cfg):
         "elements": basis,
     }
 
-    def render(p):
-        lines = [f"degree: {p['degree']}", f"dimension: {p['dimension']}"]
-        lines += [repr(b) for b in basis]
-        return "\n".join(lines) + "\n"
+    def text():
+        yield f"degree: {args.degree}\ndimension: {len(basis)}\n"
+        for b in basis:
+            yield f"{b!r}\n"
 
-    _emit(payload, cfg, args.out, render)
+    _emit(payload, text, cfg, args.out)
     return 0
 
 
@@ -221,9 +240,8 @@ def _cmd_phi(args, cfg):
     w1 = parse_z_word(args.w1)
     w2 = parse_z_word(args.w2)
     p = phi(w1, w2, direction=args.direction, cap=cfg.degree_cap)
-    payload = {"w1": list(w1), "w2": list(w2), "direction": args.direction,
-               "phi": p}
-    _emit(payload, cfg, args.out, lambda d: repr(p) + "\n")
+    payload = {"w1": w1, "w2": w2, "direction": args.direction, "phi": p}
+    _emit(payload, lambda: (f"{p!r}\n",), cfg, args.out)
     return 0
 
 
@@ -241,19 +259,16 @@ def _cmd_relations(args, cfg):
             rep = verify_relation(r, points, cfg.series_terms, cfg.tolerance)
             checks.append((all(entry["passed"] for entry in rep),
                            max(entry["residual"] for entry in rep)))
-    if cfg.format == "json":
-        head = (f'{{\n  "count": {len(relations)},'
-                f'\n  "degree": {args.degree},\n  "relations": ')
-        items = _stream_list((_relation_json(r, *check)
-                              for r, check in zip(relations, checks)),
-                             "\n  ")
-        tail = "\n}\n"
-    else:
-        head = f"degree: {args.degree}\ncount: {len(relations)}\n"
-        items = (_relation_line(r, verified)
-                 for r, (verified, _) in zip(relations, checks))
-        tail = ""
-    _write(chain((head,), items, (tail,)), args.out)
+    payload = {"count": len(relations), "degree": args.degree,
+               "relations": (_relation_json(r, *check)
+                             for r, check in zip(relations, checks))}
+
+    def text():
+        yield f"degree: {args.degree}\ncount: {len(relations)}\n"
+        for r, (verified, _) in zip(relations, checks):
+            yield _relation_line(r, verified)
+
+    _emit(payload, text, cfg, args.out)
     return 1 if any(verified is False for verified, _ in checks) else 0
 
 
@@ -265,16 +280,6 @@ def _relation_line(r, verified):
     return r.render() + flag + mark + "\n"
 
 
-def _stream_list(items, indent):
-    """_list_json(items, indent) in chunks, one per item, so that the
-    whole list is never held as one string."""
-    sep = "[" + indent + "  "
-    for item in items:
-        yield sep + item
-        sep = "," + indent + "  "
-    yield "[]" if sep[0] == "[" else indent + "]"
-
-
 # Indents, in the relations output, of a relation, of its fields, of
 # an entry of its lhs or rhs, and of that entry's fields.
 _RELATION = "\n    "
@@ -284,9 +289,9 @@ _ENTRY_FIELD = _ENTRY + "  "
 
 
 def _relation_json(r, verified=None, residual=None):
-    """to_json(relation_to_dict(r, verified, residual), _RELATION), with
-    the dict form of tests/json_oracle.py, written straight from the
-    Relation."""
+    """json_chunks(relation_to_dict(r, verified, residual), _RELATION) as
+    one chunk, with the dict form of tests/json_oracle.py, written
+    straight from the Relation."""
     lhs = _list_json((f'{{{_ENTRY_FIELD}"coeff": "1",'
                       f'{_ENTRY_FIELD}"term": {_encode_str(t.render())}'
                       f'{_ENTRY}}}' for t in r.lhs), _FIELD)
@@ -302,13 +307,8 @@ def _relation_json(r, verified=None, residual=None):
         fields.append(f'"verified": {_encode_scalar(verified)}')
     fields += [f'"w1": {_word_json(r.w1, _FIELD)}',
                f'"w2": {_word_json(r.w2, _FIELD)}']
-    return "{" + _FIELD + ("," + _FIELD).join(fields) + _RELATION + "}"
-
-
-def _sum_payload(s):
-    return [{"index": list(index), "numbering": list(numbering),
-             "orientation": orientation, "coeff": str(c)}
-            for (index, numbering, orientation), c in sorted(s.items())]
+    return _Rendered(
+        "{" + _FIELD + ("," + _FIELD).join(fields) + _RELATION + "}")
 
 
 def _index_arg(flag, text):
@@ -333,8 +333,11 @@ def _cmd_harmonic(args, cfg):
     right = _index_arg("--right", args.right)
     expansion = mpl_harmonic_expand(left, right)
     matches = expansion == recursion_expand(left, right)
-    payload = {"left": list(left), "right": list(right),
-               "terms": _sum_payload(expansion),
+    terms = sorted(expansion.items())
+    payload = {"left": left, "right": right,
+               "terms": ({"index": index, "numbering": numbering,
+                          "orientation": orientation, "coeff": str(c)}
+                         for (index, numbering, orientation), c in terms),
                "recursion_matches": matches}
     failed = not matches
     if args.numeric:
@@ -354,16 +357,14 @@ def _cmd_harmonic(args, cfg):
         if not within_bound(residual, bound, cfg.tolerance):
             failed = True
 
-    def render(p):
-        lines = [f"Li{tuple(left)}(z1) * Li{tuple(right)}(z2) ="]
-        for t in p["terms"]:
-            lines.append(f"  {t['coeff']} * Li_{t['index']}"
-                         f"{tuple(t['numbering'])} [{t['orientation']}]")
-        if "residual" in p:
-            lines.append(f"residual: {p['residual']:.3e}")
-        return "\n".join(lines) + "\n"
+    def text():
+        yield f"Li{left}(z1) * Li{right}(z2) =\n"
+        for (index, numbering, orientation), c in terms:
+            yield f"  {c} * Li_{list(index)}{numbering} [{orientation}]\n"
+        if "residual" in payload:
+            yield f"residual: {payload['residual']:.3e}\n"
 
-    _emit(payload, cfg, args.out, render)
+    _emit(payload, text, cfg, args.out)
     return 1 if failed else 0
 
 
@@ -376,9 +377,9 @@ def _cmd_eval(args, cfg):
                "value": [r.value.real, r.value.imag],
                "bound": _finite_or_none(r.truncation_bound),
                "terms_used": r.terms_used}
-    _emit(payload, cfg, args.out,
-          lambda p: f"{term.render()} = {r.value!r} "
-                    f"(bound {r.truncation_bound:.3e})\n")
+    _emit(payload, lambda: (f"{term.render()} = {r.value!r} "
+                            f"(bound {r.truncation_bound:.3e})\n",),
+          cfg, args.out)
     return 0
 
 
@@ -387,22 +388,20 @@ def _cmd_decompose(args, cfg):
 
     decomposition = omega_decomposition(args.degree, args.direction,
                                         cap=cfg.degree_cap)
-    pairs = [{"w1": list(w1), "w2": list(w2),
-              "coefficient": decomposition[w1, w2]}
+    pairs = [{"w1": w1, "w2": w2, "coefficient": decomposition[w1, w2]}
              for w1, w2 in w0_pairs(args.degree, args.direction)]
     payload = {"degree": args.degree, "direction": args.direction,
                "pairs": pairs}
 
-    def render(p):
-        lines = [f"degree: {p['degree']}  direction: {p['direction']}"]
-        for rec in p["pairs"]:
-            lines.append(f"({','.join(rec['w1']) or '1'}) x "
-                         f"({','.join(rec['w2']) or '1'}): "
-                         + " + ".join(f"{c}*({','.join(w)})" for w, c
-                                      in rec["coefficient"].sorted_terms()))
-        return "\n".join(lines) + "\n"
+    def text():
+        yield f"degree: {args.degree}  direction: {args.direction}\n"
+        for rec in pairs:
+            yield (f"({','.join(rec['w1']) or '1'}) x "
+                   f"({','.join(rec['w2']) or '1'}): "
+                   + " + ".join(f"{c}*({','.join(w)})" for w, c
+                                in rec["coefficient"].sorted_terms()) + "\n")
 
-    _emit(payload, cfg, args.out, render)
+    _emit(payload, text, cfg, args.out)
     return 0
 
 
@@ -418,23 +417,18 @@ def _cmd_verify(args, cfg):
     rel_ok = all(entry["passed"] for rep in reports for entry in rep)
     payload = {
         "degree": args.degree,
-        "point": list(point),
-        "decomposition": {k: (list(v) if isinstance(v, tuple) else v)
-                          for k, v in check.items()}
-                         | {"bound": _finite_or_none(check["bound"])},
+        "point": point,
+        "decomposition": check | {"bound": _finite_or_none(check["bound"])},
         "relations_checked": len(relations),
         "relations_ok": rel_ok,
         "passed": bool(check["passed"] and rel_ok),
     }
-
-    def render(p):
-        return (f"decomposition degree {p['degree']}: "
-                f"{'pass' if check['passed'] else 'FAIL'} "
-                f"(residual {check['residual']:.3e})\n"
-                f"relations: {p['relations_checked']} checked, "
-                f"{'all pass' if rel_ok else 'FAILURES'}\n")
-
-    _emit(payload, cfg, args.out, render)
+    _emit(payload, lambda: (
+        f"decomposition degree {args.degree}: "
+        f"{'pass' if check['passed'] else 'FAIL'} "
+        f"(residual {check['residual']:.3e})\n"
+        f"relations: {len(relations)} checked, "
+        f"{'all pass' if rel_ok else 'FAILURES'}\n",), cfg, args.out)
     return 0 if payload["passed"] else 1
 
 

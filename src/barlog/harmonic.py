@@ -21,9 +21,17 @@ from __future__ import annotations
 import sys
 
 from .errors import DivergentTermError
-from .hyperlog import (DEFAULT_MAX_N, EvalResult, MplIndex, eval_series,
-                       word_to_term)
+from .defaults import DEFAULT_MAX_N
+from .hyperlog import EvalResult, MplIndex, eval_series, word_to_term
 from .linalg import vec_add_into
+
+
+def _positive(index):
+    """index as a tuple, every entry checked to be positive."""
+    index = tuple(index)
+    if any(k < 1 for k in index):
+        raise ValueError(f"index entries must be positive: {index}")
+    return index
 
 
 def _prefixed(head, product):
@@ -65,11 +73,6 @@ def closed_harmonic_expand(k, l):
 # "12" for Li(i, j; z1, z2), "21" for Li(i, j; z2, z1), and "prod" for
 # the numbering-(0, j) functions of the product z1*z2 (either
 # orientation collapses to the same function).
-
-
-def _tag(index, numbering, orientation):
-    MplIndex(index, numbering)  # validate
-    return (tuple(index), tuple(numbering), orientation)
 
 
 def canonical_tag(tag):
@@ -120,8 +123,9 @@ def mpl_harmonic_expand(k, l):
 
     Splits the double summation domain by which variable carries the
     larger summation index and by how deep the interleaving reaches.
+    An index entry below 1 raises ValueError.
     """
-    k, l = tuple(k), tuple(l)
+    k, l = _positive(k), _positive(l)
     if not k or not l:
         raise ValueError("both indices must be nonempty")
     i, j = len(k), len(l)
@@ -130,19 +134,19 @@ def mpl_harmonic_expand(k, l):
     def emit(prefix, tail_product, first, orientation):
         for idx, c in tail_product.items():
             index = prefix + idx
-            vec_add_into(out, {_tag(index, (first, len(index) - first),
-                                    orientation): c})
+            vec_add_into(out, {(index, (first, len(index) - first),
+                                orientation): c})
 
     for p in range(1, i):
         emit(k[:p] + (l[0],), index_harmonic(k[p:], l[1:]), p, "12")
         emit(k[:p] + (l[0] + k[p],), index_harmonic(k[p + 1:], l[1:]),
              p, "12")
-    vec_add_into(out, {_tag(k + l, (i, j), "12"): 1})
+    vec_add_into(out, {(k + l, (i, j), "12"): 1})
     for p in range(1, j):
         emit(l[:p] + (k[0],), index_harmonic(l[p:], k[1:]), p, "21")
         emit(l[:p] + (k[0] + l[p],), index_harmonic(l[p + 1:], k[1:]),
              p, "21")
-    vec_add_into(out, {_tag(l + k, (j, i), "21"): 1})
+    vec_add_into(out, {(l + k, (j, i), "21"): 1})
     emit((k[0] + l[0],), index_harmonic(k[1:], l[1:]), 0, "21")
     return _canonical(out)
 
@@ -163,10 +167,10 @@ def prepare2(index, numbering, k):
     for s in range(i):
         pos = i - s
         ins = index[:pos] + (k,) + index[pos:]
-        vec_add_into(out, {_tag(ins, (pos, j + s + 1), "12"): 1})
+        vec_add_into(out, {(ins, (pos, j + s + 1), "12"): 1})
         merged = index[:pos - 1] + (index[pos - 1] + k,) + index[pos:]
-        vec_add_into(out, {_tag(merged, (pos - 1, j + s + 1), "12"): 1})
-    return vec_add_into(out, {_tag((k,) + index, (1, i + j), "21"): 1})
+        vec_add_into(out, {(merged, (pos - 1, j + s + 1), "12"): 1})
+    return vec_add_into(out, {((k,) + index, (1, i + j), "21"): 1})
 
 
 def apply_operator(s, k):
@@ -179,7 +183,7 @@ def apply_operator(s, k):
             # orientation; treat it as orientation 12 with i = 0.
             piece = prepare2(index, (i, j), k)
         elif orientation == "21":
-            piece = {_tag((k,) + index, (i + 1, j), "21"): 1}
+            piece = {((k,) + index, (i + 1, j), "21"): 1}
         else:
             raise ValueError(f"unknown orientation {orientation!r}")
         vec_add_into(out, piece, c)
@@ -188,9 +192,10 @@ def apply_operator(s, k):
 
 def recursion_expand(k, l):
     """Li_k(z1) Li_l(z2) by iterating the integral operators of l
-    (innermost entry first) on Li_k(i, 0; z1, z2)."""
-    k, l = tuple(k), tuple(l)
-    s = {_tag(k, (len(k), 0), "12"): 1}
+    (innermost entry first) on Li_k(i, 0; z1, z2).  An index entry
+    below 1 raises ValueError."""
+    k, l = _positive(k), _positive(l)
+    s = {(k, (len(k), 0), "12"): 1}
     for weight in reversed(l):
         s = apply_operator(s, weight)
     return _canonical(s)
@@ -265,11 +270,9 @@ def mzv_truncated(index, max_n=DEFAULT_MAX_N):
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    index = tuple(index)
+    index = _positive(index)
     if not index:
         return EvalResult(1.0, 0.0, 0)
-    if any(k < 1 for k in index):
-        raise ValueError(f"index entries must be positive: {index}")
     if index[0] < 2:
         raise DivergentTermError(
             f"zeta{index} diverges: leading entry must be >= 2")

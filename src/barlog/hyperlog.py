@@ -26,7 +26,7 @@ import sys
 from collections import namedtuple
 from functools import cache, lru_cache
 
-from .defaults import DEFAULT_MAX_N, DEFAULT_TOL  # noqa: F401
+from .defaults import DEFAULT_MAX_N
 from .errors import AlphabetError, DivergentTermError, DomainError
 
 ONE = "one"
@@ -197,7 +197,8 @@ def _rounding_estimate(r, n, abs_sum):
     sqrt(5) u (a complex product) or u relative, with u = eps / 2, so to
     first order the computed total is within this estimate of the exact
     one, provided the partial sums of C do not cancel far below their
-    terms; ROADMAP 3(f) records that assumption.
+    terms; the ROADMAP item on proven rounding bounds records that
+    assumption.
     """
     k_eps = 2 * (r + 1) * (n + 1) * _EPS
     return k_eps / (1.0 - k_eps) * abs_sum
@@ -219,9 +220,10 @@ def nested_sum(alphas, ks, z, max_n):
     tail bound plus the rounding estimate at n; the tail part is proven
     (inf where its majorant does not converge), the rounding part is a
     first-order count that assumes the sums C do not cancel far below
-    their terms (ROADMAP 3(f)).  The terms are computed the same way
-    wherever the sum stops.  An index entry k for which n**k leaves the
-    float range before the sum stops raises DomainError.
+    their terms (the ROADMAP item on proven rounding bounds).  The terms
+    are computed the same way wherever the sum stops.  An index entry k
+    for which n**k leaves the float range before the sum stops raises
+    DomainError.
     """
     r = len(ks)
     T = [0j] * r

@@ -20,10 +20,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
+from .defaults import DEFAULT_MAX_N, DEFAULT_TOL
 from .duality import phi, theta_pair
 from .errors import BarlogError
-from .hyperlog import (DEFAULT_MAX_N, DEFAULT_TOL, eval_series, within_bound,
-                       word_to_term)
+from .hyperlog import eval_series, within_bound, word_to_term
 from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, omega_decomposition,
                      w0_pairs, _admissible_rows, _reduce_word)
 from .words import TensorPoly

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from barlog import ipbenv
 from barlog import cli
-from barlog.cli import Config, load_config, parse_term, run, to_json
+from barlog.cli import Config, json_chunks, load_config, parse_term, run
 from barlog.harmonic import eval_sum, eval_tagged, mpl_harmonic_expand
 from barlog.hyperlog import ONE, PARAM, HyperlogTerm
 from barlog.ipbenv import DEFAULT_DEGREE_CAP
@@ -215,7 +215,7 @@ def test_infinite_bound_is_written_as_null(capsys):
 def test_non_finite_floats_are_rejected():
     for x in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
-            to_json({"a": [1, x]})
+            "".join(json_chunks({"a": [1, x]}))
 
 
 @pytest.mark.parametrize("term, entry", [("L[2,300|one,one]@z1", "300"),
@@ -246,6 +246,7 @@ _json_scalars = (st.none() | st.booleans() | st.integers()
 _json_values = st.recursive(
     _json_scalars,
     lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
                       | st.lists(st.text(max_size=4), max_size=5)
                       | st.dictionaries(st.text(max_size=6), children,
                                         max_size=5)),
@@ -254,8 +255,8 @@ _json_values = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
-def test_to_json_matches_indented_json_dumps(x):
-    assert to_json(x) == json.dumps(x, indent=2, sort_keys=True)
+def test_json_chunks_match_indented_json_dumps(x):
+    assert "".join(json_chunks(x)) == json.dumps(x, indent=2, sort_keys=True)
 
 
 _polys = st.sampled_from((FORM_BASE, LIE_BASE)).flatmap(
@@ -286,11 +287,11 @@ def _polys_as_dicts(x):
 @example(WordPoly.zero(FORM_BASE))
 @example({"a": [WordPoly.unit(LIE_BASE)]})
 @example([WordPoly(FORM_BASE, {("z12", "z1"): Fraction(-3, 4), (): 2})])
-def test_to_json_renders_a_polynomial_as_its_dict(x):
+def test_json_chunks_render_a_polynomial_as_its_dict(x):
     # A WordPoly is written straight from its terms, in the text
     # json.dumps gives json_oracle.poly_to_dict of it, at any indent.
-    assert to_json(x) == json.dumps(_polys_as_dicts(x), indent=2,
-                                    sort_keys=True)
+    assert "".join(json_chunks(x)) == json.dumps(_polys_as_dicts(x),
+                                                 indent=2, sort_keys=True)
 
 
 def test_decompose(capsys):
@@ -518,7 +519,7 @@ def test_relations_degree_5_golden(capsys):
 def test_streamed_relations_equal_the_dict_payload(tmp_path, capsys, degree,
                                                    verify):
     # relations writes each relation straight from its Relation; the
-    # reference is to_json of the relation_to_dict payload.
+    # reference is json_chunks of the relation_to_dict payload.
     argv = ["relations", "--degree", str(degree)] + ["--verify"] * verify
     records = []
     for r in generate_all(degree):
@@ -528,8 +529,8 @@ def test_streamed_relations_equal_the_dict_payload(tmp_path, capsys, degree,
             checked = {"verified": all(e["passed"] for e in report),
                        "residual": max(e["residual"] for e in report)}
         records.append(relation_to_dict(r, **checked))
-    expected = to_json({"degree": degree, "count": len(records),
-                        "relations": records}) + "\n"
+    expected = "".join(json_chunks({"degree": degree, "count": len(records),
+                                    "relations": records})) + "\n"
     assert capture(capsys, argv) == (0, expected, "")
     target = tmp_path / "relations.json"
     assert capture(capsys, argv + ["--out", str(target)]) == (0, "", "")
@@ -538,10 +539,27 @@ def test_streamed_relations_equal_the_dict_payload(tmp_path, capsys, degree,
 
 @pytest.mark.parametrize("items", [[], ["1"], ['"a"', "[]", "{}"]])
 def test_streamed_list_equals_the_whole_list(items):
-    for indent in ("\n", "\n  "):
-        assert ("".join(cli._stream_list(iter(items), indent))
-                == cli._list_json(items, indent)
-                == to_json(list(map(json.loads, items)), indent))
+    # A list, a tuple and an iterator are written alike, at any depth, as
+    # json.dumps writes the list; so is _list_json of the items' text.
+    values = list(map(json.loads, items))
+    for wrap in (lambda v: v, lambda v: {"a": [v]}):
+        expected = json.dumps(wrap(values), indent=2, sort_keys=True)
+        for x in (values, tuple(values), iter(values)):
+            assert "".join(json_chunks(wrap(x))) == expected
+    assert cli._list_json(items, "\n") == json.dumps(values, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    "decompose --degree 3", "decompose --degree 3 --format text",
+    "basis --degree 2", "relations --degree 3"])
+def test_output_is_written_in_chunks(monkeypatch, capsys, argv):
+    # No command builds its whole output as one string before writing.
+    _, expected, _ = capture(capsys, argv.split())
+    chunks = []
+    monkeypatch.setattr(cli, "_write", lambda it, out: chunks.extend(it))
+    assert run(argv.split()) == 0
+    assert len(chunks) > 1
+    assert "".join(chunks) == expected
 
 
 @pytest.mark.parametrize("argv, digest", [

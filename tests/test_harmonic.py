@@ -97,6 +97,7 @@ def test_non_positive_indices_are_rejected():
         with pytest.raises(ValueError, match="must be positive"):
             mzv_truncated(index, 100)
     for k, l in (((-1, 2), (1,)), ((0,), (1,)), ((2,), (1, 0))):
-        with pytest.raises(ValueError, match="must be positive"):
-            mpl_harmonic_expand(k, l)
+        for expand in (mpl_harmonic_expand, recursion_expand):
+            with pytest.raises(ValueError, match="must be positive"):
+                expand(k, l)
 
