@@ -206,7 +206,11 @@ def _rounding_estimate(r, n, abs_sum):
 
 def nested_sum(alphas, ks, z, max_n):
     """(total, n, bound) of the nested series sum over m <= n of
-    z^m T[0](m), on complex numbers.
+    z^m T[0](m).  The arithmetic follows the inputs: floats when z and
+    every alpha are floats, complex numbers when any is complex; total
+    is returned as a complex either way.  For real operands complex
+    +, * and / give the float result in the real part and +-0.0 in the
+    imaginary part, so both give the same bits.
 
     T[j](m) is the inner sum with the j-th summation index fixed at m,
     including its own 1/m^k_j and geometric factors; C[j] accumulates
@@ -226,13 +230,17 @@ def nested_sum(alphas, ks, z, max_n):
     DomainError.
     """
     r = len(ks)
-    T = [0j] * r
-    C = [0j] * (r - 1)
+    if isinstance(z, float) and all(isinstance(a, float) for a in alphas):
+        zero, one = 0.0, 1.0
+    else:
+        zero, one = 0j, 1 + 0j
+    T = [zero] * r
+    C = [zero] * (r - 1)
     inner = range(r - 1)
     a_last, k_last = alphas[r - 1], ks[r - 1]
     q = abs(z) * max(1.0, *map(abs, alphas))
-    ar_pow = z_pow = 1 + 0j
-    total = 0j
+    ar_pow = z_pow = one
+    total = zero
     abs_sum = 0.0
     n = 0
     try:
@@ -250,7 +258,7 @@ def nested_sum(alphas, ks, z, max_n):
             tail = _tail_bound(q, ks[0], r, n)
             rounding = _rounding_estimate(r, n, abs_sum)
             if n >= max_n or tail <= rounding:
-                return total, n, tail + rounding
+                return complex(total), n, tail + rounding
     except OverflowError:
         k = max(ks)
         raise DomainError(
@@ -260,7 +268,7 @@ def nested_sum(alphas, ks, z, max_n):
 
 @lru_cache(maxsize=4096)
 def _series(ks, letters, z, param, max_n):
-    alphas = [1.0 + 0j if a == ONE else param for a in letters]
+    alphas = [1.0 if a == ONE else param for a in letters]
     total, n, bound = nested_sum(alphas, ks, z, max_n)
     return EvalResult(total, bound, n)
 
@@ -274,14 +282,26 @@ def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     proven tail bound plus the first-order rounding estimate (see
     nested_sum; inf where the cap is too small for the tail majorant to
     converge), and terms_used is the number of terms summed; the value
-    is the plain loop's value at that length.  Identical (index,
-    letters, z, param, max_n) evaluations are cached in a bounded LRU of
-    4096 entries; _series.cache_clear() empties it.  -0.0 and +0.0
-    share an entry safely: signed zeros change no nonzero part, and the
-    running sum, which starts at +0.0, never ends at -0.0.
+    is the plain loop's value at that length.  max_n must be an int
+    >= 1 (else ValueError).
+
+    Coordinates that are both int or float are summed in floats, and
+    any others (complex, or another number type) as complex numbers
+    (see nested_sum); the value is complex either way.  Identical (index, letters, z,
+    param, max_n) evaluations are cached in a bounded LRU of 4096
+    entries; _series.cache_clear() empties it.  A real point and the
+    same point given as complex are one key, which is safe because
+    both give the same bits (tested).  -0.0 and +0.0 share an entry
+    safely too: signed zeros change no nonzero part, and the running
+    sum, which starts at +0.0, never ends at -0.0.
     """
-    z = complex(z1 if t.main_var == 1 else z2)
-    param = complex(z2 if t.main_var == 1 else z1)
+    if not (isinstance(max_n, int) and max_n >= 1):
+        raise ValueError(f"max_n must be an int >= 1, got {max_n!r}")
+    z, param = (z1, z2) if t.main_var == 1 else (z2, z1)
+    if isinstance(z, (int, float)) and isinstance(param, (int, float)):
+        z, param = float(z), float(param)
+    else:
+        z, param = complex(z), complex(param)
     if t.depth == 0:
         return EvalResult(complex(1.0), 0.0, 0)
     # Written negated so that a NaN coordinate fails too.
@@ -361,10 +381,11 @@ def eval_quadrature(p, path, tol=1e-10, max_refine=7):
     words at once (see _level_integrals); panels are refined (doubled)
     until two successive evaluations differ by less than tol / 2, and
     DomainError, giving the last difference and tol, is raised when
-    max_refine doublings do not reach that.  A start at a singular
-    point (such as the origin) needs no special panels, since every
-    integral accepted there is analytic on the first leg (see the
-    quadrature module).  DivergentTermError rejects, before any panel
+    max_refine doublings do not reach that.  tol must be finite and
+    positive and max_refine an int >= 0 (else ValueError).  A start at
+    a singular point (such as the origin) needs no special panels,
+    since every integral accepted there is analytic on the first leg
+    (see the quadrature module).  DivergentTermError rejects, before any panel
     is built, the words whose integral from such a start diverges: an
     innermost letter that is pure-log or singular at the start, or a
     letter with a double pole there.

@@ -18,6 +18,14 @@ there; so by induction every iterated integral along that leg is O(t)
 and analytic, and the next letter's simple pole times it is analytic
 again.  Words that break these conditions diverge and are rejected
 before any panel is built.
+
+A path whose coordinates are all int or float is integrated in floats,
+and any other path (one with a complex coordinate, say) in complex
+numbers.  For real operands complex +, * and /
+give the float result in the real part and +-0.0 in the imaginary
+part, so on CPython 3.10 and 3.11 a real path and the same path as
+complex give the same bits (tested).  From 3.12 on, sum() adds floats
+with compensation, so there the two may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -103,7 +111,7 @@ def _form_pullback(tag, z1, z2, dz1, dz2):
     of a linear leg with derivative (dz1, dz2).  Components with zero
     derivative are skipped, so axis-riding legs never divide by zero.
     Plain arithmetic, so z1 and z2 may also be arrays of points."""
-    out = 0j
+    out = 0.0
     if tag == "z1":
         if dz1 != 0:
             out = dz1 / z1
@@ -159,7 +167,7 @@ def _level_integrals(words, segments):
     pullbacks = {}
     # chain[j] = (letter, node values or None, integral) of a suffix of
     # length j; the empty suffix has node values 1.
-    chain = [(None, None, 1.0 + 0j)]
+    chain = [(None, None, 1.0)]
     out = {}
     for word in sorted(words, key=lambda w: w[::-1]):
         k = 0
@@ -180,7 +188,7 @@ def _level_integrals(words, segments):
                 g = list(map(mul, g, inner))
             keep = word[j:] in proper
             nodes = [] if keep else None
-            start = 0j
+            start = 0.0
             for lo in range(0, len(g), _GL_N):
                 gp = g[lo:lo + _GL_N]
                 if keep:
@@ -260,7 +268,15 @@ def _check_start(words, path, vanishing):
 def iterated_integral(p, path, tol, max_refine):
     """Iterated integral of a form polynomial along a polyline; see
     hyperlog.eval_quadrature."""
-    path = [(complex(a), complex(b)) for a, b in path]
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not (isinstance(max_refine, int) and max_refine >= 0):
+        raise ValueError(
+            f"max_refine must be an int >= 0, got {max_refine!r}")
+    path = list(path)
+    number = (float if all(isinstance(z, (int, float)) for point in path
+                           for z in point) else complex)
+    path = [(number(a), number(b)) for a, b in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
     if not all(cmath.isfinite(z) for point in path for z in point):

@@ -9,6 +9,8 @@ refinement loop, reduced to a graded-start flag and a count of the
 levels it built.
 """
 
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -226,6 +228,17 @@ def no_panels(monkeypatch):
     monkeypatch.setattr(quadrature, "_build_panels", build)
 
 
+def test_bad_tol_or_max_refine_is_rejected(no_panels):
+    p = WordPoly.monomial(FORM_BASE, ("z11",))
+    path = [(0.1, 0.1), (0.5, 0.2)]
+    for tol in (float("nan"), 0, -1, float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            eval_quadrature(p, path, tol=tol)
+    for max_refine in (-1, 2.5):
+        with pytest.raises(ValueError, match="max_refine must be an int"):
+            eval_quadrature(p, path, max_refine=max_refine)
+
+
 def test_non_finite_path_is_a_domain_error(no_panels):
     # Rejected before any panel is built, as eval_series rejects NaN.
     p = WordPoly.monomial(FORM_BASE, ("z11",))
@@ -285,3 +298,35 @@ def test_refinement_levels_match_per_panel_loop(monkeypatch):
         ref_value, ref_levels = reference_eval_quadrature(p, path, True)
         assert levels[-1] == ref_levels, (w1, w2)
         assert abs(value - ref_value) <= 1e-12, (w1, w2)
+
+
+# Contours with negative coordinates and a signed zero, off the axes
+# but at the start.
+_REAL_CONTOURS = [
+    [(0.0, 0.0), (-0.3, 0.25), (-0.45, 0.35)],
+    [(0.0, -0.0), (-0.3, -0.2), (-0.1, -0.45)],
+    [(0.2, -0.1), (0.45, -0.3), (0.3, -0.05)],
+]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="sum() compensates float sums from Python 3.12 "
+                           "on, and only from 3.14 on complex ones")
+@pytest.mark.parametrize("path", _REAL_CONTOURS)
+def test_real_contour_equals_the_same_contour_as_complex(path):
+    # Real points are integrated in floats, complex ones in complex
+    # arithmetic; every value agrees bit for bit, and so does each word
+    # of one level, whose complex value has a zero imaginary part.
+    pairs = [pair for s in (1, 2, 3) for pair in w0_pairs(s, "1x2")][::4]
+    as_complex = [(complex(a), complex(b)) for a, b in path]
+    for w1, w2 in pairs:
+        p = phi(w1, w2, direction="1x2")
+        real = eval_quadrature(p, path)
+        assert repr(real) == repr(eval_quadrature(p, as_complex)), (w1, w2)
+    words = list(p.terms)
+    real, cplx = (quadrature._level_integrals(
+        words, quadrature._build_panels(points, 2))
+        for points in (path, as_complex))
+    for w in words:
+        assert type(real[w]) is float and cplx[w].imag == 0, w
+        assert repr(real[w]) == repr(cplx[w].real), w

@@ -133,7 +133,7 @@ def assert_matches_reference_loop(t, z1, z2, max_n):
 
 @settings(max_examples=200, deadline=None)
 @given(t=terms(), main=mains, param=params,
-       max_n=st.one_of(st.integers(0, 300), st.just(100000)))
+       max_n=st.one_of(st.integers(1, 300), st.just(100000)))
 def test_eval_series_matches_reference_loop(t, main, param, max_n):
     z1, z2 = (main, param) if t.main_var == 1 else (param, main)
     hyperlog._series.cache_clear()
@@ -247,6 +247,36 @@ def test_real_and_complex_points_share_an_entry():
     assert a == b
     info = hyperlog._series.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (1, 1, 4096)
+
+
+# Real coordinates as eval_series meets them: signs, signed zeros, and a
+# parameter on the unit circle.
+_real_mains = st.one_of(st.floats(-0.95, 0.95), st.sampled_from((0.0, -0.0)))
+_real_params = st.one_of(st.floats(-1.0, 1.0),
+                         st.sampled_from((0.0, -0.0, 1.0, -1.0)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(t=terms(), main=_real_mains, param=_real_params,
+       max_n=st.integers(1, 2000))
+def test_real_point_equals_the_same_point_as_complex(t, main, param, max_n):
+    # Real coordinates are summed in floats, complex ones in complex
+    # arithmetic; value, bound and length agree bit for bit.  0.3 and
+    # 0.3+0j are one cache key, so the cache is emptied in between.
+    z1, z2 = (main, param) if t.main_var == 1 else (param, main)
+    hyperlog._series.cache_clear()
+    real = eval_series(t, z1, z2, max_n)
+    hyperlog._series.cache_clear()
+    as_complex = eval_series(t, complex(z1), complex(z2), max_n)
+    assert repr(real) == repr(as_complex)
+
+
+def test_max_n_below_one_is_rejected():
+    t = HyperlogTerm(1, (2, 1), (ONE, PARAM))
+    for max_n in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="max_n must be an int >= 1"):
+            eval_series(t, 0.3, 0.4, max_n)
+    assert eval_series(t, 0.3, 0.4, 1).terms_used == 1
 
 
 def test_main_z2_is_main_z1_with_swapped_point():
