@@ -26,9 +26,9 @@ _EXPORTS = {
     "ipbenv": ("alpha_eval", "alpha_pair", "enumerate_w0", "normal_form",
                "omega_decomposition", "omega_power", "w0_pairs"),
     "duality": ("iota", "iota_inv", "phi", "tensor_split", "theta"),
-    "hyperlog": ("EvalResult", "HyperlogTerm", "MplIndex", "eval_mpl",
-                 "eval_quadrature", "eval_series", "partial_derivative",
-                 "term_to_word", "word_to_term"),
+    "hyperlog": ("EvalResult", "HyperlogTerm", "eval_quadrature",
+                 "eval_series", "partial_derivative", "term_to_word",
+                 "word_to_term"),
     "harmonic": ("equivalence_check", "index_harmonic",
                  "closed_harmonic_expand", "mpl_harmonic_expand",
                  "mzv_truncated", "recursion_expand"),

@@ -346,9 +346,10 @@ def _cmd_harmonic(args, cfg):
         except ValueError:
             raise ValueError("--numeric expects z1,z2") from None
         n = cfg.series_terms
+        # Li_l(z2) is Li(l, 0; z2, z1): a main-z2 term.
         lhs, lhs_bound = eval_tagged(
             (left, (len(left), 0), "12"), z1, z2, n).times(
-            eval_tagged((right, (len(right), 0), "12"), z2, z1, n))
+            eval_tagged((right, (len(right), 0), "21"), z1, z2, n))
         rhs, rhs_bound = eval_sum(expansion, z1, z2, n)
         residual = abs(lhs - rhs)
         bound = lhs_bound + rhs_bound

@@ -13,7 +13,8 @@ of the series' proven tail bounds and rounding estimates.
 The two-variable expansions are tagged sums: plain dicts
 {(index, numbering, orientation): integer coefficient}, summed by
 linalg.vec_add_into like the {index: coefficient} dicts of the
-one-variable products.
+one-variable products.  Each tag names a block-sorted HyperlogTerm,
+and _tag_term is the one place that reads it as one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import sys
 
 from .errors import DivergentTermError
 from .defaults import DEFAULT_MAX_N
-from .hyperlog import EvalResult, MplIndex, eval_series, word_to_term
+from .hyperlog import (ONE, PARAM, EvalResult, HyperlogTerm, eval_series,
+                       word_to_term)
 from .linalg import vec_add_into
 
 
@@ -90,15 +92,26 @@ def _canonical(s):
     return out
 
 
+def _tag_term(tag):
+    """The block-sorted HyperlogTerm a tag names: i 'one' letters then
+    j 'param' letters, main variable z1 for "12" and "prod" and z2 for
+    "21".  A numbering (i, j) with a negative part or i + j other than
+    the depth, an index entry below 1, or another orientation raises
+    ValueError."""
+    index, (i, j), orientation = tag
+    if orientation not in ("12", "21", "prod"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    if i < 0 or j < 0 or i + j != len(index):
+        raise ValueError(f"bad numbering {(i, j)} for index {index}")
+    return HyperlogTerm(2 if orientation == "21" else 1, tuple(index),
+                        (ONE,) * i + (PARAM,) * j)
+
+
 def eval_tagged(tag, z1, z2, max_n=DEFAULT_MAX_N):
-    """EvalResult of one tagged term by eval_series: at most max_n
-    terms, with a proven tail bound plus a rounding estimate."""
-    index, numbering, orientation = tag
-    m = MplIndex(index, numbering)
-    if orientation == "21":
-        return eval_series(m.to_term(1), z2, z1, max_n)
-    # "12" and "prod" (numbering (0, j)) both evaluate as main-z1 terms.
-    return eval_series(m.to_term(1), z1, z2, max_n)
+    """EvalResult of the term a tag names, by eval_series at (z1, z2):
+    at most max_n terms, with a proven tail bound plus a rounding
+    estimate.  A malformed tag raises ValueError (see _tag_term)."""
+    return eval_series(_tag_term(tag), z1, z2, max_n)
 
 
 def eval_sum(s, z1, z2, max_n=DEFAULT_MAX_N):
@@ -177,15 +190,14 @@ def apply_operator(s, k):
     """Apply the weight-k second-variable integral operator to every
     term of a tagged sum."""
     out = {}
-    for (index, (i, j), orientation), c in s.items():
-        if orientation in ("12", "prod"):
+    for tag, c in s.items():
+        index, (i, j), _ = tag
+        if _tag_term(tag).main_var == 1:
             # A "prod" term is the numbering-(0, j) case of either
             # orientation; treat it as orientation 12 with i = 0.
             piece = prepare2(index, (i, j), k)
-        elif orientation == "21":
-            piece = {((k,) + index, (i + 1, j), "21"): 1}
         else:
-            raise ValueError(f"unknown orientation {orientation!r}")
+            piece = {((k,) + index, (i + 1, j), "21"): 1}
         vec_add_into(out, piece, c)
     return out
 

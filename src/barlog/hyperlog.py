@@ -76,30 +76,6 @@ class HyperlogTerm(namedtuple("HyperlogTerm", "main_var index letters")):
                 f"{','.join(self.letters)}]@z{self.main_var}")
 
 
-class MplIndex(namedtuple("MplIndex", "index numbering")):
-    """A 2MPL index of positive integers with its numbering: i leading
-    'one' letters and j trailing 'param' letters, i + j = len(index)."""
-    __slots__ = ()
-
-    def __new__(cls, index, numbering):
-        i, j = numbering
-        if i < 0 or j < 0 or i + j != len(index):
-            raise ValueError(
-                f"bad numbering {numbering} for index {index}")
-        if any(k < 1 for k in index):
-            raise ValueError("index entries must be positive")
-        return super().__new__(cls, index, numbering)
-
-    @property
-    def weight(self):
-        return sum(self.index)
-
-    def to_term(self, main_var=1):
-        i, j = self.numbering
-        return HyperlogTerm(main_var, tuple(self.index),
-                            (ONE,) * i + (PARAM,) * j)
-
-
 def word_to_term(word):
     """Parse a word over a projected alphabet into a term: maximal runs
     of the main log letter become exponents."""
@@ -332,44 +308,46 @@ COEFF_EVAL = {
 }
 
 
-def partial_derivative(m, var):
-    """d/dz_var of Li_index(i, j; z1, z2) (main variable z1).
+def partial_derivative(t, var):
+    """d/dz_var of Li_index(i, j; z1, z2): t is its main-z1 block-sorted
+    term, i 'one' letters then j 'param' letters.
 
-    Returns a list of (coefficient tag, rational coefficient, MplIndex)
-    triples; the sum of coeff * tag * term is the derivative.
+    Returns a list of (coefficient tag, rational coefficient, term)
+    triples, each term main-z1 and block-sorted; the sum of coeff * tag
+    * term is the derivative.  Any other term, the empty one included,
+    raises ValueError.
     """
-    index, (i, j) = m.index, m.numbering
-    if not index:
-        raise ValueError("empty index has no derivative branches")
+    index, letters = t.index, t.letters
+    i = letters.count(ONE)
+    if (t.main_var != 1 or not index
+            or letters != (ONE,) * i + (PARAM,) * (len(index) - i)):
+        raise ValueError(
+            f"not a nonempty main-z1 block-sorted term: {t.render()}")
     if var == 1:
         k1 = index[0]
-        if i == 0 and k1 == 1:
-            return [("z2/(1-z1z2)", 1, MplIndex(index[1:], (0, j - 1)))]
-        if i > 0 and k1 == 1:
-            return [("1/(1-z1)", 1, MplIndex(index[1:], (i - 1, j)))]
-        return [("1/z1", 1, MplIndex((k1 - 1,) + index[1:], (i, j)))]
+        if k1 == 1:
+            coeff = "1/(1-z1)" if i > 0 else "z2/(1-z1z2)"
+            return [(coeff, 1, HyperlogTerm(1, index[1:], letters[1:]))]
+        return [("1/z1", 1, HyperlogTerm(1, (k1 - 1,) + index[1:], letters))]
     if var == 2:
         if i == 0 and index[0] == 1:
-            return [("z1/(1-z1z2)", 1, MplIndex(index[1:], (0, j - 1)))]
-        if j == 0:
+            return [("z1/(1-z1z2)", 1,
+                     HyperlogTerm(1, index[1:], letters[1:]))]
+        if i == len(index):
             return []
         knext = index[i]
         if knext == 1:
             dropped = index[:i] + index[i + 1:]
+            # Numbering (i, j - 1), then (i - 1, j) twice.
+            shorter = HyperlogTerm(1, dropped, letters[1:])
             return [
-                ("1/(1-z2)", 1, MplIndex(dropped, (i, j - 1))),
-                ("1/(1-z2)", -1, MplIndex(dropped, (i - 1, j))),
-                ("1/z2", -1, MplIndex(dropped, (i - 1, j))),
+                ("1/(1-z2)", 1, HyperlogTerm(1, dropped, letters[:-1])),
+                ("1/(1-z2)", -1, shorter),
+                ("1/z2", -1, shorter),
             ]
         dec = index[:i] + (knext - 1,) + index[i + 1:]
-        return [("1/z2", 1, MplIndex(dec, (i, j)))]
+        return [("1/z2", 1, HyperlogTerm(1, dec, letters))]
     raise ValueError("var must be 1 or 2")
-
-
-def eval_mpl(m, z1, z2, max_n=DEFAULT_MAX_N):
-    """Li_index(i, j; z1, z2) as an EvalResult of eval_series: at most
-    max_n terms, with a proven tail bound plus a rounding estimate."""
-    return eval_series(m.to_term(main_var=1), z1, z2, max_n)
 
 
 # -- quadrature oracle -----------------------------------------------------

@@ -11,8 +11,8 @@ from barlog.formspace import (bar_basis, relation_space_contains,
                               wedge_relation_space)
 from barlog.harmonic import (equivalence_check, eval_sum, eval_tagged,
                              mpl_harmonic_expand, mzv_truncated)
-from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, MplIndex, eval_mpl,
-                             eval_quadrature, partial_derivative)
+from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, HyperlogTerm,
+                             eval_quadrature, eval_series, partial_derivative)
 from barlog.ipbenv import DIRECTIONS, _reduce_word, normal_form
 from barlog.linalg import RowReducer
 from barlog.relgen import decompose_check, generate_relation, verify_relation
@@ -77,8 +77,6 @@ def test_criterion_03_phi_reproduction():
 
 
 def test_criterion_04_worked_relations():
-    from barlog.hyperlog import HyperlogTerm
-
     def t(main, index, letters):
         return HyperlogTerm(main, tuple(index), tuple(letters))
 
@@ -217,6 +215,10 @@ def test_criterion_10_homotopy_invariance():
 
 
 def test_criterion_11_differential_relations():
+    def mpl(index, i, j):
+        # The main-z1 block-sorted term of Li_index(i, j; z1, z2).
+        return HyperlogTerm(1, index, (ONE,) * i + (PARAM,) * j)
+
     rng = random.Random(23)
     z1, z2 = 0.3, 0.35
     h = 1e-5
@@ -229,17 +231,17 @@ def test_criterion_11_differential_relations():
             index.append(rng.randrange(1, weight - sum(index) + 1))
         index = tuple(index)
         i = rng.randrange(0, len(index) + 1)
-        cases.append(MplIndex(index, (i, len(index) - i)))
+        cases.append(mpl(index, i, len(index) - i))
     # make sure every branch shape occurs at least once
-    cases += [MplIndex((1, 2), (0, 2)), MplIndex((1, 2), (1, 1)),
-              MplIndex((2, 1), (1, 1)), MplIndex((2, 1), (2, 0))]
+    cases += [mpl((1, 2), 0, 2), mpl((1, 2), 1, 1), mpl((2, 1), 1, 1),
+              mpl((2, 1), 2, 0)]
     for m in cases:
         for var in (1, 2):
             for tag, _, _ in partial_derivative(m, var):
                 seen.add((var, tag))
 
             def value(a, b):
-                return eval_mpl(m, a, b, 6000).value
+                return eval_series(m, a, b, 6000).value
 
             if var == 1:
                 fd = (value(z1 + h, z2) - value(z1 - h, z2)) / (2 * h)
@@ -247,7 +249,8 @@ def test_criterion_11_differential_relations():
                 fd = (value(z1, z2 + h) - value(z1, z2 - h)) / (2 * h)
             an = 0.0
             for tag, c, mi in partial_derivative(m, var):
-                base = eval_mpl(mi, z1, z2, 6000).value if mi.index else 1.0
+                base = (eval_series(mi, z1, z2, 6000).value if mi.index
+                        else 1.0)
                 an += complex(c) * COEFF_EVAL[tag](z1, z2) * base
             assert abs(fd - an) < 1e-6, (m, var)
     # all five branch coefficient kinds exercised

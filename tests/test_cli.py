@@ -93,7 +93,10 @@ def test_parameter_out_of_range_names_its_coordinate(capsys):
             (["relations", "--degree", "2", "--verify", "--z1", "1.5"],
              "|z1| = 1.5 must be <= 1"),
             (["eval", "--term", "L[1|param]@z1", "--z1", "0.3",
-              "--z2", "-2"], "|z2| = 2.0 must be <= 1")):
+              "--z2", "-2"], "|z2| = 2.0 must be <= 1"),
+            # The right factor Li_1(z2) is a series in z2.
+            (["harmonic", "--left", "2", "--right", "1",
+              "--numeric", "0.3,1.0"], "|z2| = 1.0 must be < 1")):
         code, out, err = capture(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 

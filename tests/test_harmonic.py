@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barlog.errors import DivergentTermError
-from barlog.harmonic import (all_indices, equivalence_check, eval_sum,
-                             eval_tagged, index_harmonic,
+from barlog.errors import DivergentTermError, DomainError
+from barlog.harmonic import (_tag_term, all_indices, equivalence_check,
+                             eval_sum, eval_tagged, index_harmonic,
                              closed_harmonic_expand, mpl_harmonic_expand,
                              mzv_truncated, prepare2, recursion_expand)
+from barlog.hyperlog import ONE, PARAM, HyperlogTerm, _series, eval_series
 
 
 def test_index_harmonic_examples():
@@ -67,6 +70,70 @@ def test_numeric_harmonic_identity():
                                  z2, z1, 3000).value)
             rhs, bound = eval_sum(mpl_harmonic_expand(k, l), z1, z2, 3000)
             assert abs(lhs - rhs) <= 1e-10 + bound
+
+
+def test_a_tag_reads_as_its_block_sorted_term():
+    assert _tag_term(((1, 2), (1, 1), "12")) == HyperlogTerm(
+        1, (1, 2), (ONE, PARAM))
+    assert _tag_term(((1, 2), (1, 1), "21")) == HyperlogTerm(
+        2, (1, 2), (ONE, PARAM))
+    assert _tag_term(((2, 1), (0, 2), "prod")) == HyperlogTerm(
+        1, (2, 1), (PARAM, PARAM))
+    assert _tag_term(((1, 2), (1, 1), "12")).weight == 3
+
+
+def test_a_tag_with_bad_entries_or_numbering_is_rejected():
+    for index in ((0,), (2, -1), (1, 0, 2)):
+        with pytest.raises(ValueError, match="must be positive"):
+            eval_tagged((index, (len(index), 0), "12"), 0.3, 0.4)
+    for index, numbering in (((1, 2), (1, 0)), ((1,), (-1, 2)),
+                             ((0,), (1, 0))):
+        with pytest.raises(ValueError):
+            eval_tagged((index, numbering, "12"), 0.3, 0.4)
+
+
+def test_an_unknown_orientation_is_rejected():
+    tag = ((1,), (1, 0), "bogus")
+    with pytest.raises(ValueError, match="unknown orientation 'bogus'"):
+        eval_tagged(tag, 0.3, 0.4)
+    with pytest.raises(ValueError, match="unknown orientation 'bogus'"):
+        eval_sum({tag: 1}, 0.3, 0.4)
+
+
+def test_a_21_tag_out_of_range_names_its_coordinate():
+    # Li(1, 0; z2, z1) = Li_2(z2) needs |z2| < 1 and |z1| <= 1.
+    for z1, z2, message in ((0.3, 1.0, "|z2| = 1.0 must be < 1"),
+                            (1.5, 0.3, "|z1| = 1.5 must be <= 1")):
+        with pytest.raises(DomainError) as raised:
+            eval_sum({((2,), (1, 0), "21"): 1}, z1, z2)
+        assert str(raised.value) == message
+
+
+_PAIRS = [(k, l) for total in range(2, 7) for wk in range(1, total)
+          for k in all_indices(wk) for l in all_indices(total - wk)]
+_REAL = st.floats(-0.9, 0.9)
+_POINT = st.one_of(
+    st.tuples(_REAL, _REAL),
+    st.tuples(st.complex_numbers(max_magnitude=0.9),
+              st.complex_numbers(max_magnitude=0.9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PAIRS), _POINT, st.integers(1, 2000))
+def test_a_tag_evaluates_to_the_function_it_names(pair, point, max_n):
+    # Li(i, j; z1, z2) for "12" and "prod", Li(i, j; z2, z1) for "21",
+    # each as the main-z1 term at the point in that order: the same
+    # bits as the tag's own term.  The cache is emptied between the two
+    # evaluations, so neither can return the other's result.
+    z1, z2 = point
+    for tag in mpl_harmonic_expand(*pair):
+        index, (i, j), orientation = tag
+        term = HyperlogTerm(1, index, (ONE,) * i + (PARAM,) * j)
+        at = (z2, z1) if orientation == "21" else (z1, z2)
+        _series.cache_clear()
+        expected = eval_series(term, *at, max_n)
+        _series.cache_clear()
+        assert repr(eval_tagged(tag, z1, z2, max_n)) == repr(expected), tag
 
 
 def test_mzv_values():

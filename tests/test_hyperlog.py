@@ -6,10 +6,9 @@ import pytest
 
 from barlog.errors import (AlphabetError, ContourError, DivergentTermError,
                            DomainError)
-from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, HyperlogTerm, MplIndex,
-                             eval_mpl, eval_quadrature, eval_series,
-                             partial_derivative, term_to_word, within_bound,
-                             word_to_term)
+from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, HyperlogTerm,
+                             eval_quadrature, eval_series, partial_derivative,
+                             term_to_word, within_bound, word_to_term)
 from barlog.words import FORM_BASE, WordPoly
 
 
@@ -100,14 +99,19 @@ def test_series_complex_arguments():
     assert abs(r.value - (-cmath.log(1 - z))) < 1e-13
 
 
+def mpl(index, i, j):
+    """The main-z1 block-sorted term of Li_index(i, j; z1, z2)."""
+    return HyperlogTerm(1, index, (ONE,) * i + (PARAM,) * j)
+
+
 _BRANCH_CASES = [
-    (MplIndex((1, 2), (0, 2)), 1),   # i=0, k1=1, d/dz1
-    (MplIndex((1, 2), (1, 1)), 1),   # i>0, k1=1, d/dz1
-    (MplIndex((2, 1), (1, 1)), 1),   # k1>1, d/dz1
-    (MplIndex((1, 2), (0, 2)), 2),   # i=0, k1=1, d/dz2
-    (MplIndex((2, 1), (1, 1)), 2),   # k_{i+1}=1, d/dz2 (three terms)
-    (MplIndex((1, 2), (1, 1)), 2),   # k_{i+1}>1, d/dz2
-    (MplIndex((2, 1), (2, 0)), 2),   # j=0, d/dz2 vanishes
+    (mpl((1, 2), 0, 2), 1),   # i=0, k1=1, d/dz1
+    (mpl((1, 2), 1, 1), 1),   # i>0, k1=1, d/dz1
+    (mpl((2, 1), 1, 1), 1),   # k1>1, d/dz1
+    (mpl((1, 2), 0, 2), 2),   # i=0, k1=1, d/dz2
+    (mpl((2, 1), 1, 1), 2),   # k_{i+1}=1, d/dz2 (three terms)
+    (mpl((1, 2), 1, 1), 2),   # k_{i+1}>1, d/dz2
+    (mpl((2, 1), 2, 0), 2),   # j=0, d/dz2 vanishes
 ]
 
 
@@ -117,7 +121,7 @@ def test_partial_derivative_matches_finite_differences(m, var):
     h = 1e-6
 
     def value(a, b):
-        return eval_mpl(m, a, b, 4000).value
+        return eval_series(m, a, b, 4000).value
 
     if var == 1:
         fd = (value(z1 + h, z2) - value(z1 - h, z2)) / (2 * h)
@@ -125,7 +129,7 @@ def test_partial_derivative_matches_finite_differences(m, var):
         fd = (value(z1, z2 + h) - value(z1, z2 - h)) / (2 * h)
     an = 0.0
     for tag, c, mi in partial_derivative(m, var):
-        base = eval_mpl(mi, z1, z2, 4000).value if mi.index else 1.0
+        base = eval_series(mi, z1, z2, 4000).value if mi.index else 1.0
         an += complex(c) * COEFF_EVAL[tag](z1, z2) * base
     assert abs(fd - an) < 5e-9
 
@@ -183,8 +187,10 @@ def test_quadrature_axis_leg_is_fine():
     assert abs(via_axis - direct) < 1e-10
 
 
-def test_mpl_index_rejects_non_positive_entries():
-    for index in ((0,), (2, -1), (1, 0, 2)):
-        with pytest.raises(ValueError, match="must be positive"):
-            MplIndex(index, (len(index), 0))
-    assert MplIndex((1, 2), (1, 1)).weight == 3
+def test_partial_derivative_rejects_other_terms():
+    for t in (HyperlogTerm(1, (), ()), HyperlogTerm(2, (1, 2), (ONE, PARAM)),
+              HyperlogTerm(1, (1, 2), (PARAM, ONE))):
+        with pytest.raises(ValueError, match="block-sorted"):
+            partial_derivative(t, 1)
+    with pytest.raises(ValueError, match="var must be 1 or 2"):
+        partial_derivative(mpl((1, 2), 1, 1), 3)

@@ -8,7 +8,7 @@ import pytest
 
 from barlog.cli import Config
 from barlog.formspace import WedgeSpace
-from barlog.hyperlog import EvalResult, HyperlogTerm, MplIndex
+from barlog.hyperlog import EvalResult, HyperlogTerm
 from barlog.ipbenv import Direction
 from barlog.relgen import Relation
 
@@ -22,8 +22,6 @@ U_REPR = "HyperlogTerm(main_var=2, index=(1,), letters=('one',))"
 # unhashable; a Relation hashes only the fields its equality reads).
 RECORDS = [
     (T, T_REPR, tuple),
-    (MplIndex((2, 1), (1, 1)), "MplIndex(index=(2, 1), numbering=(1, 1))",
-     tuple),
     (EvalResult(0.5j, 1e-12, 3),
      "EvalResult(value=0.5j, truncation_bound=1e-12, terms_used=3)", tuple),
     # A Direction is built from its theta maps and rules; the other
@@ -65,6 +63,3 @@ def test_records_behave_as_frozen_dataclasses():
                    (1, (0,), ("one",)), (1, (1,), ("two",))]:
         with pytest.raises(ValueError):
             HyperlogTerm(*fields)
-    for fields in [((1, 2), (1, 0)), ((1,), (-1, 2)), ((0,), (1, 0))]:
-        with pytest.raises(ValueError):
-            MplIndex(*fields)
