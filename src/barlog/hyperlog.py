@@ -360,7 +360,8 @@ def eval_quadrature(p, path, tol=1e-10, max_refine=7):
     until two successive evaluations differ by less than tol / 2, and
     DomainError, giving the last difference and tol, is raised when
     max_refine doublings do not reach that.  tol must be finite and
-    positive and max_refine an int >= 0 (else ValueError).  A start at
+    positive and max_refine an int >= 0 (else ValueError); a letter
+    that is not a form letter raises AlphabetError.  A start at
     a singular point (such as the origin) needs no special panels,
     since every integral accepted there is analytic on the first leg
     (see the quadrature module).  DivergentTermError rejects, before any panel

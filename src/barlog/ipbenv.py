@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import cache
 
 from .defaults import DEFAULT_DEGREE_CAP
-from .errors import BarlogError, ResourceLimitError
+from .errors import ResourceLimitError
 from .linalg import vec_add_into
 from .words import FORM_BASE, LIE_BASE, WordPoly
 
@@ -76,45 +76,45 @@ def _sigma(word):
 
 
 class Direction(namedtuple(
-        "Direction", "name theta_left theta_right rules left_letters "
+        "Direction", "name theta_left theta_right left_letters "
         "right_letters left_alphabet right_alphabet left_map right_map")):
     """One splitting, built from its theta maps (each factor's Z letters
-    to their projected form letters) and its rewriting rules.
+    to their projected form letters).
 
     The letters and alphabets of the two factors are the keys and the
     values of the theta maps; left_map and right_map send each base
     form letter to its projected letter, or to None to kill it.  z12
     always lands in the left factor (as its projected variant) and
-    projects to zero in the right one.  rules maps (mover, target) to
-    the replacement of the two-letter word mover*target, as a list of
-    (word, coeff).
+    projects to zero in the right one.
     """
     __slots__ = ()
 
-    def __new__(cls, name, theta_left, theta_right, rules):
+    def __new__(cls, name, theta_left, theta_right):
         return super().__new__(
-            cls, name, theta_left, theta_right, rules,
+            cls, name, theta_left, theta_right,
             tuple(theta_left), tuple(theta_right),
             tuple(theta_left.values()), tuple(theta_right.values()),
             {x: theta_left.get(_LIE[x]) for x in FORM_BASE},
             {x: theta_right.get(_LIE[x]) for x in FORM_BASE})
 
     def __getnewargs__(self):
-        return tuple(self[:4])
+        return tuple(self[:3])
 
     def mirror(self, name):
-        """The sigma image: theta maps, rule keys and replacements."""
+        """The sigma image: both theta maps, keys and values."""
         return Direction(
             name, {SIGMA[k]: SIGMA[v] for k, v in self.theta_left.items()},
-            {SIGMA[k]: SIGMA[v] for k, v in self.theta_right.items()},
-            {_sigma(k): [(_sigma(w), c) for w, c in repl]
-             for k, repl in self.rules.items()})
+            {SIGMA[k]: SIGMA[v] for k, v in self.theta_right.items()})
 
 
-# 1x2 moves Z2/Z22 rightwards past Z1/Z11/Z12.  The commutator values
-# are pre-derived from the relators (asserted in the test suite).
 _1X2 = Direction("1x2", {"Z1": "z1", "Z11": "z11", "Z12": "z12_1"},
-                 {"Z2": "z2", "Z22": "z22"}, {
+                 {"Z2": "z2", "Z22": "z22"})
+DIRECTIONS = {"1x2": _1X2, "2x1": _1X2.mirror("2x1")}
+
+# The one rewriting system: (mover, target) -> the replacement of
+# mover*target as a list of (word, coeff), moving Z2/Z22 rightwards past
+# Z1/Z11/Z12 (1x2).  The tests derive each rule from the relators.
+_RULES = {
     ("Z2", "Z1"): [(("Z1", "Z2"), 1)],
     ("Z2", "Z11"): [(("Z11", "Z2"), 1)],
     ("Z22", "Z1"): [(("Z1", "Z22"), 1)],
@@ -128,72 +128,61 @@ _1X2 = Direction("1x2", {"Z1": "z1", "Z11": "z11", "Z12": "z12_1"},
     # [Z22,Z12] = -[Z11,Z12]
     ("Z22", "Z12"): [(("Z12", "Z22"), 1), (("Z11", "Z12"), -1),
                      (("Z12", "Z11"), 1)],
-})
-DIRECTIONS = {"1x2": _1X2, "2x1": _1X2.mirror("2x1")}
+}
+_MOVERS = frozenset(_1X2.right_letters)
 
 
 def _as_direction(direction):
-    if isinstance(direction, Direction):
-        return direction
-    try:
-        return DIRECTIONS[direction]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown direction {direction!r}: "
-                         "expected 1x2 or 2x1") from None
+    """The registered Direction of that name, or equal to that record;
+    ValueError for anything else."""
+    for d in DIRECTIONS.values():
+        if direction in (d.name, d):
+            return d
+    raise ValueError(f"unknown direction {direction!r}: "
+                     "expected 1x2 or 2x1")
 
 
 @cache
-def _reduce_word(word, direction):
-    """Rewrite a single word to the product basis of the named
-    direction, always at the leftmost reducible position; returns
-    {(W', W''): coeff}."""
-    d = DIRECTIONS[direction]
-    movers = set(d.right_letters)
+def _reduce_word(word):
+    """Rewrite a single word to the 1x2 product basis, always at the
+    leftmost reducible position; returns {(W', W''): coeff}.  sigma maps
+    the 1x2 rules onto the 2x1 ones, so the 2x1 normal form of a word is
+    the sigma image of the 1x2 normal form of its sigma image."""
     for i in range(len(word) - 1):
-        if word[i] in movers and word[i + 1] not in movers:
+        if word[i] in _MOVERS and word[i + 1] not in _MOVERS:
             break
     else:
-        return {_split_pair(word, d): 1}
+        # No mover comes before a non-mover: the word is W' W''.
+        cut = sum(x not in _MOVERS for x in word)
+        return {(word[:cut], word[cut:]): 1}
     out = {}
-    for repl, coeff in d.rules[(word[i], word[i + 1])]:
-        vec_add_into(out, _reduce_word(word[:i] + repl + word[i + 2:],
-                                       direction), coeff)
+    for repl, coeff in _RULES[word[i], word[i + 1]]:
+        vec_add_into(out, _reduce_word(word[:i] + repl + word[i + 2:]),
+                     coeff)
     return out
-
-
-def _split_pair(word, d):
-    right = set(d.right_letters)
-    cut = len(word)
-    for i, x in enumerate(word):
-        if x in right:
-            cut = i
-            break
-    w1, w2 = word[:cut], word[cut:]
-    if any(x not in right for x in w2):
-        raise BarlogError(f"word {word} is not in {d.name} normal form")
-    return w1, w2
 
 
 def normal_form(p, direction="1x2"):
     """Rewrite a polynomial over the Z letters into the product basis
     of the requested direction: {(W', W''): coeff}, W' over its left
-    letters and W'' over its right ones."""
-    name = _as_direction(direction).name
+    letters and W'' over its right ones.  A 2x1 normal form relabels by
+    sigma the 1x2 normal form of the sigma image of each word."""
+    mirror = _sigma if _as_direction(direction).name == "2x1" else tuple
     acc = {}
     for word, coeff in p.terms.items():
-        vec_add_into(acc, _reduce_word(word, name), coeff)
-    return acc
+        vec_add_into(acc, _reduce_word(mirror(word)), coeff)
+    return {(mirror(w1), mirror(w2)): c for (w1, w2), c in acc.items()}
 
 
-def _admissible_rows(s, direction, columns):
-    """Read the admissible pairs off the word rewriting: for each
+def _admissible_rows(s, columns):
+    """Read the admissible 1x2 pairs off the word rewriting: for each
     (column, Z word), the coefficient of every admissible pair in the
-    word's normal form goes to that pair's row at the column.  Returns
-    {(W', W''): {column: coeff}} in w0_pairs order; each column must
-    come once."""
-    rows = {p: {} for p in w0_pairs(s, direction)}
+    word's 1x2 normal form goes to that pair's row at the column.
+    Returns {(W', W''): {column: coeff}} in w0_pairs order; each column
+    must come once."""
+    rows = {p: {} for p in w0_pairs(s)}
     for column, word in columns:
-        for p, c in _reduce_word(word, direction).items():
+        for p, c in _reduce_word(word).items():
             if p in rows:
                 rows[p][column] = c
     return rows
@@ -258,10 +247,16 @@ def omega_decomposition(s, direction="1x2", cap=None):
 
 @cache
 def _omega_decomposition(s, direction):
-    rows = _admissible_rows(
-        s, direction, ((fw, _z_word(fw))
-                       for fw in itertools.product(FORM_BASE, repeat=s)))
-    return {p: WordPoly(FORM_BASE, row) for p, row in rows.items()}
+    """The 2x1 coefficient of sigma(p) at w is the 1x2 coefficient of p
+    at sigma(w), the coefficient of p in NF(Z(sigma w)).  So form word
+    w is the column of the 1x2 readout of Z(sigma w) (the two products
+    run in step), and each row is relabelled by sigma."""
+    mirror = _sigma if direction == "2x1" else tuple  # tuple: identity
+    rows = _admissible_rows(s, zip(
+        itertools.product(FORM_BASE, repeat=s),
+        itertools.product(_z_word(mirror(FORM_BASE)), repeat=s)))
+    return {(mirror(w1), mirror(w2)): WordPoly(FORM_BASE, row)
+            for (w1, w2), row in rows.items()}
 
 
 # -- word enumeration -----------------------------------------------------

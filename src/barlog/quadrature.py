@@ -110,7 +110,8 @@ def _form_pullback(tag, z1, z2, dz1, dz2):
     """omega(gamma(t)) gamma'(t) for one letter at the point (z1, z2)
     of a linear leg with derivative (dz1, dz2).  Components with zero
     derivative are skipped, so axis-riding legs never divide by zero.
-    Plain arithmetic, so z1 and z2 may also be arrays of points."""
+    Plain arithmetic, so z1 and z2 may also be arrays of points.  The
+    letter is a key of _LETTER_ATOMS; iterated_integral checks it."""
     out = 0.0
     if tag == "z1":
         if dz1 != 0:
@@ -124,14 +125,12 @@ def _form_pullback(tag, z1, z2, dz1, dz2):
     elif tag == "z22":
         if dz2 != 0:
             out = dz2 / (1 - z2)
-    elif tag in ("z12", "z12_1", "z12_2"):
+    else:
         den = 1 - z1 * z2
         if tag != "z12_2" and dz1 != 0:
             out = out + z2 * dz1 / den
         if tag != "z12_1" and dz2 != 0:
             out = out + z1 * dz2 / den
-    else:
-        raise AlphabetError(f"unknown form letter {tag!r}")
     return out
 
 
@@ -284,6 +283,8 @@ def iterated_integral(p, path, tol, max_refine):
     atoms = set()
     for w in p.terms:
         for x in w:
+            if x not in _LETTER_ATOMS:
+                raise AlphabetError(f"unknown form letter {x!r} in word {w}")
             atoms.update(_LETTER_ATOMS[x])
     z1s, z2s = path[0]
     vanishing = {a for a, f in _ATOM_POLY.items()

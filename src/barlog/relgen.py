@@ -89,8 +89,8 @@ def _relation_rows(s):
     twice.  No non-admissible 2x1 word reaches an admissible pair (the
     tests check it), so the matrix is square."""
     d = DIRECTIONS["2x1"]
-    rows = _admissible_rows(s, "1x2", ((theta_pair(q1, q2, d), q1 + q2)
-                                       for q1, q2 in w0_pairs(s, d)))
+    rows = _admissible_rows(s, ((theta_pair(q1, q2, d), q1 + q2)
+                                for q1, q2 in w0_pairs(s, d)))
     return {p: TensorPoly(d.left_alphabet, d.right_alphabet, row)
             for p, row in rows.items()}
 
@@ -177,7 +177,7 @@ def _numeric_coeffs(s, direction, z1, z2, max_n):
         v, b = _theta_eval(pair, direction, z1, z2, max_n)
         lie = alpha_pair(*pair)
         for w, c in lie.terms.items():
-            for key, nc in _reduce_word(w, "1x2").items():
+            for key, nc in _reduce_word(w).items():
                 acc[key] = acc.get(key, 0j) + v * float(c) * float(nc)
                 bound += b * abs(float(c) * float(nc))
     return acc, bound

@@ -611,6 +611,13 @@ def test_basis_degree_4_golden(capsys, argv, digest):
      "7421f994d612540e46d1b91f6a89b43051ca2619c88892ac4f9438d4ff81943b"),
     ("phi --w1 Z11,Z12 --w2 Z22 --format text",
      "a50e95f059ece1d3416709f5d9b22528cd6fa1fa73fe2d83233e02769b6e05c3"),
+    # 2x1 coefficients at degrees 5 and 6, read through sigma.
+    ("phi --w1 Z22,Z12 --w2 Z11,Z1,Z11 --direction 2x1",
+     "f0c63f5cffe63acadc402d3c983de554ba90d926fc59c2cffef7186bfe496782"),
+    ("phi --w1 Z22,Z12 --w2 Z11,Z1,Z11 --direction 2x1 --format text",
+     "09c29279eb8cb68922510a594330c9598ab1c700efd08a2925d1a58b352d8a08"),
+    ("phi --w1 Z22,Z12,Z12 --w2 Z11,Z1,Z11 --direction 2x1",
+     "561ae8a62c9eaac0cb95d76f389fb8c5605bdc930217737fdf6641e608711c00"),
     ("basis --degree 3",
      "348037b3686e55a018781bdc22bcae7844f1b85bcde2ae2925161a685d42d12f"),
     ("basis --degree 3 --b0",

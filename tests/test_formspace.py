@@ -105,6 +105,12 @@ def test_chen_defect_errors():
     word = WordPoly.monomial(FORM_BASE, ("z1", "z2"))
     with pytest.raises(ValueError):
         chen_defect(word, 2)
+    with pytest.raises(ValueError, match="degree >= 2"):
+        chen_defect(WordPoly.monomial(FORM_BASE, ("z1",)), 1)
+
+
+def test_chen_defect_of_zero_is_empty():
+    assert chen_defect(WordPoly.zero(FORM_BASE), 1) == {}
 
 
 def test_bar_dimensions_low():

@@ -9,7 +9,8 @@ from barlog.harmonic import (_tag_term, all_indices, equivalence_check,
                              eval_sum, eval_tagged, index_harmonic,
                              closed_harmonic_expand, mpl_harmonic_expand,
                              mzv_truncated, prepare2, recursion_expand)
-from barlog.hyperlog import ONE, PARAM, HyperlogTerm, _series, eval_series
+from barlog.hyperlog import (ONE, PARAM, EvalResult, HyperlogTerm, _series,
+                             eval_series)
 
 
 def test_index_harmonic_examples():
@@ -145,6 +146,15 @@ def test_mzv_values():
     a = mzv_truncated((2, 1), 50000)
     b = mzv_truncated((3,), 50000)
     assert abs(a.value - b.value) <= a.truncation_bound + b.truncation_bound
+
+
+def test_empty_indices():
+    # The empty index is the empty sum: zeta() = 1, and Li_() = 1 is
+    # the unit of the harmonic product; a 2MPL needs both indices.
+    assert mzv_truncated(()) == EvalResult(1.0, 0.0, 0)
+    assert closed_harmonic_expand((), (1, 2)) == {(1, 2): 1}
+    with pytest.raises(ValueError, match="nonempty"):
+        mpl_harmonic_expand((), (1,))
 
 
 def test_mzv_divergent():

@@ -9,7 +9,7 @@ from barlog.errors import (AlphabetError, ContourError, DivergentTermError,
 from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, HyperlogTerm,
                              eval_quadrature, eval_series, partial_derivative,
                              term_to_word, within_bound, word_to_term)
-from barlog.words import FORM_BASE, WordPoly
+from barlog.words import FORM_BASE, LIE_BASE, WordPoly
 
 
 def test_word_term_round_trip():
@@ -175,6 +175,30 @@ def test_quadrature_contour_error():
         p = WordPoly.monomial(FORM_BASE, word)
         with pytest.raises(ContourError):
             eval_quadrature(p, path)
+    # the first leg lies on z1 = 0
+    with pytest.raises(ContourError,
+                       match="segment 0 lies on the locus z1 = 0"):
+        eval_quadrature(WordPoly.monomial(FORM_BASE, ("z1",)),
+                        [(0, 0.2), (0, 0.5)])
+
+
+def test_quadrature_path_needs_two_points():
+    with pytest.raises(ValueError, match="at least two points"):
+        eval_quadrature(WordPoly.monomial(FORM_BASE, ("z11",)), [(0.1, 0.2)])
+
+
+def test_quadrature_rejects_a_letter_that_is_not_a_form_letter(monkeypatch):
+    """A Lie letter has no pullback: AlphabetError names it before any
+    panel is built."""
+    from barlog import quadrature
+
+    def boom(*args):
+        raise AssertionError("panels built for an unknown letter")
+
+    monkeypatch.setattr(quadrature, "_build_panels", boom)
+    with pytest.raises(AlphabetError, match="'Z1'"):
+        eval_quadrature(WordPoly(LIE_BASE, {("Z1",): 1}),
+                        [(0.1, 0.1), (0.2, 0.2)])
 
 
 def test_quadrature_axis_leg_is_fine():

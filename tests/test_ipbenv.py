@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from barlog import formspace, ipbenv, linalg, relgen
+from barlog.duality import phi, tensor_split, theta
 from barlog.errors import ResourceLimitError
 from barlog.formspace import is_integrable
-from barlog.ipbenv import (DIRECTIONS, RELATORS, _reduce_word, alpha_eval,
-                           alpha_pair, enumerate_w0, normal_form,
-                           omega_decomposition, omega_power, w0_pairs)
+from barlog.ipbenv import (DIRECTIONS, RELATORS, Direction, _reduce_word,
+                           _z_word, alpha_eval, alpha_pair, enumerate_w0,
+                           normal_form, omega_decomposition, omega_power,
+                           w0_pairs)
 from barlog.linalg import RowReducer, vec_add_into
-from barlog.words import LIE_BASE, WordPoly
+from barlog.words import FORM_BASE, LIE_BASE, WordPoly
 from kernel_oracle import alpha_image_reducer, omega_decomposition_by_solve
-from rightmost_oracle import reduce_word_rightmost
+from rightmost_oracle import RULES, reduce_word_rightmost, sigma, split_pair
 
 
 def lie(word, coeff=1):
@@ -25,15 +27,18 @@ def as_poly(nf):
 
 
 def test_rules_follow_from_relators():
-    """Each rewriting rule, the written 1x2 ones and their sigma images,
-    read as (mover target) minus its replacement, must lie in the span
-    of the quadratic relators."""
+    """Each rewriting rule, the 1x2 ones and their sigma images, read as
+    (mover target) minus its replacement, must lie in the span of the
+    quadratic relators; and sigma maps that span onto itself."""
     red = RowReducer()
     for i, rel in enumerate(RELATORS):
         red.add(dict(rel), i)
     assert red.rank == 6
-    for d in DIRECTIONS.values():
-        for (a, b), repl in d.rules.items():
+    for rel in RELATORS:
+        image = {sigma(w): Fraction(c) for w, c in rel.items()}
+        assert red.contains(image), f"sigma image of {rel} not in the ideal"
+    for rules in RULES.values():
+        for (a, b), repl in rules.items():
             vec = {(a, b): Fraction(1)}
             for word, c in repl:
                 vec[word] = vec.get(word, Fraction(0)) - Fraction(c)
@@ -69,8 +74,7 @@ def test_strategies_agree_sample():
     rng = random.Random(5)
     for _ in range(100):
         word = tuple(rng.choice(LIE_BASE) for _ in range(rng.randrange(1, 6)))
-        assert _reduce_word(word, "1x2") == \
-            reduce_word_rightmost(word, "1x2")
+        assert _reduce_word(word) == reduce_word_rightmost(word, "1x2")
 
 
 def test_split_shape():
@@ -188,7 +192,9 @@ def test_enumerate_w0():
 def test_sigma_maps_the_1x2_decomposition_to_the_2x1_one():
     """sigma exchanges z1 and z2 in the kernel, which is built once for
     both directions, so the 2x1 decomposition is the sigma image of the
-    1x2 one, pair by pair and form word by form word."""
+    1x2 one, pair by pair and form word by form word.  It is also the
+    readout of the direct 2x1 rewriting, which the library never
+    runs."""
     table = {"Z1": "Z2", "Z2": "Z1", "Z11": "Z22", "Z22": "Z11",
              "Z12": "Z12", "z1": "z2", "z2": "z1", "z11": "z22",
              "z22": "z11", "z12": "z12"}
@@ -202,6 +208,15 @@ def test_sigma_maps_the_1x2_decomposition_to_the_2x1_one():
                     for (w1, w2), p in omega_decomposition(s, "1x2").items()}
         assert mirrored == {pair: p.terms for pair, p in
                             omega_decomposition(s, "2x1").items()}
+    for s in range(5):
+        rows = {p: {} for p in w0_pairs(s, "2x1")}
+        for fw in itertools.product(FORM_BASE, repeat=s):
+            for p, c in reduce_word_rightmost(_z_word(fw), "2x1").items():
+                if p in rows:
+                    rows[p][fw] = c
+        got = omega_decomposition(s, "2x1")
+        assert list(got) == list(rows)
+        assert {p: coeff.terms for p, coeff in got.items()} == rows
 
 
 def test_bracket_closure_low():
@@ -228,6 +243,28 @@ def test_degree_cap():
 
 
 @pytest.mark.parametrize("entry", [
+    lambda d: normal_form(lie(("Z2", "Z12")), d),
+    lambda d: w0_pairs(2, d),
+    lambda d: theta(("Z11", "Z12"), d),
+    lambda d: tensor_split(WordPoly.monomial(FORM_BASE, ("z11", "z22")), d),
+    lambda d: omega_decomposition(2, d),
+    lambda d: phi(("Z11",), ("Z22",), d),
+], ids=["normal_form", "w0_pairs", "theta", "tensor_split",
+        "omega_decomposition", "phi"])
+def test_a_direction_record_must_be_a_registered_one(entry):
+    """A record equal to a registered Direction stands for it; a record
+    with another name, or with the name of one and other theta maps, is
+    an unknown direction."""
+    one, two = DIRECTIONS["1x2"], DIRECTIONS["2x1"]
+    copy = Direction("1x2", dict(one.theta_left), dict(one.theta_right))
+    assert entry(copy) == entry("1x2")
+    for record in (Direction("foo", one.theta_left, one.theta_right),
+                   Direction("1x2", two.theta_left, two.theta_right)):
+        with pytest.raises(ValueError, match="unknown direction"):
+            entry(record)
+
+
+@pytest.mark.parametrize("entry", [
     omega_power, omega_decomposition, relgen.generate_all,
     formspace.bar_basis, relgen.decompose_check])
 def test_non_integer_degree_or_cap_is_a_type_error(entry):
@@ -245,9 +282,12 @@ def test_non_integer_degree_or_cap_is_a_type_error(entry):
 
 def test_split_pair_rejects_words_out_of_normal_form():
     from barlog.errors import BarlogError
-    from barlog.ipbenv import _split_pair
 
-    assert _split_pair(("Z11", "Z2", "Z22"), DIRECTIONS["1x2"]) == (
+    assert split_pair(("Z11", "Z2", "Z22"), "1x2") == (
         ("Z11",), ("Z2", "Z22"))
+    assert split_pair(("Z22", "Z1", "Z11"), "2x1") == (
+        ("Z22",), ("Z1", "Z11"))
     with pytest.raises(BarlogError, match="normal form"):
-        _split_pair(("Z2", "Z1"), DIRECTIONS["1x2"])
+        split_pair(("Z2", "Z1"), "1x2")
+    with pytest.raises(BarlogError, match="normal form"):
+        split_pair(("Z1", "Z2"), "2x1")

@@ -24,11 +24,11 @@ RECORDS = [
     (T, T_REPR, tuple),
     (EvalResult(0.5j, 1e-12, 3),
      "EvalResult(value=0.5j, truncation_bound=1e-12, terms_used=3)", tuple),
-    # A Direction is built from its theta maps and rules; the other
-    # fields are derived from the theta maps.
-    (Direction("1x2", {"Z1": "z1"}, {"Z2": "z2"}, {}),
+    # A Direction is built from its theta maps; the other fields are
+    # derived from them.
+    (Direction("1x2", {"Z1": "z1"}, {"Z2": "z2"}),
      "Direction(name='1x2', theta_left={'Z1': 'z1'}, "
-     "theta_right={'Z2': 'z2'}, rules={}, left_letters=('Z1',), "
+     "theta_right={'Z2': 'z2'}, left_letters=('Z1',), "
      "right_letters=('Z2',), left_alphabet=('z1',), "
      "right_alphabet=('z2',), left_map={'z1': 'z1', 'z11': None, "
      "'z2': None, 'z22': None, 'z12': None}, right_map={'z1': None, "

@@ -126,7 +126,7 @@ def test_relation_matrix_is_square():
                     itertools.product(d.left_letters, repeat=s1),
                     itertools.product(d.right_letters, repeat=s - s1)):
                 if q not in columns:
-                    assert not rows & set(_reduce_word(q[0] + q[1], "1x2")), q
+                    assert not rows & set(_reduce_word(q[0] + q[1])), q
 
 
 def test_relation_rows_are_in_word_order():
