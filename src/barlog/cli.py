@@ -120,13 +120,18 @@ def json_chunks(x, indent="\n"):
     indent is set: strings and scalars go through the C encoder.  A
     dict, list, tuple or iterator is written one item at a time, so the
     whole text is never held as one string; a tuple or an iterator is
-    written as a list.  A leaf is one chunk: _Rendered text as it is, and
-    a WordPoly as json.dumps writes its poly_to_dict (the dict form of
-    tests/json_oracle.py).  Non-finite floats raise ValueError, as with
-    allow_nan=False, so the output is always standard JSON."""
+    written as a list.  A leaf is one chunk: _Rendered text as it is, a
+    tuple of plain strings (a word) as its cached _word_json, and a
+    WordPoly as json.dumps writes its poly_to_dict (the dict form of
+    tests/json_oracle.py), its terms sorted by p.sorted_terms().
+    Non-finite floats raise ValueError, as with allow_nan=False, so the
+    output is always standard JSON."""
     if isinstance(x, dict):
         brackets = "{}"
         items = ((_encode_str(k) + ": ", x[k]) for k in sorted(x))
+    elif type(x) is tuple and all(type(v) is str for v in x):
+        yield _word_json(x, indent)
+        return
     elif isinstance(x, (list, tuple, Iterator)):
         brackets = "[]"
         items = (("", v) for v in x)
@@ -152,7 +157,7 @@ def _leaf_json(x, indent):
     # never load it.
     words = sys.modules.get(__package__ + ".words")
     if words and isinstance(x, words.WordPoly):
-        return _poly_json(x, indent)
+        return _poly_json(x.alphabet, x.sorted_terms(), indent)
     return _encode_scalar(x)
 
 
@@ -170,17 +175,20 @@ def _word_json(word, indent):
     return _list_json(map(_encode_str, word), indent)
 
 
-def _poly_json(p, indent):
-    """json_chunks(poly_to_dict(p), indent) as one chunk, with the dict
-    form of tests/json_oracle.py, without building a dict per term:
-    {"alphabet": [...], "terms": [{"coeff", "word"}, ...]}."""
+def _poly_json(alphabet, terms, indent):
+    """json_chunks(poly_to_dict(p), indent) as one chunk, for the
+    polynomial p over alphabet with these (word, coeff) terms, in the
+    dict form of tests/json_oracle.py, without building a dict per term:
+    {"alphabet": [...], "terms": [{"coeff", "word"}, ...]}.  The terms
+    are written in the order given: the caller passes p.sorted_terms(),
+    or terms that are in that order already."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
     terms = _list_json((f'{{{i3}"coeff": {_encode_str(str(c))},'
                         f'{i3}"word": {_word_json(w, i3)}{i2}}}'
-                        for w, c in p.sorted_terms()), i1)
-    return (f'{{{i1}"alphabet": {_word_json(p.alphabet, i1)},'
+                        for w, c in terms), i1)
+    return (f'{{{i1}"alphabet": {_word_json(alphabet, i1)},'
             f'{i1}"terms": {terms}{indent}}}')
 
 
@@ -384,23 +392,34 @@ def _cmd_eval(args, cfg):
     return 0
 
 
+# The indent, in the decompose output, of a coefficient's fields.
+_COEFFICIENT = "\n      "
+
+
 def _cmd_decompose(args, cfg):
     from .ipbenv import omega_decomposition, w0_pairs
 
     decomposition = omega_decomposition(args.degree, args.direction,
                                         cap=cfg.degree_cap)
-    pairs = [{"w1": w1, "w2": w2, "coefficient": decomposition[w1, w2]}
-             for w1, w2 in w0_pairs(args.degree, args.direction)]
+    pairs = w0_pairs(args.degree, args.direction)
+
+    # Each coefficient is a readout row, whose terms are in print order
+    # as they stand (the tests check it), so neither format sorts them.
+    def record(w1, w2):
+        p = decomposition[w1, w2]
+        return {"w1": w1, "w2": w2, "coefficient": _Rendered(
+            _poly_json(p.alphabet, p.terms.items(), _COEFFICIENT))}
+
     payload = {"degree": args.degree, "direction": args.direction,
-               "pairs": pairs}
+               "pairs": (record(w1, w2) for w1, w2 in pairs)}
 
     def text():
         yield f"degree: {args.degree}  direction: {args.direction}\n"
-        for rec in pairs:
-            yield (f"({','.join(rec['w1']) or '1'}) x "
-                   f"({','.join(rec['w2']) or '1'}): "
+        for w1, w2 in pairs:
+            yield (f"({','.join(w1) or '1'}) x ({','.join(w2) or '1'}): "
                    + " + ".join(f"{c}*({','.join(w)})" for w, c
-                                in rec["coefficient"].sorted_terms()) + "\n")
+                                in decomposition[w1, w2].terms.items())
+                   + "\n")
 
     _emit(payload, text, cfg, args.out)
     return 0

@@ -30,7 +30,7 @@ from functools import cache
 from .defaults import DEFAULT_DEGREE_CAP
 from .errors import ResourceLimitError
 from .linalg import vec_add_into
-from .words import FORM_BASE, LIE_BASE, WordPoly
+from .words import FORM_BASE, LIE_BASE, WordPoly, _check_letters
 
 
 def check_degree(s, cap=None):
@@ -166,8 +166,10 @@ def normal_form(p, direction="1x2"):
     """Rewrite a polynomial over the Z letters into the product basis
     of the requested direction: {(W', W''): coeff}, W' over its left
     letters and W'' over its right ones.  A 2x1 normal form relabels by
-    sigma the 1x2 normal form of the sigma image of each word."""
+    sigma the 1x2 normal form of the sigma image of each word.  A letter
+    outside the Z letters is an AlphabetError that names it."""
     mirror = _sigma if _as_direction(direction).name == "2x1" else tuple
+    _check_letters(LIE_BASE, p.terms)
     acc = {}
     for word, coeff in p.terms.items():
         vec_add_into(acc, _reduce_word(mirror(word)), coeff)
@@ -179,7 +181,10 @@ def _admissible_rows(s, columns):
     (column, Z word), the coefficient of every admissible pair in the
     word's 1x2 normal form goes to that pair's row at the column.
     Returns {(W', W''): {column: coeff}} in w0_pairs order; each column
-    must come once."""
+    must come once.  A row holds nonzero ints (the rewriting drops
+    zeros) in the order its columns come: the readout sorts nothing, so
+    a caller that passes its columns in print order gets its rows in
+    print order."""
     rows = {p: {} for p in w0_pairs(s)}
     for column, word in columns:
         for p, c in _reduce_word(word).items():
@@ -250,12 +255,17 @@ def _omega_decomposition(s, direction):
     """The 2x1 coefficient of sigma(p) at w is the 1x2 coefficient of p
     at sigma(w), the coefficient of p in NF(Z(sigma w)).  So form word
     w is the column of the 1x2 readout of Z(sigma w) (the two products
-    run in step), and each row is relabelled by sigma."""
+    run in step), and each row is relabelled by sigma.
+
+    The columns run over the form words in itertools.product order,
+    which is the (degree, letter order) of WordPoly.sorted_terms, so
+    each row is its coefficient as it stands: terms in print order,
+    neither summed nor sorted again (the tests check both)."""
     mirror = _sigma if direction == "2x1" else tuple  # tuple: identity
     rows = _admissible_rows(s, zip(
         itertools.product(FORM_BASE, repeat=s),
         itertools.product(_z_word(mirror(FORM_BASE)), repeat=s)))
-    return {(mirror(w1), mirror(w2)): WordPoly(FORM_BASE, row)
+    return {(mirror(w1), mirror(w2)): WordPoly._from_terms(FORM_BASE, row)
             for (w1, w2), row in rows.items()}
 
 

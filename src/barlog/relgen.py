@@ -87,11 +87,12 @@ def _relation_rows(s):
     coefficient of (W', W'') in its 1x2 normal form at the column
     theta(q') x theta(q''); theta is injective, so no entry is written
     twice.  No non-admissible 2x1 word reaches an admissible pair (the
-    tests check it), so the matrix is square."""
+    tests check it), so the matrix is square.  Each row is its
+    TensorPoly as it stands, in the word order of its columns."""
     d = DIRECTIONS["2x1"]
     rows = _admissible_rows(s, ((theta_pair(q1, q2, d), q1 + q2)
                                 for q1, q2 in w0_pairs(s, d)))
-    return {p: TensorPoly(d.left_alphabet, d.right_alphabet, row)
+    return {p: TensorPoly._from_terms(d.left_alphabet, d.right_alphabet, row)
             for p, row in rows.items()}
 
 

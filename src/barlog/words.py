@@ -54,9 +54,12 @@ class _Poly:
 
     terms maps a key (a word, or a pair of words) to a nonzero
     coefficient.  Each subclass gives its __init__, whose leading
-    arguments are its alphabets, the alphabets of an instance
-    (_alphabets), the words of a key (_words), its alphabet check and
-    its sort key.
+    arguments are its alphabets; _adopt, which sets the alphabets and
+    keeps a terms dict as it stands once its letters are checked
+    (__init__ passes its summed terms, zeros and all, so that a stray
+    letter is caught even where its coefficients cancel, and then drops
+    the zeros); the alphabets of an instance (_alphabets), the words of
+    a key (_words), its alphabet check and its sort key.
     """
 
     __slots__ = ()
@@ -64,6 +67,16 @@ class _Poly:
     @classmethod
     def zero(cls, *alphabets):
         return cls(*alphabets)
+
+    @classmethod
+    def _from_terms(cls, *args):
+        """cls(*args) for terms that need no normalising: a dict whose
+        keys are tuples and whose coefficients are nonzero and as num
+        gives them.  The polynomial keeps that dict, in its order; only
+        the letters are checked."""
+        p = cls.__new__(cls)
+        p._adopt(*args)
+        return p
 
     def __add__(self, other):
         self._require_same_alphabet(other)
@@ -117,14 +130,18 @@ class WordPoly(_Poly):
     __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet, terms=()):
-        self.alphabet = tuple(alphabet)
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, coeff in items:
             word = tuple(word)
             acc[word] = acc.get(word, 0) + num(coeff)
-        _check_letters(self.alphabet, acc)
+        self._adopt(alphabet, acc)
         self.terms = {w: num(c) for w, c in acc.items() if c}
+
+    def _adopt(self, alphabet, terms):
+        self.alphabet = tuple(alphabet)
+        _check_letters(self.alphabet, terms)
+        self.terms = terms
 
     @classmethod
     def unit(cls, alphabet):
@@ -159,16 +176,20 @@ class TensorPoly(_Poly):
     __slots__ = ("left_alphabet", "right_alphabet", "terms")
 
     def __init__(self, left_alphabet, right_alphabet, terms=()):
-        self.left_alphabet = tuple(left_alphabet)
-        self.right_alphabet = tuple(right_alphabet)
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (w1, w2), coeff in items:
             key = (tuple(w1), tuple(w2))
             acc[key] = acc.get(key, 0) + num(coeff)
-        _check_letters(self.left_alphabet, (w1 for w1, _ in acc))
-        _check_letters(self.right_alphabet, (w2 for _, w2 in acc))
+        self._adopt(left_alphabet, right_alphabet, acc)
         self.terms = {p: num(c) for p, c in acc.items() if c}
+
+    def _adopt(self, left_alphabet, right_alphabet, terms):
+        self.left_alphabet = tuple(left_alphabet)
+        self.right_alphabet = tuple(right_alphabet)
+        _check_letters(self.left_alphabet, (w1 for w1, _ in terms))
+        _check_letters(self.right_alphabet, (w2 for _, w2 in terms))
+        self.terms = terms
 
     @classmethod
     def monomial(cls, left_alphabet, right_alphabet, w1, w2, coeff=1):

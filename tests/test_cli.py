@@ -251,6 +251,7 @@ _json_values = st.recursive(
     lambda children: (st.lists(children, max_size=5)
                       | st.lists(children, max_size=5).map(tuple)
                       | st.lists(st.text(max_size=4), max_size=5)
+                      | st.lists(st.text(max_size=4), max_size=5).map(tuple)
                       | st.dictionaries(st.text(max_size=6), children,
                                         max_size=5)),
     max_leaves=30)
@@ -258,8 +259,27 @@ _json_values = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
+@example(())
+@example(("z1", "z12"))
+@example({"w": ("z1", "\u00e9"), "v": [(), ("a",)]})
+@example(("z1", ("z2",)))
+@example(((), ()))
+@example(("z1", 1))
+@example(("z1", None, ["z2"]))
 def test_json_chunks_match_indented_json_dumps(x):
+    # A tuple of strings (a word) is written as one chunk; a tuple that
+    # holds anything else, nested tuples included, one item at a time.
     assert "".join(json_chunks(x)) == json.dumps(x, indent=2, sort_keys=True)
+
+
+def test_a_word_is_one_chunk():
+    # _Rendered text is a str, but is written as it is: a tuple holding
+    # one takes the item-by-item path, not the cached word.
+    assert list(json_chunks(("z1", "z12"), "\n  ")) == [
+        '[\n    "z1",\n    "z12"\n  ]']
+    assert list(json_chunks(())) == ["[]"]
+    assert "".join(json_chunks((cli._Rendered("1"), "a"))) == \
+        '[\n  1,\n  "a"\n]'
 
 
 _polys = st.sampled_from((FORM_BASE, LIE_BASE)).flatmap(
@@ -603,6 +623,10 @@ def test_basis_degree_4_golden(capsys, argv, digest):
      "2b4596fe8e52b2c154c7e7c44b82a26651b67fb7aa32ae7bb6966a8e09b3cd86"),
     ("decompose --degree 4 --direction 2x1 --format text",
      "1fccdd2352f9de128822c733a3812dde29da1068b9ce760466b475bd5a40d557"),
+    ("decompose --degree 4",
+     "2b15bf33888d1f9a0f7af73842a5ae594cacafd0aa7e954095d638aba6ebd944"),
+    ("decompose --degree 4 --direction 2x1",
+     "410b97d7a96e6b498737f3f9642813d35f839c10361f2e58ebf0e81ce546eb14"),
     ("decompose --degree 0",
      "c7da0984d238e0cbe05c39712960e9bcd3c3a268e799dcf36128fe16a0922889"),
     ("phi --w1 Z11,Z12 --w2 Z22",

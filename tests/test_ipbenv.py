@@ -6,7 +6,7 @@ import pytest
 
 from barlog import formspace, ipbenv, linalg, relgen
 from barlog.duality import phi, tensor_split, theta
-from barlog.errors import ResourceLimitError
+from barlog.errors import AlphabetError, ResourceLimitError
 from barlog.formspace import is_integrable
 from barlog.ipbenv import (DIRECTIONS, RELATORS, Direction, _reduce_word,
                            _z_word, alpha_eval, alpha_pair, enumerate_w0,
@@ -60,6 +60,17 @@ def test_normal_form_examples():
     diff = (as_poly(normal_form(lie(("Z22", "Z11"))))
             - as_poly(normal_form(lie(("Z11", "Z22")))))
     assert diff == lie(("Z11", "Z12")) - lie(("Z12", "Z11"))
+
+
+@pytest.mark.parametrize("d", ["1x2", "2x1"])
+def test_normal_form_rejects_a_letter_outside_the_z_letters(d):
+    with pytest.raises(AlphabetError, match="'z12'"):
+        normal_form(WordPoly.monomial(FORM_BASE, ("z1", "z2", "z12")), d)
+    # Only the stray letter is named.
+    mixed = WordPoly(LIE_BASE + FORM_BASE,
+                     {("Z2", "Z1"): 1, ("Z2", "z12"): 1})
+    with pytest.raises(AlphabetError, match=r"""letters \["'z12'"\] """):
+        normal_form(mixed, d)
 
 
 def test_normal_form_idempotent():
@@ -151,6 +162,19 @@ def test_decomposition_runs_no_row_reduction(monkeypatch):
             assert len(omega_decomposition(4, d)) == len(w0_pairs(4, d))
     finally:
         ipbenv._omega_decomposition.cache_clear()
+
+
+def test_each_coefficient_is_its_readout_row_in_print_order():
+    """Each coefficient keeps its readout row as it stands, and the CLI
+    writes it so: its terms are nonzero ints in sorted_terms() order,
+    and it equals the WordPoly that sums and normalises the row."""
+    for s in range(6):
+        for d in ("1x2", "2x1"):
+            for p, coeff in ipbenv._omega_decomposition(s, d).items():
+                assert list(coeff.terms.items()) == coeff.sorted_terms(), p
+                assert all(type(c) is int and c
+                           for c in coeff.terms.values()), p
+                assert WordPoly(FORM_BASE, coeff.terms) == coeff, p
 
 
 def test_omega_pairs_are_admissible():

@@ -9,6 +9,7 @@ from barlog.hyperlog import ONE, PARAM, HyperlogTerm, term_to_word
 from barlog.ipbenv import DIRECTIONS, _reduce_word, w0_pairs
 from barlog.relgen import (Relation, decompose_check, generate_all,
                            generate_relation, verify_relation)
+from barlog.words import TensorPoly
 from json_oracle import relation_to_dict
 from relation_oracle import relation_row_via_phi
 
@@ -132,12 +133,17 @@ def test_relation_matrix_is_square():
 def test_relation_rows_are_in_word_order():
     # The rows of C_s come in the word order of their 2x1 columns, with
     # no sort; generate_relation keeps that order and verify_relation
-    # sums in it, which fixes the last bits of each residual.
+    # sums in it, which fixes the last bits of each residual.  Each row
+    # is kept as the readout gives it, and equals its TensorPoly summed
+    # and normalised.
+    d = DIRECTIONS["2x1"]
     for s in range(6):
         rows = relgen._relation_rows(s)
         for r in generate_all(s):
             row = rows[r.w1, r.w2]
             assert list(row.terms) == [w for w, _ in row.sorted_terms()]
+            assert TensorPoly(d.left_alphabet, d.right_alphabet,
+                              row.terms) == row
             assert [(term_to_word(t2), term_to_word(t1))
                     for _, t2, t1 in r.rhs] == list(row.terms)
 
