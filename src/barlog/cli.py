@@ -254,19 +254,18 @@ def _cmd_phi(args, cfg):
 
 
 def _cmd_relations(args, cfg):
-    from .relgen import generate_all, verify_relation
+    from .relgen import generate_all, verify_relations
 
     relations = generate_all(args.degree, cfg.degree_cap)
     # Every relation is checked before the first byte is written, so a
     # failing evaluation leaves no partial output.
     checks = [(None, None)] * len(relations)
     if args.verify:
-        points = [(args.z1, args.z2)]
-        checks = []
-        for r in relations:
-            rep = verify_relation(r, points, cfg.series_terms, cfg.tolerance)
-            checks.append((all(entry["passed"] for entry in rep),
-                           max(entry["residual"] for entry in rep)))
+        checks = [(all(entry["passed"] for entry in rep),
+                   max(entry["residual"] for entry in rep))
+                  for rep in verify_relations(
+                      relations, [(args.z1, args.z2)], cfg.series_terms,
+                      cfg.tolerance)]
     payload = {"count": len(relations), "degree": args.degree,
                "relations": (_relation_json(r, *check)
                              for r, check in zip(relations, checks))}
@@ -426,14 +425,14 @@ def _cmd_decompose(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    from .relgen import decompose_check, generate_all, verify_relation
+    from .relgen import decompose_check, generate_all, verify_relations
 
     point = (args.z1, args.z2)
     check = decompose_check(args.degree, point, max_n=cfg.series_terms,
                             tol=cfg.tolerance, cap=cfg.degree_cap)
     relations = generate_all(args.degree, cfg.degree_cap)
-    reports = [verify_relation(r, [point], cfg.series_terms, cfg.tolerance)
-               for r in relations]
+    reports = verify_relations(relations, [point], cfg.series_terms,
+                               cfg.tolerance)
     rel_ok = all(entry["passed"] for rep in reports for entry in rep)
     payload = {
         "degree": args.degree,

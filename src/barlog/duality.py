@@ -3,9 +3,11 @@ the enveloping algebra: the letterwise theta substitution, the tensor
 splitting isomorphisms iota (deconcatenation followed by the two
 letter projections), the canonical integrable representative
 phi(W', W'') of a product-basis pair, and the inverses of the
-splittings by linearity from phi.  phi is the one gate between the
-kernel decomposition and its users: it certifies each pair's kernel
-coefficient once per process.
+splittings by linearity from phi.  certified_kernel, and phi through
+it, is the one gate between the kernel decomposition and its users: it
+certifies each (degree, direction) kernel once per process, by one
+check of a combination of all its coefficients with fixed-seed random
+weights, and names the failing pair when the check fails.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import AlphabetError, BarlogError, DomainError
-from .ipbenv import _as_direction, check_degree, omega_decomposition
+from .ipbenv import (_as_direction, check_degree, omega_decomposition,
+                     w0_pairs)
 from .linalg import vec_add_into
 from .words import FORM_BASE, TensorPoly, WordPoly, _shuffle_words, shuffle
 
@@ -139,31 +142,88 @@ def phi(w1, w2, direction="1x2", cap=None):
     preimage of theta(W') x theta(W'') under the splitting.
 
     By the tensor splitting of the normalized fundamental solution it
-    is the pair's coefficient in the kernel decomposition; the
-    coefficient is returned only once it is certified."""
+    is the pair's coefficient in the kernel decomposition; it is read
+    only from a kernel that certified_kernel has certified."""
     d = _as_direction(direction)
     w1, w2 = tuple(w1), tuple(w2)
     # The words are checked before any kernel is built.
     theta_pair(w1, w2, d)
-    check_degree(len(w1) + len(w2), cap)
-    return _phi(w1, w2, d.name)
+    s = len(w1) + len(w2)
+    check_degree(s, cap)
+    return _certified_kernel(s, d.name)[w1, w2]
+
+
+def certified_kernel(s, direction="1x2", cap=None):
+    """The degree-s kernel decomposition, {(W', W''): phi(W', W'')},
+    once it is certified: no pair outside the admissible ones carries a
+    coefficient, and every coefficient satisfies Chen's condition and
+    splits as its pair's theta monomial (BarlogError if not).
+
+    Both checks are linear, so they run once per (degree, direction),
+    on the combination R = sum_p r_p K_p of the coefficients K_p with
+    nonzero 64-bit weights r_p: R must satisfy Chen's condition and
+    split as sum_p r_p theta(W') x theta(W'').  The check is randomized
+    with a fixed seed, so every run takes the same weights, and the
+    output never depends on them.  One wrong coefficient is always
+    caught, since its defect is multiplied by r_p != 0 and iota is
+    injective on the integrable forms; wrong coefficients escape
+    together only if the weights cancel their defects, which has
+    probability at most 2^-63.  When R fails, each coefficient is
+    checked on its own, and the error names the first that fails."""
+    d = _as_direction(direction)
+    check_degree(s, cap)
+    return _certified_kernel(s, d.name)
+
+
+# The weights of the kernel certificate: the splitmix64 stream (Steele,
+# Lea and Flood, 2014) of a fixed seed ("barlog" in ASCII), each made
+# odd so that none is 0.
+_SEED = 0x6261726C6F67
+_MASK64 = (1 << 64) - 1
+
+
+def _weights(n):
+    x, out = _SEED, []
+    for _ in range(n):
+        x = (x + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((x ^ x >> 30) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ z >> 31 | 1)
+    return out
+
+
+def _splits(p, t, d):
+    """Whether p satisfies Chen's condition and tensor_split gives t."""
+    # formspace loads only where a form is checked, not with duality.
+    from .formspace import _chen_failure
+
+    return not _chen_failure(p) and tensor_split(p, d) == t
 
 
 @cache
-def _phi(w1, w2, direction):
-    """The pair's kernel coefficient, certified: it satisfies Chen's
-    condition and tensor_split gives the theta monomial of the pair
-    (BarlogError if not)."""
-    from .formspace import _chen_failure
-
+def _certified_kernel(s, direction):
+    """omega_decomposition(s, direction) once certified_kernel's checks
+    pass; the caller has checked the cap, so the kernel is built at s."""
     d = _as_direction(direction)
-    s = len(w1) + len(w2)
-    # phi has checked the cap, so the kernel is built at s.
-    coeff = omega_decomposition(s, direction, cap=s)[(w1, w2)]
-    t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
-                            theta(w1, d, "left"), theta(w2, d, "right"))
-    if _chen_failure(coeff) or tensor_split(coeff, d) != t:
+    kernel = omega_decomposition(s, direction, cap=s)
+    pairs = w0_pairs(s, d)
+    if not {p for p, c in kernel.items() if c} <= set(pairs):
         raise BarlogError(
-            f"kernel coefficient of {(w1, w2)} in {direction} does not "
-            "split as its theta monomial")
-    return coeff
+            f"degree-{s} kernel in {direction} has a non-admissible pair")
+    combination, image = {}, {}
+    for r, (w1, w2) in zip(_weights(len(pairs)), pairs):
+        vec_add_into(combination, kernel[w1, w2].terms, r)
+        image[theta_pair(w1, w2, d)] = r
+    if _splits(WordPoly._from_terms(FORM_BASE, combination),
+               TensorPoly._from_terms(d.left_alphabet, d.right_alphabet,
+                                      image), d):
+        return kernel
+    for pair in pairs:
+        t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
+                                *theta_pair(*pair, d))
+        if not _splits(kernel[pair], t, d):
+            raise BarlogError(
+                f"kernel coefficient of {pair} in {direction} does not "
+                "split as its theta monomial")
+    # Unreachable while both checks are linear.
+    raise BarlogError(f"degree-{s} kernel in {direction} does not split")

@@ -18,7 +18,8 @@ numerators, the relation space of the ten wedge products and the
 adjacent cut defects of Chen's integrability condition.  The canonical
 bases of the reduced bar algebra (bar_basis) and of its part with no
 word ending in z1 or z2 (bar0_basis) come from the kernel coefficients
-that duality.phi certifies, as fibre times base of M_{0,5} over M_{0,4}.
+that duality.phi reads from the certified kernel, as fibre times base
+of M_{0,5} over M_{0,4}.
 """
 
 from __future__ import annotations
@@ -244,8 +245,10 @@ def _bar_basis(s):
 def bar0_basis(s, cap=None):
     """Canonical basis of the subspace of bar_basis(s) spanned by
     combinations with no word ending in z1 or z2: the span of the
-    kernel coefficients phi(W', W'') of the admissible 1x2 pairs, each
-    certified by phi (BarlogError if one is not)."""
+    kernel coefficients phi(W', W'') of the admissible 1x2 pairs, read
+    from the degree-s 1x2 kernel once duality.certified_kernel has
+    certified it (BarlogError naming the pair if a coefficient does not
+    split)."""
     check_degree(s, cap)
     return _bar0_basis(s)
 

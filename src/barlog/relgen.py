@@ -1,7 +1,7 @@
 """Generation and verification of the generalized harmonic product
 relations, and the two-contour decomposition consistency check of the
-normalized fundamental solution, whose symbolic part reads every kernel
-coefficient through phi, the one place that certifies it.
+normalized fundamental solution, whose symbolic part certifies each
+direction's kernel once through duality.certified_kernel.
 
 Each relation equates a product L(theta1(W'); z1) L(theta2(W''); z2)
 with the contour integral of the split integrable representative
@@ -21,11 +21,10 @@ from collections import namedtuple
 from functools import cache
 
 from .defaults import DEFAULT_MAX_N, DEFAULT_TOL
-from .duality import phi, theta_pair
-from .errors import BarlogError
+from .duality import certified_kernel, theta_pair
 from .hyperlog import eval_series, within_bound, word_to_term
-from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, omega_decomposition,
-                     w0_pairs, _admissible_rows, _reduce_word)
+from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, w0_pairs,
+                     _admissible_rows, _reduce_word)
 from .words import TensorPoly
 
 
@@ -124,11 +123,43 @@ def generate_all(s, cap=None):
     return [generate_relation(w1, w2, cap) for w1, w2 in w0_pairs(s, "1x2")]
 
 
-def _product_eval(t_a, t_b, z1, z2, max_n):
-    """Value and bound (proven tail plus rounding estimate) of a product
-    of two terms."""
-    return eval_series(t_a, z1, z2, max_n).times(
-        eval_series(t_b, z1, z2, max_n))
+def verify_relations(relations, points, max_n=DEFAULT_MAX_N,
+                     tol=DEFAULT_TOL):
+    """verify_relation of each relation, in order, with each distinct
+    term evaluated once per point: every report is the one
+    verify_relation gives, bit for bit."""
+    points = list(points)
+    values = [{} for _ in points]
+
+    def value(t, i):
+        """eval_series of t at point i, once per term and point."""
+        v = values[i].get(t)
+        if v is None:
+            v = values[i][t] = eval_series(t, *points[i], max_n)
+        return v
+
+    reports = []
+    for r in relations:
+        report = []
+        for i, (z1, z2) in enumerate(points):
+            lv, lb = value(r.lhs[0], i).times(value(r.lhs[1], i))
+            rv, rb = 0.0 + 0j, 0.0
+            for c, t2, t1 in r.rhs:
+                v, b = value(t2, i).times(value(t1, i))
+                rv += complex(c) * v
+                rb += abs(c) * b
+            residual = abs(lv - rv)
+            bound = lb + rb
+            report.append({
+                "point": (z1, z2),
+                "lhs": lv,
+                "rhs": rv,
+                "residual": residual,
+                "bound": bound,
+                "passed": within_bound(residual, bound, tol),
+            })
+        reports.append(report)
+    return reports
 
 
 def verify_relation(r, points, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
@@ -138,35 +169,20 @@ def verify_relation(r, points, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
     eval_series).  Returns a list of {point, lhs, rhs, residual, bound,
     passed}; bound combines the series' tail bounds and rounding
     estimates, and a point passes when the bound is finite and the
-    residual does not exceed tol plus bound.
+    residual does not exceed tol plus bound.  The rhs is summed in the
+    order of r.rhs.
     """
-    report = []
-    for z1, z2 in points:
-        lv, lb = _product_eval(r.lhs[0], r.lhs[1], z1, z2, max_n)
-        rv, rb = 0.0 + 0j, 0.0
-        for c, t2, t1 in r.rhs:
-            v, b = _product_eval(t2, t1, z1, z2, max_n)
-            rv += complex(c) * v
-            rb += abs(c) * b
-        residual = abs(lv - rv)
-        bound = lb + rb
-        report.append({
-            "point": (z1, z2),
-            "lhs": lv,
-            "rhs": rv,
-            "residual": residual,
-            "bound": bound,
-            "passed": within_bound(residual, bound, tol),
-        })
-    return report
+    return verify_relations([r], points, max_n, tol)[0]
 
 
 # -- decomposition consistency ----------------------------------------------
 
 def _theta_eval(pair, direction, z1, z2, max_n):
-    """Value/bound of L(theta1(W'); main) L(theta2(W''); other)."""
+    """Value and bound (proven tail plus rounding estimate) of
+    L(theta1(W'); main) L(theta2(W''); other)."""
     t1, t2 = map(word_to_term, theta_pair(*pair, direction))
-    return _product_eval(t1, t2, z1, z2, max_n)
+    return eval_series(t1, z1, z2, max_n).times(
+        eval_series(t2, z1, z2, max_n))
 
 
 def _numeric_coeffs(s, direction, z1, z2, max_n):
@@ -188,22 +204,16 @@ def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
                     cap=None):
     """Consistency of the two contour expansions of the degree-s kernel.
 
-    Symbolic part: in each direction the kernel has no coefficient
-    outside the admissible pairs, and phi certifies the coefficient of
-    each admissible pair; a failure raises BarlogError.  Numeric part:
-    the two expansions, reduced to a common product basis, agree
-    coefficientwise at the point.  cap is the degree cap (the default
-    cap when None).
+    Symbolic part: certified_kernel certifies the kernel in each
+    direction once (no coefficient outside the admissible pairs, each
+    coefficient integrable and split as its theta monomial; BarlogError
+    naming the pair if not).  Numeric part: the two expansions, reduced to a
+    common product basis, agree coefficientwise at the point.  cap is
+    the degree cap (the default cap when None).
     """
     check_degree(s, cap)
     for d in ("1x2", "2x1"):
-        pairs = w0_pairs(s, d)
-        kernel = omega_decomposition(s, d, cap)
-        if not {p for p, c in kernel.items() if c} <= set(pairs):
-            raise BarlogError(
-                f"degree-{s} kernel in {d} has a non-admissible pair")
-        for pair in pairs:
-            phi(*pair, d, cap)
+        certified_kernel(s, d, cap)
     a, ba = _numeric_coeffs(s, "1x2", *point, max_n)
     b, bb = _numeric_coeffs(s, "2x1", *point, max_n)
     keys = set(a) | set(b)

@@ -457,10 +457,11 @@ def test_degree_out_of_range_is_rejected_by_every_degree_command(capsys):
 
 
 def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
-    # Chen's condition runs once per certified coefficient: 32 admissible
-    # pairs per direction at degree 3.  The relations read C_3 and
-    # certify nothing, so basis --b0 then relations runs 32.  duality
-    # reads formspace._chen_failure where it certifies.
+    # Chen's condition runs once per certified kernel, on the weighted
+    # combination of its 32 coefficients at degree 3: verify certifies
+    # both directions, and basis --b0 the 1x2 one.  The relations read
+    # C_3 and certify nothing, so basis --b0 then relations runs 1.
+    # duality reads formspace._chen_failure where it certifies.
     from barlog import duality, formspace
 
     calls = []
@@ -471,12 +472,12 @@ def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
         return chen_failure(p)
 
     monkeypatch.setattr(formspace, "_chen_failure", counted)
-    caches = (duality._phi, formspace._bar0_generators,
+    caches = (duality._certified_kernel, formspace._bar0_generators,
               formspace._bar0_basis)
     for argvs, expected in (
-            ([["verify", "--degree", "3"]], 64),
+            ([["verify", "--degree", "3"]], 2),
             ([["basis", "--degree", "3", "--b0"],
-              ["relations", "--degree", "3"]], 32)):
+              ["relations", "--degree", "3"]], 1)):
         for cached in caches:
             cached.cache_clear()
         calls.clear()

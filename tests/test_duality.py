@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -230,7 +231,7 @@ def test_phi_certifies_the_kernel_coefficient(monkeypatch):
     good = decomposition[pair]
     monkeypatch.setattr(duality, "omega_decomposition",
                         lambda s, direction, cap=None: decomposition)
-    duality._phi.cache_clear()
+    duality._certified_kernel.cache_clear()
     try:
         for bad in (good.scale(2),  # integrable, wrong splitting
                     WordPoly.zero(FORM_BASE),
@@ -243,7 +244,58 @@ def test_phi_certifies_the_kernel_coefficient(monkeypatch):
         decomposition[pair] = good
         assert phi(*pair) == good
     finally:
-        duality._phi.cache_clear()
+        duality._certified_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("direction", ["1x2", "2x1"])
+def test_every_single_coefficient_mutant_is_rejected(monkeypatch, direction):
+    # The kernel is certified by one combination of all its coefficients;
+    # each corrupted coefficient is still caught, by phi of that pair or
+    # of any other pair of the kernel, and the error names it.
+    from barlog import duality, ipbenv
+
+    d = DIRECTIONS[direction]
+    good = dict(ipbenv.omega_decomposition(3, direction))
+    pairs = w0_pairs(3, direction)
+    assert list(good) == pairs and len(pairs) == 32
+    # z2 z1 z1 fails Chen's condition at the first cut and splits to zero
+    # in 1x2, and so does its sigma image in 2x1: only Chen's condition
+    # rejects the third mutant.
+    word = ("z2", "z1", "z1") if direction == "1x2" else ("z1", "z2", "z2")
+    stray = WordPoly.monomial(FORM_BASE, word)
+    assert not tensor_split(stray, d)
+    decomposition = {}
+    monkeypatch.setattr(duality, "omega_decomposition",
+                        lambda s, direction, cap=None: decomposition)
+    duality._certified_kernel.cache_clear()
+    try:
+        for i, pair in enumerate(pairs):
+            other = pairs[i - 1]
+            for bad in (good[pair].scale(2), WordPoly.zero(FORM_BASE),
+                        good[pair] + stray):
+                decomposition.clear()
+                decomposition.update(good)
+                decomposition[pair] = bad
+                message = (re.escape(f"kernel coefficient of {pair} in "
+                                     f"{direction} does not split"))
+                for asked in (pair, other):
+                    with pytest.raises(BarlogError, match=message):
+                        phi(*asked, direction)
+        decomposition.clear()
+        decomposition.update(good)
+        assert phi(*pairs[0], direction) == good[pairs[0]]
+    finally:
+        duality._certified_kernel.cache_clear()
+
+
+def test_kernel_weights_are_fixed_and_nonzero():
+    from barlog import duality
+
+    weights = duality._weights(5704)
+    assert weights == duality._weights(5704)
+    assert weights[:3] == duality._weights(3)
+    assert all(0 < r < 2 ** 64 and r % 2 for r in weights)
+    assert len(set(weights)) == len(weights)
 
 
 def test_phi_checks_letters_before_the_kernel(monkeypatch):

@@ -147,7 +147,7 @@ def test_bar0_certifies_each_kernel_coefficient(monkeypatch):
     decomposition[pair] = decomposition[pair] + _m("z2", "z1")
     monkeypatch.setattr(duality, "omega_decomposition",
                         lambda s, direction, cap=None: decomposition)
-    caches = (duality._phi, formspace._bar0_generators,
+    caches = (duality._certified_kernel, formspace._bar0_generators,
               formspace._bar0_basis, formspace._bar_basis)
     for cached in caches:
         cached.cache_clear()

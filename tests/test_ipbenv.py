@@ -46,6 +46,68 @@ def test_rules_follow_from_relators():
             assert red.contains(vec), f"rule {(a, b)} not in the ideal"
 
 
+def test_structural_certificate_of_the_kernel():
+    """Why every readout coefficient is integrable and splits as its
+    theta monomial, at every degree, proved once (Bergman's diamond
+    lemma): the rules have no ambiguity and terminate, so the normal
+    form is a linear map on the quotient; each wedge-slot element
+    reduces to zero there, so no coefficient has a Chen defect; and
+    sigma maps the relators onto themselves, so the 2x1 normal form is
+    the sigma image of the 1x2 one."""
+    movers = set(DIRECTIONS["1x2"].right_letters)
+    # Each key is a mover before a non-mover, and each such pair is a
+    # key: the irreducible words are exactly the product words W' W''.
+    assert set(ipbenv._RULES) == {(a, b) for a in movers for b in LIE_BASE
+                                  if b not in movers}
+    # No overlap: no key ends with the letter that another key starts
+    # with (and two keys of length 2 include each other only if equal).
+    assert not {b for _, b in ipbenv._RULES} & {a for a, _ in ipbenv._RULES}
+
+    def weight(word):
+        """(movers, inversions): an inversion is a mover before a
+        non-mover."""
+        inversions = sum(x in movers and y not in movers
+                         for i, x in enumerate(word) for y in word[i + 1:])
+        return sum(x in movers for x in word), inversions
+
+    # Every rule lowers the weight in every context of up to two letters
+    # on each side, so every rewriting step does and the rewriting ends.
+    contexts = [w for n in range(3)
+                for w in itertools.product(LIE_BASE, repeat=n)]
+    for key, repl in ipbenv._RULES.items():
+        for u in contexts:
+            for v in contexts:
+                for word, _ in repl:
+                    assert weight(u + word + v) < weight(u + key + v), key
+    # The normal form fixes the product words.
+    for n in range(4):
+        for w in itertools.product(LIE_BASE, repeat=n):
+            if weight(w)[1] == 0:
+                cut = sum(x not in movers for x in w)
+                assert _reduce_word(w) == {(w[:cut], w[cut:]): 1}
+    # rho_j = sum_{a,b} coords(a, b)[j] Z(a) Z(b) is zero in the
+    # quotient, for each of the six wedge slots, in both directions.
+    coords = formspace.wedge_relation_space().coords
+    for j in range(6):
+        rho = lie((), 0)
+        for (a, b), vec in coords.items():
+            if vec.get(j):
+                rho = rho + lie(_z_word((a, b)), vec[j])
+        assert rho, j
+        for direction in DIRECTIONS:
+            assert normal_form(rho, direction) == {}, (j, direction)
+
+    # sigma maps each relator to plus or minus a relator.
+    def up_to_sign(rel):
+        sign = 1 if rel[min(rel)] > 0 else -1
+        return frozenset((w, sign * c) for w, c in rel.items())
+
+    relators = {up_to_sign(rel) for rel in RELATORS}
+    assert len(relators) == 6
+    assert {up_to_sign({sigma(w): c for w, c in rel.items()})
+            for rel in RELATORS} == relators
+
+
 def test_normal_form_examples():
     nf = normal_form(lie(("Z2", "Z1")))
     assert nf == {(("Z1",), ("Z2",)): 1}

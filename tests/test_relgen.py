@@ -75,6 +75,43 @@ def test_verify_relation():
     assert all(entry["residual"] < 1e-10 for entry in report)
 
 
+def test_each_term_is_evaluated_once_per_point(monkeypatch):
+    """verify_relations gives the reports of the per-product loop (each
+    factor through eval_series, the rhs summed in its order) bit for
+    bit, with one eval_series call per distinct term and point."""
+    from barlog.hyperlog import eval_series, within_bound
+
+    def reference(r, z1, z2, max_n, tol):
+        lv, lb = eval_series(r.lhs[0], z1, z2, max_n).times(
+            eval_series(r.lhs[1], z1, z2, max_n))
+        rv, rb = 0.0 + 0j, 0.0
+        for c, t2, t1 in r.rhs:
+            v, b = eval_series(t2, z1, z2, max_n).times(
+                eval_series(t1, z1, z2, max_n))
+            rv += complex(c) * v
+            rb += abs(c) * b
+        return {"point": (z1, z2), "lhs": lv, "rhs": rv,
+                "residual": abs(lv - rv), "bound": lb + rb,
+                "passed": within_bound(abs(lv - rv), lb + rb, tol)}
+
+    relations = generate_all(4)
+    points = [(0.3, 0.4), (-0.3, 0.45)]
+    calls = []
+
+    def counted(t, z1, z2, max_n):
+        calls.append((t, z1, z2))
+        return eval_series(t, z1, z2, max_n)
+
+    monkeypatch.setattr(relgen, "eval_series", counted)
+    reports = relgen.verify_relations(relations, points, 2000, 1e-8)
+    terms = {t for r in relations
+             for t in r.lhs + tuple(x for _, t2, t1 in r.rhs
+                                    for x in (t2, t1))}
+    assert len(calls) == len(set(calls)) == len(terms) * len(points)
+    assert repr(reports) == repr([[reference(r, *point, 2000, 1e-8)
+                                   for point in points] for r in relations])
+
+
 def test_verify_at_origin():
     r = generate_relation(("Z11", "Z12"), ())
     report = verify_relation(r, [(0.0, 0.2)], max_n=200)
@@ -194,7 +231,7 @@ def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
     real = ipbenv._omega_decomposition
     good = real(2, "1x2")
     pair = (("Z11", "Z12"), ())
-    duality._phi.cache_clear()
+    duality._certified_kernel.cache_clear()
     try:
         assert decompose_check(2)["passed"]
         for change, message in (
@@ -210,14 +247,14 @@ def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
                 return real(s, direction)
 
             monkeypatch.setattr(ipbenv, "_omega_decomposition", wrong)
-            duality._phi.cache_clear()
+            duality._certified_kernel.cache_clear()
             with pytest.raises(BarlogError, match=message):
                 decompose_check(2)
         monkeypatch.undo()
-        duality._phi.cache_clear()
+        duality._certified_kernel.cache_clear()
         assert real(2, "1x2") == good and decompose_check(2)["passed"]
     finally:
-        duality._phi.cache_clear()
+        duality._certified_kernel.cache_clear()
 
 
 def test_relations_build_no_kernel_and_run_no_chen_check(monkeypatch):
@@ -234,14 +271,14 @@ def test_relations_build_no_kernel_and_run_no_chen_check(monkeypatch):
 
     monkeypatch.setattr(formspace, "chen_defect", counted)
     caches = (relgen._relation_rows, ipbenv._omega_decomposition,
-              duality._phi)
+              duality._certified_kernel)
     for cached in caches:
         cached.cache_clear()
     generate_all(4)
     generate_relation(("Z11", "Z12"), ("Z22",))
     assert not calls
     assert ipbenv._omega_decomposition.cache_info().currsize == 0
-    assert duality._phi.cache_info().currsize == 0
+    assert duality._certified_kernel.cache_info().currsize == 0
 
 
 def test_degree_is_checked_before_any_pair(monkeypatch):
