@@ -27,7 +27,8 @@ class Config(namedtuple("Config",
                          defaults=(DEFAULT_DEGREE_CAP, DEFAULT_MAX_N,
                                    DEFAULT_TOL, "json"))):
     """Run settings: the degree cap, the cap on series terms, the
-    verification tolerance and the output format ("json" or "text")."""
+    verification tolerance and the output format ("json" or "text");
+    each field is a config key, and its setting flag writes it."""
     __slots__ = ()
 
     def validate(self):
@@ -45,29 +46,23 @@ class Config(namedtuple("Config",
                              f"got {self.format!r}")
 
 
-_CONFIG_FIELDS = {
-    "degree_cap": int,
-    "series_terms": int,
-    "tolerance": float,
-    "format": str,
-}
-
-
 def load_config(path):
+    """{key: value} of a file of key = value lines ('#' comments): each
+    key a Config field, each value of the type of that field's default;
+    ValueError naming the line otherwise."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, raw = map(str.strip, line.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _CONFIG_FIELDS:
+            if key not in Config._fields:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_FIELDS[key](raw)
+                values[key] = type(Config._field_defaults[key])(raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -76,9 +71,7 @@ def load_config(path):
 def parse_z_word(text):
     """Comma-separated upper-case letters; empty string is the unit."""
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(x.strip() for x in text.split(","))
+    return tuple(x.strip() for x in text.split(",")) if text else ()
 
 
 @cache
@@ -208,18 +201,12 @@ def _write(chunks, out):
         sys.stdout.writelines(chunks)
 
 
-def _emit(payload, text, cfg, out):
-    """Write the payload by json_chunks, or in text format the chunks
-    that text() yields.  Each handler computes everything that can fail
-    before it calls this, so a failing command writes no output."""
-    _write(chain(json_chunks(payload), ("\n",)) if cfg.format == "json"
-           else text(), out)
-
-
 # -- subcommand handlers -----------------------------------------------------
 #
 # Each handler imports the modules that only its command needs, so that
-# a run loads no more of the package than its command uses.
+# a run loads no more of the package than its command uses.  It returns
+# (payload, text, exit code) once everything that can fail is computed,
+# so a failing command writes no output.
 
 def _cmd_basis(args, cfg):
     from .formspace import bar0_basis, bar_basis
@@ -238,19 +225,16 @@ def _cmd_basis(args, cfg):
         for b in basis:
             yield f"{b!r}\n"
 
-    _emit(payload, text, cfg, args.out)
-    return 0
+    return payload, text, 0
 
 
 def _cmd_phi(args, cfg):
     from .duality import phi
 
-    w1 = parse_z_word(args.w1)
-    w2 = parse_z_word(args.w2)
+    w1, w2 = parse_z_word(args.w1), parse_z_word(args.w2)
     p = phi(w1, w2, direction=args.direction, cap=cfg.degree_cap)
     payload = {"w1": w1, "w2": w2, "direction": args.direction, "phi": p}
-    _emit(payload, lambda: (f"{p!r}\n",), cfg, args.out)
-    return 0
+    return payload, lambda: (f"{p!r}\n",), 0
 
 
 def _cmd_relations(args, cfg):
@@ -273,18 +257,12 @@ def _cmd_relations(args, cfg):
     def text():
         yield f"degree: {args.degree}\ncount: {len(relations)}\n"
         for r, (verified, _) in zip(relations, checks):
-            yield _relation_line(r, verified)
+            yield (r.render() + (" (trivial)" if r.trivial else "")
+                   + {None: "", True: " [ok]", False: " [FAILED]"}[verified]
+                   + "\n")
 
-    _emit(payload, text, cfg, args.out)
-    return 1 if any(verified is False for verified, _ in checks) else 0
-
-
-def _relation_line(r, verified):
-    mark = ""
-    if verified is not None:
-        mark = " [ok]" if verified else " [FAILED]"
-    flag = " (trivial)" if r.trivial else ""
-    return r.render() + flag + mark + "\n"
+    failed = any(verified is False for verified, _ in checks)
+    return payload, text, 1 if failed else 0
 
 
 # Indents, in the relations output, of a relation, of its fields, of
@@ -362,8 +340,7 @@ def _cmd_harmonic(args, cfg):
         bound = lhs_bound + rhs_bound
         payload["residual"] = residual
         payload["bound"] = _finite_or_none(bound)
-        if not within_bound(residual, bound, cfg.tolerance):
-            failed = True
+        failed |= not within_bound(residual, bound, cfg.tolerance)
 
     def text():
         yield f"Li{left}(z1) * Li{right}(z2) =\n"
@@ -372,8 +349,7 @@ def _cmd_harmonic(args, cfg):
         if "residual" in payload:
             yield f"residual: {payload['residual']:.3e}\n"
 
-    _emit(payload, text, cfg, args.out)
-    return 1 if failed else 0
+    return payload, text, 1 if failed else 0
 
 
 def _cmd_eval(args, cfg):
@@ -385,10 +361,8 @@ def _cmd_eval(args, cfg):
                "value": [r.value.real, r.value.imag],
                "bound": _finite_or_none(r.truncation_bound),
                "terms_used": r.terms_used}
-    _emit(payload, lambda: (f"{term.render()} = {r.value!r} "
-                            f"(bound {r.truncation_bound:.3e})\n",),
-          cfg, args.out)
-    return 0
+    return payload, lambda: (f"{term.render()} = {r.value!r} "
+                             f"(bound {r.truncation_bound:.3e})\n",), 0
 
 
 # The indent, in the decompose output, of a coefficient's fields.
@@ -420,8 +394,7 @@ def _cmd_decompose(args, cfg):
                                 in decomposition[w1, w2].terms.items())
                    + "\n")
 
-    _emit(payload, text, cfg, args.out)
-    return 0
+    return payload, text, 0
 
 
 def _cmd_verify(args, cfg):
@@ -442,13 +415,15 @@ def _cmd_verify(args, cfg):
         "relations_ok": rel_ok,
         "passed": bool(check["passed"] and rel_ok),
     }
-    _emit(payload, lambda: (
-        f"decomposition degree {args.degree}: "
-        f"{'pass' if check['passed'] else 'FAIL'} "
-        f"(residual {check['residual']:.3e})\n"
-        f"relations: {len(relations)} checked, "
-        f"{'all pass' if rel_ok else 'FAILURES'}\n",), cfg, args.out)
-    return 0 if payload["passed"] else 1
+
+    def text():
+        yield (f"decomposition degree {args.degree}: "
+               f"{'pass' if check['passed'] else 'FAIL'} "
+               f"(residual {check['residual']:.3e})\n"
+               f"relations: {len(relations)} checked, "
+               f"{'all pass' if rel_ok else 'FAILURES'}\n")
+
+    return payload, text, 0 if payload["passed"] else 1
 
 
 # -- argument parsing --------------------------------------------------------
@@ -462,13 +437,6 @@ class _UsageError(Exception):
     pass
 
 
-def _terms_help():
-    return (f"cap on the terms of each series (default {DEFAULT_MAX_N}); "
-            "a series stops earlier once its proven tail bound is below "
-            "its first-order rounding estimate, and the bound it reports "
-            "is the sum of the two")
-
-
 def _degree(p):
     p.add_argument("--degree", type=int, required=True)
 
@@ -478,14 +446,25 @@ def _direction(p):
 
 
 def _terms(p):
-    p.add_argument("--terms", type=int, help=_terms_help())
+    p.add_argument("--terms", type=int, dest="series_terms", metavar="TERMS",
+                   default=argparse.SUPPRESS, help=(
+                       f"cap on the terms of each series (default "
+                       f"{DEFAULT_MAX_N}); a series stops earlier once its "
+                       "proven tail bound is below its first-order rounding "
+                       "estimate, and the bound it reports is the sum of "
+                       "the two"))
+
+
+def _terms_and_tol(p):
+    _terms(p)
+    p.add_argument("--tol", type=float, dest="tolerance", metavar="TOL",
+                   default=argparse.SUPPRESS)
 
 
 def _numeric_check(p):
     p.add_argument("--z1", type=float, default=0.3)
     p.add_argument("--z2", type=float, default=0.4)
-    _terms(p)
-    p.add_argument("--tol", type=float)
+    _terms_and_tol(p)
 
 
 def _basis_args(p):
@@ -510,7 +489,7 @@ def _harmonic_args(p):
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--numeric", help="z1,z2 evaluation point")
-    _terms(p)
+    _terms_and_tol(p)
 
 
 def _eval_args(p):
@@ -574,21 +553,16 @@ def run(argv):
     parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
-        cfg = Config()
-        if getattr(args, "config", None):
-            cfg = cfg._replace(**load_config(args.config))
-        overrides = {}
-        if getattr(args, "format", None):
-            overrides["format"] = args.format
-        if getattr(args, "degree_cap", None) is not None:
-            overrides["degree_cap"] = args.degree_cap
-        if getattr(args, "terms", None) is not None:
-            overrides["series_terms"] = args.terms
-        if getattr(args, "tol", None) is not None:
-            overrides["tolerance"] = args.tol
-        cfg = cfg._replace(**overrides)
+        settings = vars(args)
+        cfg = (Config(**load_config(args.config))
+               if settings.get("config") else Config())
+        cfg = cfg._replace(**{key: settings[key] for key in Config._fields
+                              if key in settings})
         cfg.validate()
-        return _COMMANDS[args.command][0](args, cfg)
+        payload, text, code = _COMMANDS[args.command][0](args, cfg)
+        _write(chain(json_chunks(payload), ("\n",)) if cfg.format == "json"
+               else text(), args.out)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

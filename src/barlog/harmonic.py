@@ -41,31 +41,37 @@ def _prefixed(head, product):
 
 
 def index_harmonic(k, l):
-    """Quasi-shuffle product of two indices: {index: integer coeff}."""
-    k, l = tuple(k), tuple(l)
+    """Quasi-shuffle product of two indices: {index: integer coeff}.
+    An index entry below 1 raises ValueError."""
+    return _index_harmonic(_positive(k), _positive(l))
+
+
+def _index_harmonic(k, l):
+    """index_harmonic of two tuples already checked."""
     if not k:
         return {l: 1}
     if not l:
         return {k: 1}
-    acc = _prefixed((k[0],), index_harmonic(k[1:], l))
-    vec_add_into(acc, _prefixed((l[0],), index_harmonic(k, l[1:])))
+    acc = _prefixed((k[0],), _index_harmonic(k[1:], l))
+    vec_add_into(acc, _prefixed((l[0],), _index_harmonic(k, l[1:])))
     return vec_add_into(acc, _prefixed((k[0] + l[0],),
-                                       index_harmonic(k[1:], l[1:])))
+                                       _index_harmonic(k[1:], l[1:])))
 
 
 def closed_harmonic_expand(k, l):
     """The closed re-grouping of the quasi-shuffle product: all ways of
     inserting k1 (possibly merged with the next entry of l) after a
-    prefix of l, recursing on the tails, plus the fully-stacked term."""
-    k, l = tuple(k), tuple(l)
+    prefix of l, recursing on the tails, plus the fully-stacked term.
+    An index entry below 1 raises ValueError."""
+    k, l = _positive(k), _positive(l)
     if not k:
         return {l: 1}
     acc = {}
     for p in range(len(l)):
         vec_add_into(acc, _prefixed(l[:p] + (k[0],),
-                                    index_harmonic(k[1:], l[p:])))
+                                    _index_harmonic(k[1:], l[p:])))
         vec_add_into(acc, _prefixed(l[:p] + (k[0] + l[p],),
-                                    index_harmonic(k[1:], l[p + 1:])))
+                                    _index_harmonic(k[1:], l[p + 1:])))
     return vec_add_into(acc, {l + k: 1})
 
 
@@ -151,16 +157,16 @@ def mpl_harmonic_expand(k, l):
                                 orientation): c})
 
     for p in range(1, i):
-        emit(k[:p] + (l[0],), index_harmonic(k[p:], l[1:]), p, "12")
-        emit(k[:p] + (l[0] + k[p],), index_harmonic(k[p + 1:], l[1:]),
+        emit(k[:p] + (l[0],), _index_harmonic(k[p:], l[1:]), p, "12")
+        emit(k[:p] + (l[0] + k[p],), _index_harmonic(k[p + 1:], l[1:]),
              p, "12")
     vec_add_into(out, {(k + l, (i, j), "12"): 1})
     for p in range(1, j):
-        emit(l[:p] + (k[0],), index_harmonic(l[p:], k[1:]), p, "21")
-        emit(l[:p] + (k[0] + l[p],), index_harmonic(l[p + 1:], k[1:]),
+        emit(l[:p] + (k[0],), _index_harmonic(l[p:], k[1:]), p, "21")
+        emit(l[:p] + (k[0] + l[p],), _index_harmonic(l[p + 1:], k[1:]),
              p, "21")
     vec_add_into(out, {(l + k, (j, i), "21"): 1})
-    emit((k[0] + l[0],), index_harmonic(k[1:], l[1:]), 0, "21")
+    emit((k[0] + l[0],), _index_harmonic(k[1:], l[1:]), 0, "21")
     return _canonical(out)
 
 

@@ -284,7 +284,10 @@ def enumerate_w0(letters, s):
 
 def w0_pairs(s, direction="1x2"):
     """All (W', W'') pairs of total degree s over the direction's left
-    and right letters, neither word ending in Z1 or Z2."""
+    and right letters, neither word ending in Z1 or Z2.  A negative
+    degree raises ValueError; no cap applies."""
+    if operator.index(s) < 0:
+        raise ValueError("degree must be nonnegative")
     d = _as_direction(direction)
     pairs = []
     for s1 in range(s + 1):

@@ -123,12 +123,26 @@ def generate_all(s, cap=None):
     return [generate_relation(w1, w2, cap) for w1, w2 in w0_pairs(s, "1x2")]
 
 
+def _point(p):
+    """An evaluation point as (z1, z2); ValueError for anything that is
+    not two coordinates."""
+    try:
+        z1, z2 = p
+    except (TypeError, ValueError):
+        raise ValueError("an evaluation point is two coordinates (z1, z2), "
+                         f"got {p!r}") from None
+    return z1, z2
+
+
 def verify_relations(relations, points, max_n=DEFAULT_MAX_N,
                      tol=DEFAULT_TOL):
     """verify_relation of each relation, in order, with each distinct
     term evaluated once per point: every report is the one
-    verify_relation gives, bit for bit."""
-    points = list(points)
+    verify_relation gives, bit for bit.  An empty point list, or a
+    point that is not two coordinates, raises ValueError first."""
+    points = [_point(p) for p in points]
+    if not points:
+        raise ValueError("no evaluation point given")
     values = [{} for _ in points]
 
     def value(t, i):
@@ -163,7 +177,7 @@ def verify_relations(relations, points, max_n=DEFAULT_MAX_N,
 
 
 def verify_relation(r, points, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
-    """Numeric witness of a relation at the given (z1, z2) points.
+    """Numeric witness of a relation at one or more (z1, z2) points.
 
     Every series stops adaptively within max_n terms (see
     eval_series).  Returns a list of {point, lhs, rhs, residual, bound,
@@ -209,9 +223,11 @@ def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
     coefficient integrable and split as its theta monomial; BarlogError
     naming the pair if not).  Numeric part: the two expansions, reduced to a
     common product basis, agree coefficientwise at the point.  cap is
-    the degree cap (the default cap when None).
+    the degree cap (the default cap when None).  The point must be two
+    coordinates (ValueError, before any kernel is built).
     """
     check_degree(s, cap)
+    point = _point(point)
     for d in ("1x2", "2x1"):
         certified_kernel(s, d, cap)
     a, ba = _numeric_coeffs(s, "1x2", *point, max_n)

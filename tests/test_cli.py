@@ -317,6 +317,48 @@ def test_json_chunks_render_a_polynomial_as_its_dict(x):
                                                  indent=2, sort_keys=True)
 
 
+def test_harmonic_tol(tmp_path, capsys):
+    argv = ["harmonic", "--left", "2", "--right", "1", "--numeric",
+            "0.3,0.4"]
+    code, out, err = capture(capsys, argv + ["--tol", "nan"])
+    assert (code, out) == (2, "")
+    assert err == ("error: --tol (tolerance) must be finite and positive, "
+                   "got nan\n")
+    # The flag overrides the config key, as it does for every command.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("tolerance = nan\n")
+    code, out, err = capture(capsys, argv + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "got nan" in err
+    _, default, _ = capture(capsys, argv)
+    assert capture(capsys, argv + ["--config", str(cfg), "--tol", "1e-6"]
+                   ) == (0, default, "")
+
+
+def test_each_setting_flag_writes_its_config_field(tmp_path, capsys,
+                                                    monkeypatch):
+    seen = []
+    _, help_line, add_args = cli._COMMANDS["verify"]
+    monkeypatch.setitem(cli._COMMANDS, "verify", (
+        lambda args, cfg: (seen.append(cfg), lambda: (), 0), help_line,
+        add_args))
+    cfg = tmp_path / "cfg"
+    cfg.write_text("degree_cap = 3\ntolerance = 1\nformat = text\n")
+    command = ["verify", "--degree", "1"]
+    for argv, expected in (
+            (command, Config()),
+            (command + ["--config", str(cfg)],
+             Config(degree_cap=3, tolerance=1.0, format="text")),
+            (["--format", "json", "--config", str(cfg)] + command
+             + ["--terms", "7", "--tol", "0.5", "--degree-cap", "4"],
+             Config(4, 7, 0.5, "json"))):
+        seen.clear()
+        assert capture(capsys, argv)[::2] == (0, "")
+        assert seen == [expected]
+        # A config value has the type of its field's default.
+        assert list(map(type, seen[0])) == list(map(type, Config()))
+
+
 def test_decompose(capsys):
     code, out, _ = capture(capsys, ["decompose", "--degree", "2",
                                     "--direction", "1x2"])
@@ -597,6 +639,20 @@ def test_output_is_written_in_chunks(monkeypatch, capsys, argv):
 def test_relations_outputs_golden(capsys, argv, digest):
     # SHA-256 of the stdout of each command while the whole payload was
     # built as one string before it was written.
+    code, out, _ = capture(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("verify --degree 4",
+     "735f1d556aa02c36a5cc766d5667f1552dedff799a55167de9b53b5253d30d02"),
+    ("verify --degree 4 --format text",
+     "ed024dc9be2cc6ec19a0e399ac3785cbc6f1b48282c6960849ed5c0a19bcdedd"),
+])
+def test_verify_degree_4_golden(capsys, argv, digest):
+    # SHA-256 of the stdout of verify at the default point and settings,
+    # as it was written before the run settings became one record.
     code, out, _ = capture(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

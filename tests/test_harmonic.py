@@ -26,6 +26,14 @@ def test_index_harmonic_weight_homogeneous():
     assert sum(out.values()) > 0
 
 
+def test_index_entries_below_one_are_rejected():
+    for expand in (index_harmonic, closed_harmonic_expand):
+        for k, l in (((0,), (1,)), ((0,), (-1,)), ((2, 1), (1, -3)),
+                     ((), (0,))):
+            with pytest.raises(ValueError, match="must be positive"):
+                expand(k, l)
+
+
 def test_closed_form_matches_recursion():
     idxs = all_indices(1) + all_indices(2) + all_indices(3)
     for k in idxs:

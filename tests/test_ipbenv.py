@@ -275,6 +275,15 @@ def test_enumerate_w0():
     assert len(w0_pairs(4)) == 100
 
 
+def test_w0_pairs_rejects_a_negative_degree():
+    assert w0_pairs(0) == [((), ())]
+    # w0_pairs enumerates at any degree, so it takes no cap, but a
+    # negative degree is an error, as for every degree-taking function.
+    for d in ("1x2", "2x1"):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            w0_pairs(-1, d)
+
+
 def test_sigma_maps_the_1x2_decomposition_to_the_2x1_one():
     """sigma exchanges z1 and z2 in the kernel, which is built once for
     both directions, so the 2x1 decomposition is the sigma image of the

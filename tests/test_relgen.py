@@ -125,6 +125,29 @@ def test_relations_all_valid_numerically():
         assert report[0]["passed"], r.render()
 
 
+def test_evaluation_points_are_checked_before_any_work(monkeypatch):
+    from barlog import duality
+
+    def forbidden(*args):
+        raise AssertionError("work done before the points were checked")
+
+    r = generate_relation(("Z11",), ("Z22",))
+    monkeypatch.setattr(relgen, "certified_kernel", forbidden)
+    monkeypatch.setattr(relgen, "eval_series", forbidden)
+    monkeypatch.setattr(duality, "certified_kernel", forbidden)
+    for point in ((0.3,), (0.3, 0.4, 0.5), 0.3, ()):
+        with pytest.raises(ValueError, match="two coordinates"):
+            decompose_check(2, point=point)
+        with pytest.raises(ValueError, match="two coordinates"):
+            verify_relation(r, [(0.3, 0.4), point])
+    # No point would be an empty report, which all() reads as a pass.
+    for check in (lambda: verify_relation(r, []),
+                  lambda: relgen.verify_relations([r], []),
+                  lambda: relgen.verify_relations([], iter(()))):
+        with pytest.raises(ValueError, match="no evaluation point"):
+            check()
+
+
 def test_invalid_words_rejected(monkeypatch):
     # Each argument error is raised before any row of C_s is built.
     def no_rows(s):
