@@ -555,7 +555,7 @@ def run(argv):
         args = parser.parse_args(argv)
         settings = vars(args)
         cfg = (Config(**load_config(args.config))
-               if settings.get("config") else Config())
+               if "config" in settings else Config())
         cfg = cfg._replace(**{key: settings[key] for key in Config._fields
                               if key in settings})
         cfg.validate()

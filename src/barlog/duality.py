@@ -18,7 +18,8 @@ from .errors import AlphabetError, BarlogError, DomainError
 from .ipbenv import (_as_direction, check_degree, omega_decomposition,
                      w0_pairs)
 from .linalg import vec_add_into
-from .words import FORM_BASE, TensorPoly, WordPoly, _shuffle_words, shuffle
+from .words import (FORM_BASE, WordPoly, _check_letters, _shuffle_words,
+                    shuffle)
 
 
 def theta(word, direction="1x2", side="left"):
@@ -49,9 +50,9 @@ def theta_pair(w1, w2, direction="1x2"):
 
 
 def iota(p, direction="1x2"):
-    """Tensor splitting of an integrable form polynomial: Chen's
-    condition (DomainError naming the first failing degree and cut),
-    then tensor_split(p, direction)."""
+    """Tensor splitting of an integrable form polynomial, as
+    {(W', W''): coeff}: Chen's condition (DomainError naming the first
+    failing degree and cut), then tensor_split(p, direction)."""
     # formspace loads only where a form is checked, not with duality.
     from .formspace import _chen_failure
 
@@ -64,9 +65,11 @@ def iota(p, direction="1x2"):
 
 def tensor_split(p, direction="1x2"):
     """Sum over the deconcatenation cuts of (left projection) x (right
-    projection), without the integrability check of iota.  Each word
-    is projected once per side; its surviving cuts run from just after
-    the last right-killed letter to the first left-killed one."""
+    projection), without the integrability check of iota, as a dict
+    {(W', W''): nonzero coeff} whose words are over the direction's
+    left and right alphabets.  Each word is projected once per side;
+    its surviving cuts run from just after the last right-killed
+    letter to the first left-killed one."""
     d = _as_direction(direction)
     acc = {}
     for w, c in p.terms.items():
@@ -75,7 +78,7 @@ def tensor_split(p, direction="1x2"):
         first, last = len(w) - right[::-1].index(None), left.index(None)
         vec_add_into(acc, {(tuple(left[:l]), tuple(right[l + 1:])): 1
                            for l in range(first, last + 1)}, c)
-    return TensorPoly(d.left_alphabet, d.right_alphabet, acc)
+    return acc
 
 
 # -- inverse by linearity from phi ------------------------------------------
@@ -104,25 +107,26 @@ def _log_split(word, log):
 
 
 def iota_inv(t, direction="1x2", cap=None):
-    """The unique integrable preimage of a tensor polynomial, by
-    linearity from phi.  iota is a shuffle morphism, injective on the
-    integrable forms, that sends phi(W', W'') to theta(W') x theta(W'')
-    and z1^a, z2^c to the powers of the log letters of their factors;
-    so each tensor word, split by _log_split on both sides, pulls back
-    to phi of the theta preimages shuffled with z1^a and z2^c."""
+    """The unique integrable preimage of a tensor {(W', W''): coeff},
+    by linearity from phi; AlphabetError names a letter of W' outside
+    the direction's left alphabet or of W'' outside its right one.
+    iota is a shuffle morphism, injective on the integrable forms, that
+    sends phi(W', W'') to theta(W') x theta(W'') and z1^a, z2^c to the
+    powers of the log letters of their factors; so each tensor word,
+    split by _log_split on both sides, pulls back to phi of the theta
+    preimages shuffled with z1^a and z2^c."""
     d = _as_direction(direction)
-    if (t.left_alphabet, t.right_alphabet) != (d.left_alphabet,
-                                               d.right_alphabet):
-        raise AlphabetError(f"tensor alphabets do not match {d.name}")
+    _check_letters(d.left_alphabet, (w1 for w1, _ in t))
+    _check_letters(d.right_alphabet, (w2 for _, w2 in t))
+    t = {pair: c for pair, c in t.items() if c}
     # A pure-log tensor never reaches phi, so the cap is checked here.
-    check_degree(max((len(w1) + len(w2) for w1, w2 in t.terms), default=0),
-                 cap)
+    check_degree(max((len(w1) + len(w2) for w1, w2 in t), default=0), cap)
     left_log = _log_letter(d.left_alphabet)
     right_log = _log_letter(d.right_alphabet)
     from_left = {v: k for k, v in d.theta_left.items()}
     from_right = {v: k for k, v in d.theta_right.items()}
     by_logs = {}
-    for (u1, u2), c in t.terms.items():
+    for (u1, u2), c in t.items():
         for (x1, a), c1 in _log_split(u1, left_log).items():
             for (x2, b), c2 in _log_split(u2, right_log).items():
                 p = phi([from_left[x] for x in x1],
@@ -214,14 +218,10 @@ def _certified_kernel(s, direction):
     for r, (w1, w2) in zip(_weights(len(pairs)), pairs):
         vec_add_into(combination, kernel[w1, w2].terms, r)
         image[theta_pair(w1, w2, d)] = r
-    if _splits(WordPoly._from_terms(FORM_BASE, combination),
-               TensorPoly._from_terms(d.left_alphabet, d.right_alphabet,
-                                      image), d):
+    if _splits(WordPoly._from_terms(FORM_BASE, combination), image, d):
         return kernel
     for pair in pairs:
-        t = TensorPoly.monomial(d.left_alphabet, d.right_alphabet,
-                                *theta_pair(*pair, d))
-        if not _splits(kernel[pair], t, d):
+        if not _splits(kernel[pair], {theta_pair(*pair, d): 1}, d):
             raise BarlogError(
                 f"kernel coefficient of {pair} in {direction} does not "
                 "split as its theta monomial")

@@ -30,7 +30,7 @@ from functools import cache
 from .duality import phi
 from .ipbenv import check_degree, w0_pairs
 from .linalg import RowReducer, canonical_basis, vec_add_into
-from .words import FORM_BASE, WordPoly, shuffle
+from .words import FORM_BASE, WordPoly, _check_letters, shuffle
 
 # -- bivariate polynomials: {(i, j): coeff} for z1^i z2^j ---------------
 
@@ -141,14 +141,14 @@ def wedge_relation_space():
 
 
 def relation_space_contains(candidate):
-    """Check a {pair: coeff} combination of wedges for vanishing."""
+    """Check a {pair: coeff} combination of wedges of base letters for
+    vanishing: its coordinates over a basis of the span cancel.
+    AlphabetError names a letter outside FORM_BASE."""
+    _check_letters(FORM_BASE, candidate)
+    coords = wedge_relation_space().coords
     acc = {}
-    for (a, b), coeff in candidate.items():
-        if a == b:
-            continue
-        key = (a, b) if FORM_BASE.index(a) < FORM_BASE.index(b) else (b, a)
-        sign = 1 if key == (a, b) else -1
-        vec_add_into(acc, _wedge_numerator(*key), sign * coeff)
+    for pair, coeff in candidate.items():
+        vec_add_into(acc, coords[pair], coeff)
     return not acc
 
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from numbers import Number
 
 from .defaults import DEFAULT_MAX_N, DEFAULT_TOL
 from .duality import certified_kernel, theta_pair
 from .hyperlog import eval_series, within_bound, word_to_term
 from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, w0_pairs,
                      _admissible_rows, _reduce_word)
-from .words import TensorPoly
 
 
 class Relation(namedtuple("Relation", "w1 w2 degree lhs rhs trivial")):
@@ -81,18 +81,17 @@ def _term_key(t):
 
 @cache
 def _relation_rows(s):
-    """The rows of C_s: {(W', W''): 2x1 TensorPoly} over the admissible
-    1x2 pairs.  Each admissible 2x1 product word q' q'' puts the
-    coefficient of (W', W'') in its 1x2 normal form at the column
+    """The rows of C_s: {(W', W''): {2x1 column: coeff}} over the
+    admissible 1x2 pairs.  Each admissible 2x1 product word q' q'' puts
+    the coefficient of (W', W'') in its 1x2 normal form at the column
     theta(q') x theta(q''); theta is injective, so no entry is written
     twice.  No non-admissible 2x1 word reaches an admissible pair (the
-    tests check it), so the matrix is square.  Each row is its
-    TensorPoly as it stands, in the word order of its columns."""
+    tests check it), so the matrix is square.  Each row is the
+    readout's dict of nonzero ints as it stands, in the word order of
+    its columns."""
     d = DIRECTIONS["2x1"]
-    rows = _admissible_rows(s, ((theta_pair(q1, q2, d), q1 + q2)
+    return _admissible_rows(s, ((theta_pair(q1, q2, d), q1 + q2)
                                 for q1, q2 in w0_pairs(s, d)))
-    return {p: TensorPoly._from_terms(d.left_alphabet, d.right_alphabet, row)
-            for p, row in rows.items()}
 
 
 def generate_relation(w1, w2, cap=None):
@@ -108,7 +107,7 @@ def generate_relation(w1, w2, cap=None):
     # The row is in the word order of its 2x1 columns already (the tests
     # check it), and verify_relation sums in this order.
     rhs = tuple((c, word_to_term(u), word_to_term(v))
-                for (u, v), c in _relation_rows(s)[(w1, w2)].terms.items())
+                for (u, v), c in _relation_rows(s)[(w1, w2)].items())
     trivial = (len(rhs) == 1 and rhs[0][0] == 1 and
                sorted(filter(None, map(_term_key, rhs[0][1:])))
                == sorted(filter(None, map(_term_key, lhs))))
@@ -125,12 +124,14 @@ def generate_all(s, cap=None):
 
 def _point(p):
     """An evaluation point as (z1, z2); ValueError for anything that is
-    not two coordinates."""
+    not two coordinates, each a number (a str is not one)."""
     try:
         z1, z2 = p
     except (TypeError, ValueError):
+        z1 = z2 = None
+    if not (isinstance(z1, Number) and isinstance(z2, Number)):
         raise ValueError("an evaluation point is two coordinates (z1, z2), "
-                         f"got {p!r}") from None
+                         f"each a number, got {p!r}")
     return z1, z2
 
 
@@ -139,7 +140,7 @@ def verify_relations(relations, points, max_n=DEFAULT_MAX_N,
     """verify_relation of each relation, in order, with each distinct
     term evaluated once per point: every report is the one
     verify_relation gives, bit for bit.  An empty point list, or a
-    point that is not two coordinates, raises ValueError first."""
+    point that is not two numbers, raises ValueError first."""
     points = [_point(p) for p in points]
     if not points:
         raise ValueError("no evaluation point given")
@@ -224,7 +225,7 @@ def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
     naming the pair if not).  Numeric part: the two expansions, reduced to a
     common product basis, agree coefficientwise at the point.  cap is
     the degree cap (the default cap when None).  The point must be two
-    coordinates (ValueError, before any kernel is built).
+    numbers (ValueError, before any kernel is built).
     """
     check_degree(s, cap)
     point = _point(point)

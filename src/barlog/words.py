@@ -4,14 +4,13 @@ Words are tuples of letter tags.  Two families of tags are used: the
 lower-case form letters (z1, z11, z2, z22, z12, and the projected
 letters z12_1, z12_2) and the upper-case Lie letters (Z1, Z11, Z2, Z22,
 Z12).  A polynomial is a finite rational linear combination of words
-over one fixed alphabet, and a tensor polynomial one of pairs of words,
-each factor over its own alphabet.  A coefficient is an int or a
-Fraction (see linalg.num): the two compare and hash equal, and a
-Fraction appears only when a pivot inverse or a parsed coefficient is
-non-integral.
+over one fixed alphabet.  A coefficient is an int or a Fraction (see
+linalg.num): the two compare and hash equal, and a Fraction appears
+only when a pivot inverse or a parsed coefficient is non-integral.
 
-The module provides the two polynomial types, which share their linear
-algebra, and the commutative shuffle product.
+The module provides the polynomial type, WordPoly, and the commutative
+shuffle product.  A sum over pairs of words, such as a tensor
+splitting, is a plain {(W', W''): coeff} dict.
 """
 
 from __future__ import annotations
@@ -49,83 +48,12 @@ def _check_letters(alphabet, words):
             f"letters {sorted(map(repr, stray))} not in alphabet {alphabet}")
 
 
-class _Poly:
-    """The linear algebra that WordPoly and TensorPoly share.
+class WordPoly:
+    """A finite rational linear combination of words over one alphabet.
 
-    terms maps a key (a word, or a pair of words) to a nonzero
-    coefficient.  Each subclass gives its __init__, whose leading
-    arguments are its alphabets; _adopt, which sets the alphabets and
-    keeps a terms dict as it stands once its letters are checked
-    (__init__ passes its summed terms, zeros and all, so that a stray
-    letter is caught even where its coefficients cancel, and then drops
-    the zeros); the alphabets of an instance (_alphabets), the words of
-    a key (_words), its alphabet check and its sort key.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def zero(cls, *alphabets):
-        return cls(*alphabets)
-
-    @classmethod
-    def _from_terms(cls, *args):
-        """cls(*args) for terms that need no normalising: a dict whose
-        keys are tuples and whose coefficients are nonzero and as num
-        gives them.  The polynomial keeps that dict, in its order; only
-        the letters are checked."""
-        p = cls.__new__(cls)
-        p._adopt(*args)
-        return p
-
-    def __add__(self, other):
-        self._require_same_alphabet(other)
-        return type(self)(*self._alphabets(),
-                          vec_add_into(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, coeff):
-        coeff = num(coeff)
-        return type(self)(*self._alphabets(),
-                          {k: c * coeff for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (type(other) is type(self)
-                and self._alphabets() == other._alphabets()
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((*self._alphabets(), frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        key = self._sort_key()
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
-
-    def degree_parts(self):
-        """Split into grading-homogeneous components, keyed by degree."""
-        parts = {}
-        for k, c in self.terms.items():
-            parts.setdefault(sum(map(len, self._words(k))), {})[k] = c
-        return {s: type(self)(*self._alphabets(), t)
-                for s, t in sorted(parts.items())}
-
-    def __repr__(self):
-        bits = [f"{c}*" + "x".join(f"({','.join(w) or '1'})"
-                                   for w in self._words(k))
-                for k, c in self.sorted_terms()]
-        return f"{type(self).__name__}({' + '.join(bits) or '0'})"
-
-
-class WordPoly(_Poly):
-    """A finite rational linear combination of words over one alphabet."""
+    terms maps a word to a nonzero coefficient.  __init__ sums its
+    terms and checks their letters before it drops the zeros, so that a
+    stray letter is caught even where its coefficients cancel."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -135,13 +63,25 @@ class WordPoly(_Poly):
         for word, coeff in items:
             word = tuple(word)
             acc[word] = acc.get(word, 0) + num(coeff)
-        self._adopt(alphabet, acc)
+        self.alphabet = tuple(alphabet)
+        _check_letters(self.alphabet, acc)
         self.terms = {w: num(c) for w, c in acc.items() if c}
 
-    def _adopt(self, alphabet, terms):
-        self.alphabet = tuple(alphabet)
-        _check_letters(self.alphabet, terms)
-        self.terms = terms
+    @classmethod
+    def _from_terms(cls, alphabet, terms):
+        """cls(alphabet, terms) for terms that need no normalising: a
+        dict whose keys are tuples and whose coefficients are nonzero
+        and as num gives them.  The polynomial keeps that dict, in its
+        order; only the letters are checked."""
+        p = cls.__new__(cls)
+        p.alphabet = tuple(alphabet)
+        _check_letters(p.alphabet, terms)
+        p.terms = terms
+        return p
+
+    @classmethod
+    def zero(cls, alphabet):
+        return cls(alphabet)
 
     @classmethod
     def unit(cls, alphabet):
@@ -152,67 +92,55 @@ class WordPoly(_Poly):
     def monomial(cls, alphabet, word, coeff=1):
         return cls(alphabet, {tuple(word): coeff})
 
-    def _alphabets(self):
-        return (self.alphabet,)
-
-    @staticmethod
-    def _words(word):
-        return (word,)
-
     def _require_same_alphabet(self, other):
         if not isinstance(other, WordPoly) or other.alphabet != self.alphabet:
             raise AlphabetError(
                 f"alphabet mismatch: {self.alphabet} vs "
                 f"{getattr(other, 'alphabet', type(other))}")
 
-    def _sort_key(self):
-        return word_sort_key(self.alphabet)
+    def __add__(self, other):
+        self._require_same_alphabet(other)
+        return type(self)(self.alphabet,
+                          vec_add_into(dict(self.terms), other.terms))
 
+    def __sub__(self, other):
+        return self + other.scale(-1)
 
-class TensorPoly(_Poly):
-    """A finite rational linear combination of pairs of words, the left
-    and right factors over their own alphabets."""
+    def __neg__(self):
+        return self.scale(-1)
 
-    __slots__ = ("left_alphabet", "right_alphabet", "terms")
+    def scale(self, coeff):
+        coeff = num(coeff)
+        return type(self)(self.alphabet,
+                          {w: c * coeff for w, c in self.terms.items()})
 
-    def __init__(self, left_alphabet, right_alphabet, terms=()):
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (w1, w2), coeff in items:
-            key = (tuple(w1), tuple(w2))
-            acc[key] = acc.get(key, 0) + num(coeff)
-        self._adopt(left_alphabet, right_alphabet, acc)
-        self.terms = {p: num(c) for p, c in acc.items() if c}
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.alphabet == other.alphabet
+                and self.terms == other.terms)
 
-    def _adopt(self, left_alphabet, right_alphabet, terms):
-        self.left_alphabet = tuple(left_alphabet)
-        self.right_alphabet = tuple(right_alphabet)
-        _check_letters(self.left_alphabet, (w1 for w1, _ in terms))
-        _check_letters(self.right_alphabet, (w2 for _, w2 in terms))
-        self.terms = terms
+    def __hash__(self):
+        return hash((self.alphabet, frozenset(self.terms.items())))
 
-    @classmethod
-    def monomial(cls, left_alphabet, right_alphabet, w1, w2, coeff=1):
-        return cls(left_alphabet, right_alphabet,
-                   {(tuple(w1), tuple(w2)): coeff})
+    def __bool__(self):
+        return bool(self.terms)
 
-    def _alphabets(self):
-        return (self.left_alphabet, self.right_alphabet)
+    def sorted_terms(self):
+        key = word_sort_key(self.alphabet)
+        return sorted(self.terms.items(), key=lambda item: key(item[0]))
 
-    @staticmethod
-    def _words(pair):
-        return pair
+    def degree_parts(self):
+        """Split into grading-homogeneous components, keyed by degree."""
+        parts = {}
+        for w, c in self.terms.items():
+            parts.setdefault(len(w), {})[w] = c
+        return {s: type(self)(self.alphabet, t)
+                for s, t in sorted(parts.items())}
 
-    def _require_same_alphabet(self, other):
-        if (not isinstance(other, TensorPoly)
-                or other.left_alphabet != self.left_alphabet
-                or other.right_alphabet != self.right_alphabet):
-            raise AlphabetError("tensor alphabet mismatch")
-
-    def _sort_key(self):
-        lkey = word_sort_key(self.left_alphabet)
-        rkey = word_sort_key(self.right_alphabet)
-        return lambda pair: (lkey(pair[0]), rkey(pair[1]))
+    def __repr__(self):
+        bits = [f"{c}*({','.join(w) or '1'})"
+                for w, c in self.sorted_terms()]
+        return f"{type(self).__name__}({' + '.join(bits) or '0'})"
 
 
 # -- word-level products ----------------------------------------------

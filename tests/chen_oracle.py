@@ -87,16 +87,20 @@ def splitting_solver(direction, s, basis=chen_bar_basis):
     d = DIRECTIONS[direction]
     red = RowReducer()
     for i, b in enumerate(basis(s)):
-        red.add(tensor_split(b, d).terms, i)
+        red.add(tensor_split(b, d), i)
     return red
 
 
 def splitting_preimage(t, direction, basis=chen_bar_basis):
-    """The preimage of a tensor polynomial, solved degree by degree
-    against the splittings of basis; None when t leaves their span."""
+    """The preimage of a tensor {(W', W''): coeff}, solved degree by
+    degree against the splittings of basis; None when t leaves their
+    span."""
+    parts = {}
+    for (w1, w2), c in t.items():
+        parts.setdefault(len(w1) + len(w2), {})[w1, w2] = c
     acc = {}
-    for s, part in t.degree_parts().items():
-        rep = splitting_solver(direction, s, basis).solve(part.terms)
+    for s, part in sorted(parts.items()):
+        rep = splitting_solver(direction, s, basis).solve(part)
         if rep is None:
             return None
         for i, c in rep.items():

@@ -11,5 +11,6 @@ from barlog.duality import phi, tensor_split
 
 
 def relation_row_via_phi(w1, w2):
-    """The 2x1 splitting of the certified phi of a 1x2 pair."""
+    """The 2x1 splitting of the certified phi of a 1x2 pair, as
+    {(W', W''): coeff}."""
     return tensor_split(phi(w1, w2, direction="1x2"), "2x1")

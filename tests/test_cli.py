@@ -420,6 +420,12 @@ def test_config_value_error_names_its_line_and_key(tmp_path, capsys):
                                       "--config", str(cfg)])
     assert (code, out) == (2, "")
     assert f"{cfg}:2: degree_cap" in err
+    # An unreadable path, the empty one too, is an error, not no file.
+    for path in (str(tmp_path / "missing"), ""):
+        code, out, err = capture(capsys, ["basis", "--degree", "2",
+                                          "--config", path])
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: [Errno 2] "), path
 
 
 def test_config_validation():

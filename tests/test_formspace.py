@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlog.errors import BarlogError, ResourceLimitError
+from barlog.errors import AlphabetError, BarlogError, ResourceLimitError
 from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
                               _poly_vector, _wedge_numerator,
                               bar0_basis, bar_basis,
@@ -55,6 +55,17 @@ def test_known_relations_span_relation_space():
         if red.add(vec, count) is None:
             count += 1
     assert count == 4
+
+
+def test_relation_space_contains_rejects_non_relations_and_stray_letters():
+    # z1 ^ z2 is dz1/z1 ^ dz2/z2, which does not vanish; the same pair
+    # in both orders, and a pair on the diagonal, do.
+    assert not relation_space_contains({("z1", "z2"): 1})
+    assert not relation_space_contains({**ARNOLD_2, ("z2", "z12"): 2})
+    assert relation_space_contains({("z1", "z2"): 2, ("z2", "z1"): 2,
+                                    ("z12", "z12"): 5})
+    with pytest.raises(AlphabetError, match="'z12_1'"):
+        relation_space_contains({("z1", "z12_1"): 1})
 
 
 ATOM_VALUES = {

@@ -9,7 +9,7 @@ from barlog.hyperlog import ONE, PARAM, HyperlogTerm, term_to_word
 from barlog.ipbenv import DIRECTIONS, _reduce_word, w0_pairs
 from barlog.relgen import (Relation, decompose_check, generate_all,
                            generate_relation, verify_relation)
-from barlog.words import TensorPoly
+from barlog.words import word_sort_key
 from json_oracle import relation_to_dict
 from relation_oracle import relation_row_via_phi
 
@@ -132,14 +132,28 @@ def test_evaluation_points_are_checked_before_any_work(monkeypatch):
         raise AssertionError("work done before the points were checked")
 
     r = generate_relation(("Z11",), ("Z22",))
+    duality._certified_kernel.cache_clear()
     monkeypatch.setattr(relgen, "certified_kernel", forbidden)
     monkeypatch.setattr(relgen, "eval_series", forbidden)
     monkeypatch.setattr(duality, "certified_kernel", forbidden)
-    for point in ((0.3,), (0.3, 0.4, 0.5), 0.3, ()):
-        with pytest.raises(ValueError, match="two coordinates"):
+    # A coordinate that is not a number, a str too, is named with its
+    # point before any kernel or series is built.
+    for point in ((0.3,), (0.3, 0.4, 0.5), 0.3, (), (0.3, None),
+                  (None, 0.4), (0.3, "a"), ("0.3", 0.4), "ab"):
+        with pytest.raises(ValueError, match="two coordinates") as info:
             decompose_check(2, point=point)
+        assert repr(point) in str(info.value)
         with pytest.raises(ValueError, match="two coordinates"):
             verify_relation(r, [(0.3, 0.4), point])
+        with pytest.raises(ValueError, match="two coordinates"):
+            relgen.verify_relations([r], [point])
+    assert duality._certified_kernel.cache_info().currsize == 0
+    # Every number type the series accept is a coordinate.
+    monkeypatch.undo()
+    for point in ((0, 0), (0.3, -0.4), (0.3j, 0.4 + 0j),
+                  (Fraction(3, 10), Fraction(2, 5))):
+        (report,) = verify_relation(r, [point])
+        assert report["passed"], point
     # No point would be an empty report, which all() reads as a pass.
     for check in (lambda: verify_relation(r, []),
                   lambda: relgen.verify_relations([r], []),
@@ -171,9 +185,9 @@ def test_relation_rows_equal_the_phi_route(s, order, nonzeros):
     rows = relgen._relation_rows(s)
     assert list(rows) == w0_pairs(s, "1x2")
     assert len(rows) == order
-    assert sum(len(row.terms) for row in rows.values()) == nonzeros
+    assert sum(map(len, rows.values())) == nonzeros
     for p, row in rows.items():
-        assert relation_row_via_phi(*p).terms == row.terms, p
+        assert relation_row_via_phi(*p) == row, p
 
 
 def test_relation_matrix_is_square():
@@ -194,18 +208,20 @@ def test_relation_rows_are_in_word_order():
     # The rows of C_s come in the word order of their 2x1 columns, with
     # no sort; generate_relation keeps that order and verify_relation
     # sums in it, which fixes the last bits of each residual.  Each row
-    # is kept as the readout gives it, and equals its TensorPoly summed
-    # and normalised.
+    # is kept as the readout gives it: a dict of nonzero ints in print
+    # order, by the left word and then the right one.
     d = DIRECTIONS["2x1"]
+    left = word_sort_key(d.left_alphabet)
+    right = word_sort_key(d.right_alphabet)
     for s in range(6):
         rows = relgen._relation_rows(s)
         for r in generate_all(s):
             row = rows[r.w1, r.w2]
-            assert list(row.terms) == [w for w, _ in row.sorted_terms()]
-            assert TensorPoly(d.left_alphabet, d.right_alphabet,
-                              row.terms) == row
+            assert list(row) == sorted(row, key=lambda p: (left(p[0]),
+                                                           right(p[1])))
+            assert all(type(c) is int and c for c in row.values())
             assert [(term_to_word(t2), term_to_word(t1))
-                    for _, t2, t1 in r.rhs] == list(row.terms)
+                    for _, t2, t1 in r.rhs] == list(row)
 
 
 def test_decompose_check_low_degrees():
