@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("AlphabetError", "BarlogError", "ContourError",
                "DivergentTermError", "DomainError", "ResourceLimitError"),
-    "words": ("FORM_BASE", "FORM_MAIN1", "FORM_MAIN2", "FORM_PURE1",
-              "FORM_PURE2", "LIE_BASE", "WordPoly", "shuffle"),
+    "words": ("FORM_BASE", "LIE_BASE", "WordPoly", "shuffle"),
     "formspace": ("bar0_basis", "bar_basis", "chen_defect",
                   "is_integrable", "wedge_relation_space"),
     "ipbenv": ("alpha_eval", "alpha_pair", "enumerate_w0", "normal_form",

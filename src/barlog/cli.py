@@ -238,18 +238,19 @@ def _cmd_phi(args, cfg):
 
 
 def _cmd_relations(args, cfg):
-    from .relgen import generate_all, verify_relations
+    from .relgen import generate_all, verify_relation
 
     relations = generate_all(args.degree, cfg.degree_cap)
     # Every relation is checked before the first byte is written, so a
     # failing evaluation leaves no partial output.
     checks = [(None, None)] * len(relations)
     if args.verify:
+        reports = (verify_relation(r, [(args.z1, args.z2)],
+                                   cfg.series_terms, cfg.tolerance)
+                   for r in relations)
         checks = [(all(entry["passed"] for entry in rep),
                    max(entry["residual"] for entry in rep))
-                  for rep in verify_relations(
-                      relations, [(args.z1, args.z2)], cfg.series_terms,
-                      cfg.tolerance)]
+                  for rep in reports]
     payload = {"count": len(relations), "degree": args.degree,
                "relations": (_relation_json(r, *check)
                              for r, check in zip(relations, checks))}
@@ -398,14 +399,14 @@ def _cmd_decompose(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    from .relgen import decompose_check, generate_all, verify_relations
+    from .relgen import decompose_check, generate_all, verify_relation
 
     point = (args.z1, args.z2)
     check = decompose_check(args.degree, point, max_n=cfg.series_terms,
                             tol=cfg.tolerance, cap=cfg.degree_cap)
     relations = generate_all(args.degree, cfg.degree_cap)
-    reports = verify_relations(relations, [point], cfg.series_terms,
-                               cfg.tolerance)
+    reports = [verify_relation(r, [point], cfg.series_terms, cfg.tolerance)
+               for r in relations]
     rel_ok = all(entry["passed"] for rep in reports for entry in rep)
     payload = {
         "degree": args.degree,

@@ -25,6 +25,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import cache, lru_cache
+from numbers import Number
 
 from .defaults import DEFAULT_MAX_N
 from .errors import AlphabetError, DivergentTermError, DomainError
@@ -44,11 +45,13 @@ _EPS = sys.float_info.epsilon
 
 class HyperlogTerm(namedtuple("HyperlogTerm", "main_var index letters")):
     """A term: main_var is 1 or 2, index is (k1, ..., kr) of positive
-    integers, and letters holds r entries, each ONE or PARAM.  Terms
-    order and hash as their field tuples."""
+    integers, and letters holds r entries, each ONE or PARAM; both are
+    stored as tuples, so every term hashes.  Terms order and hash as
+    their field tuples."""
     __slots__ = ()
 
     def __new__(cls, main_var, index, letters):
+        index, letters = tuple(index), tuple(letters)
         if main_var not in (1, 2):
             raise ValueError("main_var must be 1 or 2")
         if len(index) != len(letters):
@@ -242,13 +245,27 @@ def nested_sum(alphas, ks, z, max_n):
             "range before the series stops") from None
 
 
+def check_point(point, what="an evaluation point"):
+    """The point as (z1, z2); ValueError naming it unless it is two
+    coordinates, each a number (a str is not one)."""
+    try:
+        z1, z2 = point
+    except (TypeError, ValueError):
+        z1 = z2 = None
+    if not (isinstance(z1, Number) and isinstance(z2, Number)):
+        raise ValueError(f"{what} is two coordinates (z1, z2), each a "
+                         f"number, got {point!r}")
+    return z1, z2
+
+
+def check_tol(tol):
+    """ValueError unless tol is finite and > 0: an infinite tol would
+    pass every check, and a NaN one fail every one."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 @lru_cache(maxsize=4096)
-def _series(ks, letters, z, param, max_n):
-    alphas = [1.0 if a == ONE else param for a in letters]
-    total, n, bound = nested_sum(alphas, ks, z, max_n)
-    return EvalResult(total, bound, n)
-
-
 def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     """Nested series of a term, summed by nested_sum with an adaptive
     length: at most max_n terms, and fewer once the proven tail bound
@@ -259,20 +276,26 @@ def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     nested_sum; inf where the cap is too small for the tail majorant to
     converge), and terms_used is the number of terms summed; the value
     is the plain loop's value at that length.  max_n must be an int
-    >= 1 (else ValueError).
+    >= 1 and each coordinate a number (else ValueError, see
+    check_point).
 
     Coordinates that are both int or float are summed in floats, and
     any others (complex, or another number type) as complex numbers
-    (see nested_sum); the value is complex either way.  Identical (index, letters, z,
-    param, max_n) evaluations are cached in a bounded LRU of 4096
-    entries; _series.cache_clear() empties it.  A real point and the
-    same point given as complex are one key, which is safe because
-    both give the same bits (tested).  -0.0 and +0.0 share an entry
-    safely too: signed zeros change no nonzero part, and the running
-    sum, which starts at +0.0, never ends at -0.0.
+    (see nested_sum); the value is complex either way.  The function is
+    its own bounded LRU of 4096 entries, keyed on its arguments as
+    given, so a hit runs none of the checks above;
+    eval_series.cache_clear() empties it.  A call that passes max_n by
+    keyword and one that passes it by position are separate entries
+    with the same result.  Keys compare with ==, so a max_n of 2000.0
+    is served from a cached entry of 2000 instead of being rejected.
+    A real point and the same point given as complex are one key, which
+    is safe because both give the same bits (tested).  -0.0 and +0.0
+    share an entry safely too: signed zeros change no nonzero part, and
+    the running sum, which starts at +0.0, never ends at -0.0.
     """
     if not (isinstance(max_n, int) and max_n >= 1):
         raise ValueError(f"max_n must be an int >= 1, got {max_n!r}")
+    check_point((z1, z2))
     z, param = (z1, z2) if t.main_var == 1 else (z2, z1)
     if isinstance(z, (int, float)) and isinstance(param, (int, float)):
         z, param = float(z), float(param)
@@ -285,7 +308,9 @@ def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
         raise DomainError(f"|z{t.main_var}| = {abs(z)} must be < 1")
     if not abs(param) <= 1 + 1e-15:
         raise DomainError(f"|z{3 - t.main_var}| = {abs(param)} must be <= 1")
-    return _series(tuple(t.index), tuple(t.letters), z, param, max_n)
+    alphas = [1.0 if a == ONE else param for a in t.letters]
+    total, n, bound = nested_sum(alphas, t.index, z, max_n)
+    return EvalResult(total, bound, n)
 
 
 def within_bound(residual, bound, tol):
@@ -355,7 +380,8 @@ def partial_derivative(t, var):
 def eval_quadrature(p, path, tol=1e-10, max_refine=7):
     """Iterated integral of a form polynomial along a polyline.
 
-    path is a sequence of (z1, z2) points.  Each level integrates all
+    path is a sequence of (z1, z2) points, each coordinate a number
+    (else ValueError, see check_point).  Each level integrates all
     words at once (see _level_integrals); panels are refined (doubled)
     until two successive evaluations differ by less than tol / 2, and
     DomainError, giving the last difference and tol, is raised when

@@ -36,6 +36,7 @@ from operator import mul
 
 from .errors import (AlphabetError, ContourError, DivergentTermError,
                      DomainError)
+from .hyperlog import check_point, check_tol
 
 _GL_N = 16
 
@@ -267,12 +268,11 @@ def _check_start(words, path, vanishing):
 def iterated_integral(p, path, tol, max_refine):
     """Iterated integral of a form polynomial along a polyline; see
     hyperlog.eval_quadrature."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    check_tol(tol)
     if not (isinstance(max_refine, int) and max_refine >= 0):
         raise ValueError(
             f"max_refine must be an int >= 0, got {max_refine!r}")
-    path = list(path)
+    path = [check_point(point, "a path point") for point in path]
     number = (float if all(isinstance(z, (int, float)) for point in path
                            for z in point) else complex)
     path = [(number(a), number(b)) for a, b in path]

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from numbers import Number
 
 from .defaults import DEFAULT_MAX_N, DEFAULT_TOL
 from .duality import certified_kernel, theta_pair
-from .hyperlog import eval_series, within_bound, word_to_term
+from .hyperlog import (check_point, check_tol, eval_series, within_bound,
+                       word_to_term)
 from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, w0_pairs,
                      _admissible_rows, _reduce_word)
 
@@ -122,72 +122,44 @@ def generate_all(s, cap=None):
     return [generate_relation(w1, w2, cap) for w1, w2 in w0_pairs(s, "1x2")]
 
 
-def _point(p):
-    """An evaluation point as (z1, z2); ValueError for anything that is
-    not two coordinates, each a number (a str is not one)."""
-    try:
-        z1, z2 = p
-    except (TypeError, ValueError):
-        z1 = z2 = None
-    if not (isinstance(z1, Number) and isinstance(z2, Number)):
-        raise ValueError("an evaluation point is two coordinates (z1, z2), "
-                         f"each a number, got {p!r}")
-    return z1, z2
-
-
-def verify_relations(relations, points, max_n=DEFAULT_MAX_N,
-                     tol=DEFAULT_TOL):
-    """verify_relation of each relation, in order, with each distinct
-    term evaluated once per point: every report is the one
-    verify_relation gives, bit for bit.  An empty point list, or a
-    point that is not two numbers, raises ValueError first."""
-    points = [_point(p) for p in points]
-    if not points:
-        raise ValueError("no evaluation point given")
-    values = [{} for _ in points]
-
-    def value(t, i):
-        """eval_series of t at point i, once per term and point."""
-        v = values[i].get(t)
-        if v is None:
-            v = values[i][t] = eval_series(t, *points[i], max_n)
-        return v
-
-    reports = []
-    for r in relations:
-        report = []
-        for i, (z1, z2) in enumerate(points):
-            lv, lb = value(r.lhs[0], i).times(value(r.lhs[1], i))
-            rv, rb = 0.0 + 0j, 0.0
-            for c, t2, t1 in r.rhs:
-                v, b = value(t2, i).times(value(t1, i))
-                rv += complex(c) * v
-                rb += abs(c) * b
-            residual = abs(lv - rv)
-            bound = lb + rb
-            report.append({
-                "point": (z1, z2),
-                "lhs": lv,
-                "rhs": rv,
-                "residual": residual,
-                "bound": bound,
-                "passed": within_bound(residual, bound, tol),
-            })
-        reports.append(report)
-    return reports
-
-
 def verify_relation(r, points, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
     """Numeric witness of a relation at one or more (z1, z2) points.
 
     Every series stops adaptively within max_n terms (see
-    eval_series).  Returns a list of {point, lhs, rhs, residual, bound,
-    passed}; bound combines the series' tail bounds and rounding
+    eval_series), and eval_series's LRU serves a term that many
+    relations share.  Returns a list of {point, lhs, rhs, residual,
+    bound, passed}; bound combines the series' tail bounds and rounding
     estimates, and a point passes when the bound is finite and the
     residual does not exceed tol plus bound.  The rhs is summed in the
-    order of r.rhs.
+    order of r.rhs.  A point that is not two numbers, an empty point
+    list, or a tol that is not finite and > 0 raises ValueError before
+    any series is summed.
     """
-    return verify_relations([r], points, max_n, tol)[0]
+    points = [check_point(p) for p in points]
+    if not points:
+        raise ValueError("no evaluation point given")
+    check_tol(tol)
+    report = []
+    for z1, z2 in points:
+        lv, lb = eval_series(r.lhs[0], z1, z2, max_n).times(
+            eval_series(r.lhs[1], z1, z2, max_n))
+        rv, rb = 0.0 + 0j, 0.0
+        for c, t2, t1 in r.rhs:
+            v, b = eval_series(t2, z1, z2, max_n).times(
+                eval_series(t1, z1, z2, max_n))
+            rv += complex(c) * v
+            rb += abs(c) * b
+        residual = abs(lv - rv)
+        bound = lb + rb
+        report.append({
+            "point": (z1, z2),
+            "lhs": lv,
+            "rhs": rv,
+            "residual": residual,
+            "bound": bound,
+            "passed": within_bound(residual, bound, tol),
+        })
+    return report
 
 
 # -- decomposition consistency ----------------------------------------------
@@ -225,10 +197,12 @@ def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
     naming the pair if not).  Numeric part: the two expansions, reduced to a
     common product basis, agree coefficientwise at the point.  cap is
     the degree cap (the default cap when None).  The point must be two
-    numbers (ValueError, before any kernel is built).
+    numbers and tol finite and > 0 (ValueError, before any kernel is
+    built).
     """
     check_degree(s, cap)
-    point = _point(point)
+    point = check_point(point)
+    check_tol(tol)
     for d in ("1x2", "2x1"):
         certified_kernel(s, d, cap)
     a, ba = _numeric_coeffs(s, "1x2", *point, max_n)

@@ -23,10 +23,6 @@ from .linalg import num, vec_add_into
 # Alphabets.  The order of letters fixes the canonical (degree, lex)
 # ordering of words used for deterministic output.
 FORM_BASE = ("z1", "z11", "z2", "z22", "z12")
-FORM_MAIN1 = ("z1", "z11", "z12_1")   # one-forms in dz1 only
-FORM_MAIN2 = ("z2", "z22", "z12_2")   # one-forms in dz2 only
-FORM_PURE1 = ("z1", "z11")
-FORM_PURE2 = ("z2", "z22")
 LIE_BASE = ("Z1", "Z11", "Z2", "Z22", "Z12")
 
 

@@ -538,6 +538,33 @@ def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
         assert len(calls) == expected, argvs
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("verify --degree 3",
+     "da84623f2f7acbb205bc32003a56ef35a8b6254f1f7bba5118721b162156a246"),
+    ("relations --degree 3 --verify",
+     "ff16d7b8510192cb7c4fc0416db116751bc42309b3519e79c2d35dff19fb1973"),
+])
+def test_each_relation_is_checked_by_verify_relation(capsys, monkeypatch,
+                                                     argv, digest):
+    # Both commands check each of the 32 degree-3 relations with one
+    # call of relgen.verify_relation, and write the output they wrote
+    # when a second checker did it.
+    from barlog import relgen
+
+    calls = []
+    verify = relgen.verify_relation
+
+    def counted(r, *args):
+        calls.append(r)
+        return verify(r, *args)
+
+    monkeypatch.setattr(relgen, "verify_relation", counted)
+    code, out, _ = capture(capsys, argv.split())
+    assert code == 0
+    assert calls == generate_all(3)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_one_default_degree_cap(capsys):
     assert Config().degree_cap == DEFAULT_DEGREE_CAP == 6
     for command in ("basis", "relations", "decompose", "verify"):

@@ -140,7 +140,7 @@ print(barlog.relgen is sys.modules['barlog.relgen'],
       barlog.quadrature is sys.modules['barlog.quadrature'],
       hasattr(barlog, 'no_such_name'), hasattr(barlog, '_no_such_name'))
 """)
-    assert out == "49 49 True True\nTrue True False False\n"
+    assert out == "45 45 True True\nTrue True False False\n"
 
 
 def test_dir_and_star_import_cover_all():

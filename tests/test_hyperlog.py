@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,19 @@ def test_series_domain_errors():
     r = eval_series(HyperlogTerm(1, (2,), (PARAM,)), 0.3, 1.0, 500)
     assert abs(r.value - eval_series(HyperlogTerm(1, (2,), (ONE,)),
                                      0.3, 0.0, 500).value) < 1e-14
+
+
+def test_series_coordinates_must_be_numbers():
+    # A str is not a number, though complex() would parse it; each bad
+    # coordinate is named, and every number type still evaluates.
+    t = word_to_term(("z11",))
+    for z1, z2 in (("0.3", 0.4), (0.3, "0.4"), (None, 0.4), (0.3, None)):
+        with pytest.raises(ValueError, match="each a number") as info:
+            eval_series(t, z1, z2)
+        assert repr((z1, z2)) in str(info.value)
+    for z1 in (0, 0.3, 0.3 + 0j, Fraction(3, 10)):
+        value = eval_series(t, z1, 0.4).value
+        assert abs(value + cmath.log(1 - complex(z1))) < 1e-13
 
 
 def test_series_complex_arguments():

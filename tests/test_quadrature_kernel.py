@@ -239,6 +239,16 @@ def test_bad_tol_or_max_refine_is_rejected(no_panels):
             eval_quadrature(p, path, max_refine=max_refine)
 
 
+def test_path_coordinates_must_be_numbers(no_panels):
+    # A str would convert to a number, and so would integrate; a str or
+    # None coordinate is named with its point before any panel is built.
+    p = WordPoly.monomial(FORM_BASE, ("z11",))
+    for bad in (("0", "0"), ("0.5", 0), (0, None), None):
+        with pytest.raises(ValueError, match="a path point is two") as info:
+            eval_quadrature(p, [bad, (0.5, 0)])
+        assert repr(bad) in str(info.value)
+
+
 def test_non_finite_path_is_a_domain_error(no_panels):
     # Rejected before any panel is built, as eval_series rejects NaN.
     p = WordPoly.monomial(FORM_BASE, ("z11",))

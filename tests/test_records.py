@@ -63,3 +63,19 @@ def test_records_behave_as_frozen_dataclasses():
                    (1, (0,), ("one",)), (1, (1,), ("two",))]:
         with pytest.raises(ValueError):
             HyperlogTerm(*fields)
+
+
+def test_a_term_built_from_lists_is_a_key():
+    # The fields are stored as tuples, so the term hashes, renders and
+    # keys eval_series's cache like the term built from tuples.
+    from barlog.hyperlog import eval_series
+
+    listed = HyperlogTerm(1, [2, 1], ["one", "param"])
+    assert listed == T and hash(listed) == hash(T)
+    assert repr(listed) == T_REPR
+    assert listed.render() == T.render() == "L[2,1|one,param]@z1"
+    eval_series.cache_clear()
+    assert repr(eval_series(listed, 0.3, 0.4, 200)) == repr(
+        eval_series(T, 0.3, 0.4, 200))
+    info = eval_series.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

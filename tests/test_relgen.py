@@ -75,10 +75,11 @@ def test_verify_relation():
     assert all(entry["residual"] < 1e-10 for entry in report)
 
 
-def test_each_term_is_evaluated_once_per_point(monkeypatch):
-    """verify_relations gives the reports of the per-product loop (each
+def test_each_term_is_evaluated_once_per_point():
+    """verify_relation gives the reports of the per-product loop (each
     factor through eval_series, the rhs summed in its order) bit for
-    bit, with one eval_series call per distinct term and point."""
+    bit, and eval_series's LRU sums each distinct term once per point
+    across all the relations."""
     from barlog.hyperlog import eval_series, within_bound
 
     def reference(r, z1, z2, max_n, tol):
@@ -96,18 +97,12 @@ def test_each_term_is_evaluated_once_per_point(monkeypatch):
 
     relations = generate_all(4)
     points = [(0.3, 0.4), (-0.3, 0.45)]
-    calls = []
-
-    def counted(t, z1, z2, max_n):
-        calls.append((t, z1, z2))
-        return eval_series(t, z1, z2, max_n)
-
-    monkeypatch.setattr(relgen, "eval_series", counted)
-    reports = relgen.verify_relations(relations, points, 2000, 1e-8)
+    eval_series.cache_clear()
+    reports = [verify_relation(r, points, 2000, 1e-8) for r in relations]
     terms = {t for r in relations
              for t in r.lhs + tuple(x for _, t2, t1 in r.rhs
                                     for x in (t2, t1))}
-    assert len(calls) == len(set(calls)) == len(terms) * len(points)
+    assert eval_series.cache_info().misses == len(terms) * len(points)
     assert repr(reports) == repr([[reference(r, *point, 2000, 1e-8)
                                    for point in points] for r in relations])
 
@@ -145,8 +140,6 @@ def test_evaluation_points_are_checked_before_any_work(monkeypatch):
         assert repr(point) in str(info.value)
         with pytest.raises(ValueError, match="two coordinates"):
             verify_relation(r, [(0.3, 0.4), point])
-        with pytest.raises(ValueError, match="two coordinates"):
-            relgen.verify_relations([r], [point])
     assert duality._certified_kernel.cache_info().currsize == 0
     # Every number type the series accept is a coordinate.
     monkeypatch.undo()
@@ -155,11 +148,35 @@ def test_evaluation_points_are_checked_before_any_work(monkeypatch):
         (report,) = verify_relation(r, [point])
         assert report["passed"], point
     # No point would be an empty report, which all() reads as a pass.
-    for check in (lambda: verify_relation(r, []),
-                  lambda: relgen.verify_relations([r], []),
-                  lambda: relgen.verify_relations([], iter(()))):
+    for points in ([], iter(())):
         with pytest.raises(ValueError, match="no evaluation point"):
-            check()
+            verify_relation(r, points)
+
+
+def test_tolerance_is_checked_before_any_work(monkeypatch):
+    from barlog import duality
+
+    # Five added to every right-hand coefficient: a relation that fails.
+    good = generate_relation(("Z11", "Z12"), ())
+    bad = good._replace(rhs=tuple((c + 5, t2, t1) for c, t2, t1 in good.rhs))
+    (report,) = verify_relation(bad, [(0.3, 0.4)])
+    assert report["residual"] > 1 and not report["passed"]
+
+    def forbidden(*args):
+        raise AssertionError("work done before tol was checked")
+
+    duality._certified_kernel.cache_clear()
+    monkeypatch.setattr(relgen, "certified_kernel", forbidden)
+    monkeypatch.setattr(relgen, "eval_series", forbidden)
+    monkeypatch.setattr(duality, "certified_kernel", forbidden)
+    # An infinite tol would pass every check, and a NaN, zero or
+    # negative one fail every check.
+    for tol in (float("inf"), float("nan"), 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            verify_relation(bad, [(0.3, 0.4)], tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            decompose_check(2, tol=tol)
+    assert duality._certified_kernel.cache_info().currsize == 0
 
 
 def test_invalid_words_rejected(monkeypatch):

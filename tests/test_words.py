@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlog.errors import AlphabetError
-from barlog.words import (FORM_BASE, FORM_MAIN1, FORM_MAIN2, LIE_BASE,
-                          WordPoly, shuffle)
+from barlog.ipbenv import DIRECTIONS
+from barlog.words import FORM_BASE, LIE_BASE, WordPoly, shuffle
+
+# The one-forms in dz1 only and in dz2 only: the left factor alphabets
+# of the two splittings.
+MAIN1 = DIRECTIONS["1x2"].left_alphabet
+MAIN2 = DIRECTIONS["2x1"].left_alphabet
 
 
 def rand_poly(rng, alphabet=FORM_BASE, max_deg=3, n_terms=3):
@@ -50,9 +55,9 @@ def test_alphabet_checked():
         WordPoly(FORM_BASE, [(("z1",), 1), (("nope",), 1), (("nope",), -1)])
     # The other alphabet's letters are stray too, also in _from_terms.
     with pytest.raises(AlphabetError, match="'z2'"):
-        WordPoly.monomial(FORM_MAIN1, ("z1", "z2"))
+        WordPoly.monomial(MAIN1, ("z1", "z2"))
     with pytest.raises(AlphabetError, match="'z2'"):
-        WordPoly._from_terms(FORM_MAIN1, {("z2",): 1})
+        WordPoly._from_terms(MAIN1, {("z2",): 1})
 
 
 def test_list_words():
@@ -64,7 +69,7 @@ def test_list_words():
 
 # The alphabets of the property test.  Spaces 2k and 2k+1 have
 # different alphabets.
-_SPACES = [FORM_BASE, LIE_BASE, FORM_MAIN1, FORM_MAIN2]
+_SPACES = [FORM_BASE, LIE_BASE, MAIN1, MAIN2]
 _COEFFS = (st.integers(-3, 3)
            | st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
