@@ -3,11 +3,12 @@ the enveloping algebra: the letterwise theta substitution, the tensor
 splitting isomorphisms iota (deconcatenation followed by the two
 letter projections), the canonical integrable representative
 phi(W', W'') of a product-basis pair, and the inverses of the
-splittings by linearity from phi.  certified_kernel, and phi through
-it, is the one gate between the kernel decomposition and its users: it
-certifies each (degree, direction) kernel once per process, by one
-check of a combination of all its coefficients with fixed-seed random
-weights, and names the failing pair when the check fails.
+splittings, all read from the rows K_p = sum_w [p] NF(Z(w)) w of the
+word rewriting (ipbenv).  certified_kernel (the admissible rows) and
+certified_rows (all of them) are the one gate between the rows and
+their users: each set of rows is certified once per (degree,
+direction) by one check of a combination of all its rows with
+fixed-seed random weights, which names the failing pair.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import AlphabetError, BarlogError, DomainError
-from .ipbenv import (_as_direction, check_degree, omega_decomposition,
-                     w0_pairs)
+from .ipbenv import (_as_direction, _non_admissible_rows, check_degree,
+                     omega_decomposition, w0_pairs)
 from .linalg import vec_add_into
-from .words import (FORM_BASE, WordPoly, _check_letters, _shuffle_words,
-                    shuffle)
+from .words import FORM_BASE, WordPoly, _check_letters
 
 
 def theta(word, direction="1x2", side="left"):
@@ -81,63 +81,30 @@ def tensor_split(p, direction="1x2"):
     return acc
 
 
-# -- inverse by linearity from phi ------------------------------------------
-
-def _log_letter(alphabet):
-    """The factor's logarithmic letter, z1 or z2: the theta image of
-    Z1 or Z2, and the base form letter of the same name."""
-    (log,) = {"z1", "z2"}.intersection(alphabet)
-    return log
-
-
-def _log_split(word, log):
-    """word as a sum of c * (x sh log^n) with x not ending in log, as
-    {(x, n): c}: for word = v b log^n with b != log, the integer closed
-    form v b log^n = sum_j (-1)^j ((v sh log^j) b) sh log^(n-j)."""
-    k = len(word)
-    while k and word[k - 1] == log:
-        k -= 1
-    n = len(word) - k
-    if not k:
-        return {((), n): 1}
-    v, b = word[:k - 1], word[k - 1]
-    return {(x + (b,), n - j): (-1) ** j * m
-            for j in range(n + 1)
-            for x, m in _shuffle_words(v, (log,) * j).items()}
-
+# -- the inverse, row by row ------------------------------------------------
 
 def iota_inv(t, direction="1x2", cap=None):
-    """The unique integrable preimage of a tensor {(W', W''): coeff},
-    by linearity from phi; AlphabetError names a letter of W' outside
-    the direction's left alphabet or of W'' outside its right one.
-    iota is a shuffle morphism, injective on the integrable forms, that
-    sends phi(W', W'') to theta(W') x theta(W'') and z1^a, z2^c to the
-    powers of the log letters of their factors; so each tensor word,
-    split by _log_split on both sides, pulls back to phi of the theta
-    preimages shuffled with z1^a and z2^c."""
+    """The unique integrable preimage of a tensor {(W', W''): coeff}:
+    the sum of c * K_p over its terms, K_p the certified row of the pair
+    p = (theta^-1 W', theta^-1 W'').  AlphabetError names a letter of W'
+    outside the direction's left alphabet or of W'' outside its right
+    one; the degree of the tensor must not exceed the cap."""
     d = _as_direction(direction)
     _check_letters(d.left_alphabet, (w1 for w1, _ in t))
     _check_letters(d.right_alphabet, (w2 for _, w2 in t))
     t = {pair: c for pair, c in t.items() if c}
-    # A pure-log tensor never reaches phi, so the cap is checked here.
     check_degree(max((len(w1) + len(w2) for w1, w2 in t), default=0), cap)
-    left_log = _log_letter(d.left_alphabet)
-    right_log = _log_letter(d.right_alphabet)
     from_left = {v: k for k, v in d.theta_left.items()}
     from_right = {v: k for k, v in d.theta_right.items()}
-    by_logs = {}
-    for (u1, u2), c in t.items():
-        for (x1, a), c1 in _log_split(u1, left_log).items():
-            for (x2, b), c2 in _log_split(u2, right_log).items():
-                p = phi([from_left[x] for x in x1],
-                        [from_right[x] for x in x2], d, cap)
-                vec_add_into(by_logs.setdefault((a, b), {}), p.terms,
-                             c * c1 * c2)
     acc = {}
-    for (a, b), vec in by_logs.items():
-        logs = shuffle(WordPoly.monomial(FORM_BASE, (left_log,) * a),
-                       WordPoly.monomial(FORM_BASE, (right_log,) * b))
-        vec_add_into(acc, shuffle(WordPoly(FORM_BASE, vec), logs).terms)
+    for (u1, u2), c in t.items():
+        pair = (tuple(from_left[x] for x in u1),
+                tuple(from_right[x] for x in u2))
+        # An admissible pair never builds the other rows.
+        kernel = _certified_kernel(len(u1) + len(u2), d.name)
+        rows = kernel if pair in kernel else _certified_rest(
+            len(u1) + len(u2), d.name)
+        vec_add_into(acc, rows[pair].terms, c)
     return WordPoly(FORM_BASE, acc)
 
 
@@ -159,9 +126,8 @@ def phi(w1, w2, direction="1x2", cap=None):
 
 def certified_kernel(s, direction="1x2", cap=None):
     """The degree-s kernel decomposition, {(W', W''): phi(W', W'')},
-    once it is certified: no pair outside the admissible ones carries a
-    coefficient, and every coefficient satisfies Chen's condition and
-    splits as its pair's theta monomial (BarlogError if not).
+    once it is certified: every coefficient satisfies Chen's condition
+    and splits as its pair's theta monomial (BarlogError if not).
 
     Both checks are linear, so they run once per (degree, direction),
     on the combination R = sum_p r_p K_p of the coefficients K_p with
@@ -177,6 +143,16 @@ def certified_kernel(s, direction="1x2", cap=None):
     d = _as_direction(direction)
     check_degree(s, cap)
     return _certified_kernel(s, d.name)
+
+
+def certified_rows(s, direction="1x2", cap=None):
+    """All 3^(s+1) - 2^(s+1) rows K_p of the degree-s readout, each the
+    integrable preimage of theta(W') x theta(W''): the certified kernel,
+    then the rows of the non-admissible pairs, certified by the same
+    weighted check."""
+    d = _as_direction(direction)
+    check_degree(s, cap)
+    return {**_certified_kernel(s, d.name), **_certified_rest(s, d.name)}
 
 
 # The weights of the kernel certificate: the splitmix64 stream (Steele,
@@ -204,26 +180,41 @@ def _splits(p, t, d):
     return not _chen_failure(p) and tensor_split(p, d) == t
 
 
-@cache
-def _certified_kernel(s, direction):
-    """omega_decomposition(s, direction) once certified_kernel's checks
-    pass; the caller has checked the cap, so the kernel is built at s."""
+def _certify(rows, s, direction):
+    """rows, {(W', W''): K_p}, once certified_kernel's weighted check
+    passes on all of them (BarlogError naming the first failing pair)."""
     d = _as_direction(direction)
-    kernel = omega_decomposition(s, direction, cap=s)
-    pairs = w0_pairs(s, d)
-    if not {p for p, c in kernel.items() if c} <= set(pairs):
-        raise BarlogError(
-            f"degree-{s} kernel in {direction} has a non-admissible pair")
+    monomials = {(w1, w2): (theta(w1, d, "left"), theta(w2, d, "right"))
+                 for w1, w2 in rows}
     combination, image = {}, {}
-    for r, (w1, w2) in zip(_weights(len(pairs)), pairs):
-        vec_add_into(combination, kernel[w1, w2].terms, r)
-        image[theta_pair(w1, w2, d)] = r
+    for r, (pair, row) in zip(_weights(len(rows)), rows.items()):
+        vec_add_into(combination, row.terms, r)
+        image[monomials[pair]] = r
     if _splits(WordPoly._from_terms(FORM_BASE, combination), image, d):
-        return kernel
-    for pair in pairs:
-        if not _splits(kernel[pair], {theta_pair(*pair, d): 1}, d):
+        return rows
+    for pair, row in rows.items():
+        if not _splits(row, {monomials[pair]: 1}, d):
             raise BarlogError(
                 f"kernel coefficient of {pair} in {direction} does not "
                 "split as its theta monomial")
     # Unreachable while both checks are linear.
     raise BarlogError(f"degree-{s} kernel in {direction} does not split")
+
+
+@cache
+def _certified_kernel(s, direction):
+    """omega_decomposition(s, direction) once certified, built at s.  A
+    correct row of a non-admissible pair would pass the weighted check,
+    so the keys are checked first."""
+    kernel = omega_decomposition(s, direction, cap=s)
+    if set(kernel) != set(w0_pairs(s, direction)):
+        raise BarlogError(
+            f"degree-{s} kernel in {direction} has a non-admissible pair "
+            "or misses an admissible one")
+    return _certify(kernel, s, direction)
+
+
+@cache
+def _certified_rest(s, direction):
+    """The rows of the non-admissible pairs once certified."""
+    return _certify(_non_admissible_rows(s, direction), s, direction)

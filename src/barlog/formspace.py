@@ -17,9 +17,10 @@ From these the module derives, by exact linear algebra on polynomial
 numerators, the relation space of the ten wedge products and the
 adjacent cut defects of Chen's integrability condition.  The canonical
 bases of the reduced bar algebra (bar_basis) and of its part with no
-word ending in z1 or z2 (bar0_basis) come from the kernel coefficients
-that duality.phi reads from the certified kernel, as fibre times base
-of M_{0,5} over M_{0,4}.
+word ending in z1 or z2 (bar0_basis) are read, as fibre times base of
+M_{0,5} over M_{0,4}, from one place: the certified rows K_p of the
+word rewriting in duality, all of them for bar_basis and the
+admissible ones (the kernel coefficients phi(W', W'')) for bar0_basis.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .duality import phi
-from .ipbenv import check_degree, w0_pairs
+from .duality import certified_kernel, certified_rows
+from .ipbenv import check_degree
 from .linalg import RowReducer, canonical_basis, vec_add_into
-from .words import FORM_BASE, WordPoly, _check_letters, shuffle
+from .words import FORM_BASE, WordPoly, _check_letters
 
 # -- bivariate polynomials: {(i, j): coeff} for z1^i z2^j ---------------
 
@@ -222,43 +223,29 @@ def _canonical_polys(polys):
 
 def bar_basis(s, cap=None):
     """Canonical basis of the degree-s integrable subspace: the reduced
-    row echelon form, over the lexicographic word order, of the shuffles
-    b * z1^a * z2^c with b a kernel coefficient of bar0 at degree
-    s - a - c.  Shuffles of integrable polynomials are integrable, so
-    these generators need no check of their own."""
+    row echelon form, over the lexicographic word order, of the rows K_p
+    of all product pairs (duality.certified_rows).  Their splittings are
+    distinct theta monomials, so the rows are independent and the
+    dimension is the number of product pairs, 3^(s+1) - 2^(s+1)."""
     check_degree(s, cap)
     return _bar_basis(s)
 
 
 @cache
 def _bar_basis(s):
-    def logs(a, c):
-        return shuffle(WordPoly.monomial(FORM_BASE, ("z1",) * a),
-                       WordPoly.monomial(FORM_BASE, ("z2",) * c))
-
-    return _canonical_polys(
-        shuffle(b, logs(a, k - a))
-        for k in range(s + 1) for a in range(k + 1)
-        for b in _bar0_generators(s - k))
+    return _canonical_polys(certified_rows(s, "1x2", s).values())
 
 
 def bar0_basis(s, cap=None):
     """Canonical basis of the subspace of bar_basis(s) spanned by
     combinations with no word ending in z1 or z2: the span of the
-    kernel coefficients phi(W', W'') of the admissible 1x2 pairs, read
-    from the degree-s 1x2 kernel once duality.certified_kernel has
-    certified it (BarlogError naming the pair if a coefficient does not
-    split)."""
+    kernel coefficients phi(W', W'') of the admissible 1x2 pairs, once
+    duality.certified_kernel has certified them (BarlogError naming the
+    pair if a coefficient does not split)."""
     check_degree(s, cap)
     return _bar0_basis(s)
 
 
 @cache
 def _bar0_basis(s):
-    return _canonical_polys(_bar0_generators(s))
-
-
-@cache
-def _bar0_generators(s):
-    # The public callers have checked the cap, so phi runs at cap s.
-    return tuple(phi(*pair, "1x2", s) for pair in w0_pairs(s, "1x2"))
+    return _canonical_polys(certified_kernel(s, "1x2", s).values())

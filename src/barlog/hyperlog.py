@@ -265,7 +265,7 @@ def check_tol(tol):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=8192)
 def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     """Nested series of a term, summed by nested_sum with an adaptive
     length: at most max_n terms, and fewer once the proven tail bound
@@ -282,7 +282,7 @@ def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     Coordinates that are both int or float are summed in floats, and
     any others (complex, or another number type) as complex numbers
     (see nested_sum); the value is complex either way.  The function is
-    its own bounded LRU of 4096 entries, keyed on its arguments as
+    its own bounded LRU of 8192 entries, keyed on its arguments as
     given, so a hit runs none of the checks above;
     eval_series.cache_clear() empties it.  A call that passes max_n by
     keyword and one that passes it by position are separate entries

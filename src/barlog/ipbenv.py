@@ -17,7 +17,8 @@ in Z1 or Z2, and the degree cap.  The kernel's expansion over the
 alpha images of the admissible pairs is a readout of the rewriting:
 alpha(q) 1 = 0 for every non-admissible product word q, so the
 coefficient of pair p at form word w is the coefficient of p in the
-normal form of Z(w).
+normal form of Z(w).  The same readout gives a row K_p for every
+other product pair too.
 """
 
 from __future__ import annotations
@@ -176,16 +177,16 @@ def normal_form(p, direction="1x2"):
     return {(mirror(w1), mirror(w2)): c for (w1, w2), c in acc.items()}
 
 
-def _admissible_rows(s, columns):
-    """Read the admissible 1x2 pairs off the word rewriting: for each
-    (column, Z word), the coefficient of every admissible pair in the
-    word's 1x2 normal form goes to that pair's row at the column.
-    Returns {(W', W''): {column: coeff}} in w0_pairs order; each column
-    must come once.  A row holds nonzero ints (the rewriting drops
-    zeros) in the order its columns come: the readout sorts nothing, so
-    a caller that passes its columns in print order gets its rows in
-    print order."""
-    rows = {p: {} for p in w0_pairs(s)}
+def _read_rows(pairs, columns):
+    """Read the given 1x2 pairs off the word rewriting: for each
+    (column, Z word), the coefficient of every one of those pairs in
+    the word's 1x2 normal form goes to that pair's row at the column.
+    Returns {(W', W''): {column: coeff}} in the order of pairs; each
+    column must come once.  A row holds nonzero ints (the rewriting
+    drops zeros) in the order its columns come: the readout sorts
+    nothing, so a caller that passes its columns in print order gets
+    its rows in print order."""
+    rows = {p: {} for p in pairs}
     for column, word in columns:
         for p, c in _reduce_word(word).items():
             if p in rows:
@@ -252,7 +253,27 @@ def omega_decomposition(s, direction="1x2", cap=None):
 
 @cache
 def _omega_decomposition(s, direction):
-    """The 2x1 coefficient of sigma(p) at w is the 1x2 coefficient of p
+    return _kernel_rows(w0_pairs(s), s, direction)
+
+
+def _non_admissible_rows(s, direction):
+    """The rows K_p of the degree-s product pairs with a word ending in
+    Z1 or Z2, in the shape and order of omega_decomposition: alpha
+    kills those pairs, but each K_p is still the integrable preimage
+    of theta(W') x theta(W'') (duality certifies it)."""
+    admissible = set(w0_pairs(s))
+    return _kernel_rows(
+        [(w1, w2) for s1 in range(s + 1)
+         for w1 in itertools.product(_1X2.left_letters, repeat=s1)
+         for w2 in itertools.product(_1X2.right_letters, repeat=s - s1)
+         if (w1, w2) not in admissible], s, direction)
+
+
+def _kernel_rows(pairs, s, direction):
+    """The rows of the given 1x2 pairs in the degree-s readout of the
+    direction, as {(W', W''): form-word polynomial}.
+
+    The 2x1 coefficient of sigma(p) at w is the 1x2 coefficient of p
     at sigma(w), the coefficient of p in NF(Z(sigma w)).  So form word
     w is the column of the 1x2 readout of Z(sigma w) (the two products
     run in step), and each row is relabelled by sigma.
@@ -262,7 +283,7 @@ def _omega_decomposition(s, direction):
     each row is its coefficient as it stands: terms in print order,
     neither summed nor sorted again (the tests check both)."""
     mirror = _sigma if direction == "2x1" else tuple  # tuple: identity
-    rows = _admissible_rows(s, zip(
+    rows = _read_rows(pairs, zip(
         itertools.product(FORM_BASE, repeat=s),
         itertools.product(_z_word(mirror(FORM_BASE)), repeat=s)))
     return {(mirror(w1), mirror(w2)): WordPoly._from_terms(FORM_BASE, row)

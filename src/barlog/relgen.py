@@ -25,7 +25,7 @@ from .duality import certified_kernel, theta_pair
 from .hyperlog import (check_point, check_tol, eval_series, within_bound,
                        word_to_term)
 from .ipbenv import (DIRECTIONS, alpha_pair, check_degree, w0_pairs,
-                     _admissible_rows, _reduce_word)
+                     _read_rows, _reduce_word)
 
 
 class Relation(namedtuple("Relation", "w1 w2 degree lhs rhs trivial")):
@@ -90,8 +90,8 @@ def _relation_rows(s):
     readout's dict of nonzero ints as it stands, in the word order of
     its columns."""
     d = DIRECTIONS["2x1"]
-    return _admissible_rows(s, ((theta_pair(q1, q2, d), q1 + q2)
-                                for q1, q2 in w0_pairs(s, d)))
+    return _read_rows(w0_pairs(s), ((theta_pair(q1, q2, d), q1 + q2)
+                                     for q1, q2 in w0_pairs(s, d)))
 
 
 def generate_relation(w1, w2, cap=None):
@@ -192,7 +192,7 @@ def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
     """Consistency of the two contour expansions of the degree-s kernel.
 
     Symbolic part: certified_kernel certifies the kernel in each
-    direction once (no coefficient outside the admissible pairs, each
+    direction once (keyed by exactly the admissible pairs, each
     coefficient integrable and split as its theta monomial; BarlogError
     naming the pair if not).  Numeric part: the two expansions, reduced to a
     common product basis, agree coefficientwise at the point.  cap is

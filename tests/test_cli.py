@@ -520,7 +520,7 @@ def test_each_kernel_coefficient_is_certified_once(capsys, monkeypatch):
         return chen_failure(p)
 
     monkeypatch.setattr(formspace, "_chen_failure", counted)
-    caches = (duality._certified_kernel, formspace._bar0_generators,
+    caches = (duality._certified_kernel, duality._certified_rest,
               formspace._bar0_basis)
     for argvs, expected in (
             ([["verify", "--degree", "3"]], 2),

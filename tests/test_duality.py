@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlog.duality import iota, iota_inv, phi, tensor_split, theta
+from barlog.duality import (certified_rows, iota, iota_inv, phi,
+                            tensor_split, theta)
 from barlog.errors import (AlphabetError, BarlogError, DomainError,
                            ResourceLimitError)
 from barlog.formspace import bar_basis
@@ -108,8 +109,9 @@ def test_iota_inv_round_trip():
 
 @pytest.mark.parametrize("direction", ["1x2", "2x1"])
 def test_iota_inv_matches_the_splitting_oracle(direction):
-    """iota_inv, by linearity from phi, equals the preimage solved
-    against the splittings of the whole Chen-condition bar basis."""
+    """iota_inv, a combination of the certified rows, equals the
+    preimage solved against the splittings of the whole Chen-condition
+    bar basis."""
     rng = random.Random(7)
     for _ in range(6):
         t = random_tensor(rng, direction, range(5), 8)
@@ -121,7 +123,7 @@ def test_iota_inv_checks_the_cap():
     iota_inv(t, "1x2")
     with pytest.raises(ResourceLimitError):
         iota_inv(t, "1x2", cap=1)
-    # A pure-log tensor is a shuffle power of z1 and needs no phi.
+    # A pure-log tensor reads a row of a non-admissible pair.
     logs = {(("z1",) * 3, ()): 1}
     with pytest.raises(ResourceLimitError):
         iota_inv(logs, "1x2", cap=2)
@@ -141,6 +143,74 @@ def test_iota_inv_rejects_a_tensor_of_the_other_direction():
         # Words with no letters belong to either direction.
         assert iota_inv({((), ()): 3}, other) == WordPoly.monomial(
             FORM_BASE, (), 3)
+
+
+def _theta_monomial(pair, direction):
+    return theta(pair[0], direction, "left"), theta(pair[1], direction,
+                                                    "right")
+
+
+@pytest.mark.parametrize("direction", ["1x2", "2x1"])
+def test_the_column_of_each_product_word_is_a_unit(direction):
+    """A product word W' W'' is its own normal form, so the column of its
+    form word holds a single 1, in the row of (W', W''): the rows are
+    independent, one for each product pair, and span bar_basis."""
+    to_form = dict(zip(LIE_BASE, FORM_BASE))
+    for s in range(1, 6):
+        rows = certified_rows(s, direction)
+        assert len(rows) == 3 ** (s + 1) - 2 ** (s + 1) == len(bar_basis(s))
+        columns = {}
+        for pair, row in rows.items():
+            for w, c in row.terms.items():
+                columns.setdefault(w, {})[pair] = c
+        for w1, w2 in rows:
+            column = columns[tuple(to_form[x] for x in w1 + w2)]
+            assert column == {(w1, w2): 1}, (w1, w2)
+
+
+@pytest.mark.parametrize("direction", ["1x2", "2x1"])
+def test_every_row_matches_the_splitting_oracle(direction):
+    """Every row K_p, of an admissible pair or not, is the preimage of
+    its theta monomial solved against the Chen-condition bar basis."""
+    for s in range(4):
+        for pair, row in certified_rows(s, direction).items():
+            t = {_theta_monomial(pair, direction): 1}
+            assert row == splitting_preimage(t, direction), pair
+
+
+@pytest.mark.parametrize("direction", ["1x2", "2x1"])
+def test_every_non_admissible_row_mutant_is_rejected(monkeypatch,
+                                                     direction):
+    # The rows of the non-admissible pairs are certified by one weighted
+    # combination too: one changed coefficient in any of them is caught,
+    # whichever row iota_inv asks for, and the error names its pair.
+    from barlog import duality, ipbenv
+
+    good = ipbenv._non_admissible_rows(3, direction)
+    pairs = list(good)
+    assert len(pairs) == 33 and not set(pairs) & set(w0_pairs(3, direction))
+    rows = {}
+    monkeypatch.setattr(duality, "_non_admissible_rows",
+                        lambda s, direction: rows)
+    duality._certified_rest.cache_clear()
+    try:
+        for i, pair in enumerate(pairs):
+            word = next(iter(good[pair].terms))
+            rows.clear()
+            rows.update(good)
+            rows[pair] = good[pair] + WordPoly.monomial(FORM_BASE, word)
+            message = re.escape(f"kernel coefficient of {pair} in "
+                                f"{direction} does not split")
+            for asked in (pair, pairs[i - 1]):
+                with pytest.raises(BarlogError, match=message):
+                    iota_inv({_theta_monomial(asked, direction): 1},
+                             direction)
+        rows.clear()
+        rows.update(good)
+        t = {_theta_monomial(pairs[0], direction): 1}
+        assert iota_inv(t, direction) == good[pairs[0]]
+    finally:
+        duality._certified_rest.cache_clear()
 
 
 def test_iota_is_onto_tensor_space():
@@ -246,6 +316,11 @@ def test_phi_certifies_the_kernel_coefficient(monkeypatch):
                 phi(*pair)
         decomposition[pair] = good
         assert phi(*pair) == good
+        # The keys are checked too: a kernel without one of its pairs.
+        del decomposition[pair]
+        duality._certified_kernel.cache_clear()
+        with pytest.raises(BarlogError, match="misses an admissible one"):
+            phi(("Z11",), ("Z22",))
     finally:
         duality._certified_kernel.cache_clear()
 

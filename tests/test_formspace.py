@@ -148,8 +148,8 @@ def test_bases_match_the_chen_oracle(s):
 
 
 def test_bar0_certifies_each_kernel_coefficient(monkeypatch):
-    # The bases read the kernel coefficients through phi, the one gate
-    # that certifies them.
+    # The bases read the kernel coefficients through the one gate that
+    # certifies them.
     from barlog import duality, formspace
 
     decomposition = dict(duality.omega_decomposition(2, "1x2"))
@@ -158,7 +158,7 @@ def test_bar0_certifies_each_kernel_coefficient(monkeypatch):
     decomposition[pair] = decomposition[pair] + _m("z2", "z1")
     monkeypatch.setattr(duality, "omega_decomposition",
                         lambda s, direction, cap=None: decomposition)
-    caches = (duality._certified_kernel, formspace._bar0_generators,
+    caches = (duality._certified_kernel, duality._certified_rest,
               formspace._bar0_basis, formspace._bar_basis)
     for cached in caches:
         cached.cache_clear()

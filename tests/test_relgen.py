@@ -278,8 +278,8 @@ def test_weight_homogeneous():
 
 
 def test_symbolic_check_rejects_a_wrong_decomposition(monkeypatch):
-    # decompose_check reads every kernel coefficient through phi and
-    # rejects a coefficient outside the admissible pairs.
+    # decompose_check certifies every kernel coefficient and rejects a
+    # kernel keyed by a non-admissible pair.
     from barlog import duality, ipbenv
     from barlog.errors import BarlogError
     from barlog.words import FORM_BASE, WordPoly

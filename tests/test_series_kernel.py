@@ -246,7 +246,7 @@ def test_real_and_complex_points_share_an_entry():
     b = eval_series(t, 0.3 + 0j, 0.4, 50)
     assert a == b
     info = hyperlog.eval_series.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (1, 1, 4096)
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 8192)
 
 
 # Real coordinates as eval_series meets them: signs, signed zeros, and a
