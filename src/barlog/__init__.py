@@ -26,11 +26,9 @@ _EXPORTS = {
                "omega_decomposition", "omega_power", "w0_pairs"),
     "duality": ("iota", "iota_inv", "phi", "tensor_split", "theta"),
     "hyperlog": ("EvalResult", "HyperlogTerm", "eval_quadrature",
-                 "eval_series", "partial_derivative", "term_to_word",
-                 "word_to_term"),
-    "harmonic": ("equivalence_check", "index_harmonic",
-                 "closed_harmonic_expand", "mpl_harmonic_expand",
-                 "mzv_truncated", "recursion_expand"),
+                 "eval_series", "partial_derivative", "word_to_term"),
+    "harmonic": ("index_harmonic", "closed_harmonic_expand",
+                 "mpl_harmonic_expand", "mzv_truncated", "recursion_expand"),
     "relgen": ("Relation", "decompose_check", "generate_all",
                "generate_relation", "verify_relation"),
 }

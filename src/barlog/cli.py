@@ -245,12 +245,10 @@ def _cmd_relations(args, cfg):
     # failing evaluation leaves no partial output.
     checks = [(None, None)] * len(relations)
     if args.verify:
-        reports = (verify_relation(r, [(args.z1, args.z2)],
+        reports = (verify_relation(r, (args.z1, args.z2),
                                    cfg.series_terms, cfg.tolerance)
                    for r in relations)
-        checks = [(all(entry["passed"] for entry in rep),
-                   max(entry["residual"] for entry in rep))
-                  for rep in reports]
+        checks = [(rep["passed"], rep["residual"]) for rep in reports]
     payload = {"count": len(relations), "degree": args.degree,
                "relations": (_relation_json(r, *check)
                              for r, check in zip(relations, checks))}
@@ -405,9 +403,11 @@ def _cmd_verify(args, cfg):
     check = decompose_check(args.degree, point, max_n=cfg.series_terms,
                             tol=cfg.tolerance, cap=cfg.degree_cap)
     relations = generate_all(args.degree, cfg.degree_cap)
-    reports = [verify_relation(r, [point], cfg.series_terms, cfg.tolerance)
-               for r in relations]
-    rel_ok = all(entry["passed"] for rep in reports for entry in rep)
+    # A list, not a generator: every relation is checked, also after a
+    # failure.
+    rel_ok = all([verify_relation(r, point, cfg.series_terms,
+                                  cfg.tolerance)["passed"]
+                  for r in relations])
     payload = {
         "degree": args.degree,
         "point": point,

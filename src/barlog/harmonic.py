@@ -5,10 +5,9 @@ Provides the classical quasi-shuffle product of indices, its closed
 partial-fraction expansion, the two-variable harmonic expansion of a
 product Li_k(z1) Li_l(z2) into 2MPLs of both orientations, the exact
 action of the one-variable integral operators on a 2MPL (the
-preparation recursion), the symbolic equivalence check between the
-operator recursion and the harmonic expansion, and multiple zeta
-values by the Hoelder convolution of series at 1/2, with a bound made
-of the series' proven tail bounds and rounding estimates.
+preparation recursion), and multiple zeta values by the Hoelder
+convolution of series at 1/2, with a bound made of the series' proven
+tail bounds and rounding estimates.
 
 The two-variable expansions are tagged sums: plain dicts
 {(index, numbering, orientation): integer coefficient}, summed by
@@ -217,35 +216,6 @@ def recursion_expand(k, l):
     for weight in reversed(l):
         s = apply_operator(s, weight)
     return _canonical(s)
-
-
-def all_indices(weight):
-    """All compositions of the given total weight (admissible nested-sum
-    indices), in lexicographic order."""
-    if weight == 0:
-        return [()]
-    out = []
-    for first in range(1, weight + 1):
-        for rest in all_indices(weight - first):
-            out.append((first,) + rest)
-    return sorted(out)
-
-
-def equivalence_check(max_weight):
-    """Compare the operator recursion against the harmonic expansion
-    for every pair of nonempty indices of total weight <= max_weight.
-
-    Returns a list of (k, l, matched) triples.
-    """
-    report = []
-    for total in range(2, max_weight + 1):
-        for wk in range(1, total):
-            for k in all_indices(wk):
-                for l in all_indices(total - wk):
-                    lhs = mpl_harmonic_expand(k, l)
-                    rhs = recursion_expand(k, l)
-                    report.append((k, l, lhs == rhs))
-    return report
 
 
 # -- truncated multiple zeta values -----------------------------------------

@@ -11,8 +11,8 @@ first) is the two-variable multiple polylogarithm with numbering
 (i, j).
 
 The module translates words over the projected one-form alphabets to
-terms and back, evaluates series of adaptive length with a bound made
-of a proven tail bound and a first-order rounding estimate, implements the
+terms, evaluates series of adaptive length with a bound made of a
+proven tail bound and a first-order rounding estimate, implements the
 exact differential recursion of the numbering calculus, and provides
 an adaptive Gauss-Legendre quadrature oracle for iterated integrals of
 form words along polyline contours.  The oracle lives in the quadrature
@@ -39,7 +39,6 @@ _MAIN_OF_LETTER = {
 }
 _LOG_LETTER = {1: "z1", 2: "z2"}
 _ONE_LETTER = {1: "z11", 2: "z22"}
-_PARAM_LETTER = {1: "z12_1", 2: "z12_2"}
 _EPS = sys.float_info.epsilon
 
 
@@ -108,16 +107,6 @@ def _word_to_term(word):
             letters.append(ONE if x == _ONE_LETTER[main] else PARAM)
             pending = 0
     return HyperlogTerm(main, tuple(index), tuple(letters))
-
-
-def term_to_word(t):
-    """Inverse of word_to_term."""
-    out = []
-    for k, a in zip(t.index, t.letters):
-        out.extend([_LOG_LETTER[t.main_var]] * (k - 1))
-        out.append(_ONE_LETTER[t.main_var] if a == ONE
-                   else _PARAM_LETTER[t.main_var])
-    return tuple(out)
 
 
 class EvalResult(namedtuple("EvalResult",
@@ -265,7 +254,7 @@ def check_tol(tol):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=8192, typed=True)
 def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     """Nested series of a term, summed by nested_sum with an adaptive
     length: at most max_n terms, and fewer once the proven tail bound
@@ -283,14 +272,14 @@ def eval_series(t, z1, z2, max_n=DEFAULT_MAX_N):
     any others (complex, or another number type) as complex numbers
     (see nested_sum); the value is complex either way.  The function is
     its own bounded LRU of 8192 entries, keyed on its arguments as
-    given, so a hit runs none of the checks above;
+    given and on their types, so a hit runs none of the checks above
+    and yet never serves an argument that they would reject: a max_n of
+    2000.0 or Fraction(2000) misses the entry of 2000 and raises.
     eval_series.cache_clear() empties it.  A call that passes max_n by
     keyword and one that passes it by position are separate entries
-    with the same result.  Keys compare with ==, so a max_n of 2000.0
-    is served from a cached entry of 2000 instead of being rejected.
-    A real point and the same point given as complex are one key, which
-    is safe because both give the same bits (tested).  -0.0 and +0.0
-    share an entry safely too: signed zeros change no nonzero part, and
+    with the same result, and so are a real point and the same point
+    given as complex (both give the same bits, tested).  -0.0 and +0.0
+    share an entry safely: signed zeros change no nonzero part, and
     the running sum, which starts at +0.0, never ends at -0.0.
     """
     if not (isinstance(max_n, int) and max_n >= 1):

@@ -122,44 +122,38 @@ def generate_all(s, cap=None):
     return [generate_relation(w1, w2, cap) for w1, w2 in w0_pairs(s, "1x2")]
 
 
-def verify_relation(r, points, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
-    """Numeric witness of a relation at one or more (z1, z2) points.
+def verify_relation(r, point, max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL):
+    """Numeric witness of a relation at one (z1, z2) point.
 
     Every series stops adaptively within max_n terms (see
     eval_series), and eval_series's LRU serves a term that many
-    relations share.  Returns a list of {point, lhs, rhs, residual,
-    bound, passed}; bound combines the series' tail bounds and rounding
-    estimates, and a point passes when the bound is finite and the
+    relations share.  Returns {point, lhs, rhs, residual, bound,
+    passed}; bound combines the series' tail bounds and rounding
+    estimates, and the relation passes when the bound is finite and the
     residual does not exceed tol plus bound.  The rhs is summed in the
-    order of r.rhs.  A point that is not two numbers, an empty point
-    list, or a tol that is not finite and > 0 raises ValueError before
-    any series is summed.
+    order of r.rhs.  A point that is not two numbers, or a tol that is
+    not finite and > 0, raises ValueError before any series is summed.
     """
-    points = [check_point(p) for p in points]
-    if not points:
-        raise ValueError("no evaluation point given")
+    z1, z2 = check_point(point)
     check_tol(tol)
-    report = []
-    for z1, z2 in points:
-        lv, lb = eval_series(r.lhs[0], z1, z2, max_n).times(
-            eval_series(r.lhs[1], z1, z2, max_n))
-        rv, rb = 0.0 + 0j, 0.0
-        for c, t2, t1 in r.rhs:
-            v, b = eval_series(t2, z1, z2, max_n).times(
-                eval_series(t1, z1, z2, max_n))
-            rv += complex(c) * v
-            rb += abs(c) * b
-        residual = abs(lv - rv)
-        bound = lb + rb
-        report.append({
-            "point": (z1, z2),
-            "lhs": lv,
-            "rhs": rv,
-            "residual": residual,
-            "bound": bound,
-            "passed": within_bound(residual, bound, tol),
-        })
-    return report
+    lv, lb = eval_series(r.lhs[0], z1, z2, max_n).times(
+        eval_series(r.lhs[1], z1, z2, max_n))
+    rv, rb = 0.0 + 0j, 0.0
+    for c, t2, t1 in r.rhs:
+        v, b = eval_series(t2, z1, z2, max_n).times(
+            eval_series(t1, z1, z2, max_n))
+        rv += complex(c) * v
+        rb += abs(c) * b
+    residual = abs(lv - rv)
+    bound = lb + rb
+    return {
+        "point": (z1, z2),
+        "lhs": lv,
+        "rhs": rv,
+        "residual": residual,
+        "bound": bound,
+        "passed": within_bound(residual, bound, tol),
+    }
 
 
 # -- decomposition consistency ----------------------------------------------

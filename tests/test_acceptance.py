@@ -9,8 +9,8 @@ from fractions import Fraction
 from barlog.duality import iota, iota_inv, phi
 from barlog.formspace import (bar_basis, relation_space_contains,
                               wedge_relation_space)
-from barlog.harmonic import (equivalence_check, eval_sum, eval_tagged,
-                             mpl_harmonic_expand, mzv_truncated)
+from barlog.harmonic import (eval_sum, eval_tagged, mpl_harmonic_expand,
+                             mzv_truncated, recursion_expand)
 from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, HyperlogTerm,
                              eval_quadrature, eval_series, partial_derivative)
 from barlog.ipbenv import DIRECTIONS, _reduce_word, normal_form
@@ -18,6 +18,7 @@ from barlog.linalg import RowReducer
 from barlog.relgen import decompose_check, generate_relation, verify_relation
 from barlog.words import FORM_BASE, LIE_BASE, WordPoly
 from chen_oracle import splitting_solver
+from indices import index_pairs
 from rightmost_oracle import reduce_word_rightmost
 
 
@@ -108,9 +109,9 @@ def test_criterion_04_worked_relations():
     for w1, rhs in expected.items():
         r = generate_relation(w1, ())
         assert sorted(r.sorted_rhs()) == sorted(rhs), w1
-        report = verify_relation(r, [(0.3, 0.4)], max_n=10000, tol=1e-8)
-        assert report[0]["residual"] < 1e-8
-        assert report[0]["passed"]
+        report = verify_relation(r, (0.3, 0.4), max_n=10000, tol=1e-8)
+        assert report["residual"] < 1e-8
+        assert report["passed"]
     assert time.monotonic() - start < 5.0
 
 
@@ -160,9 +161,12 @@ def test_criterion_07_rewriting_soundness():
 
 
 def test_criterion_08_harmonic_equivalence():
-    report = equivalence_check(5)
-    assert report
-    assert all(ok for _, _, ok in report)
+    # The harmonic expansion equals the operator recursion on every
+    # pair of nonempty indices of total weight <= 5.
+    pairs = index_pairs(5)
+    assert len(pairs) == 49
+    for k, l in pairs:
+        assert mpl_harmonic_expand(k, l) == recursion_expand(k, l), (k, l)
     points = [(0.3, 0.4), (0.5, -0.5), (-0.4, 0.6), (0.25, 0.25),
               (-0.3, -0.55)]
     for k, l in (((1,), (1,)), ((2,), (3,)), ((1, 1), (2,)),

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -23,6 +25,37 @@ def capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands():
+    """The barlog lines of the sh block under "## Command line" in the
+    README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("barlog ")]
+
+
+def test_readme_command_examples_run(capsys):
+    # Each example exits 0, and its comment holds: 19 basis elements at
+    # degree 2, 32 series terms for the eval example, and an empty index
+    # entry exits 2.
+    commands = _readme_commands()
+    assert len(commands) == 8
+    outputs = {}
+    for line in commands:
+        code, out, err = capture(capsys, shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        outputs[line] = out
+    assert json.loads(outputs["barlog basis --degree 2"])["dimension"] == 19
+    (eval_line,) = (line for line in commands if " eval " in line)
+    assert json.loads(outputs[eval_line])["terms_used"] == 32
+    argv = shlex.split(eval_line.replace("L[2,1|one,param]@z1",
+                                         "L[2,,1|one,one,param]@z1"))[1:]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "empty entry" in err
 
 
 def test_basis_json(capsys):
@@ -624,9 +657,9 @@ def test_streamed_relations_equal_the_dict_payload(tmp_path, capsys, degree,
     for r in generate_all(degree):
         checked = {}
         if verify:
-            report = verify_relation(r, [(0.3, 0.4)])
-            checked = {"verified": all(e["passed"] for e in report),
-                       "residual": max(e["residual"] for e in report)}
+            report = verify_relation(r, (0.3, 0.4))
+            checked = {"verified": report["passed"],
+                       "residual": report["residual"]}
         records.append(relation_to_dict(r, **checked))
     expected = "".join(json_chunks({"degree": degree, "count": len(records),
                                     "relations": records})) + "\n"

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,14 +10,20 @@ from barlog.errors import (AlphabetError, ContourError, DivergentTermError,
                            DomainError)
 from barlog.hyperlog import (COEFF_EVAL, ONE, PARAM, HyperlogTerm,
                              eval_quadrature, eval_series, partial_derivative,
-                             term_to_word, within_bound, word_to_term)
+                             within_bound, word_to_term)
 from barlog.words import FORM_BASE, LIE_BASE, WordPoly
 
 
 def test_word_term_round_trip():
     t = word_to_term(("z1", "z11", "z12_1"))
     assert t == HyperlogTerm(1, (2, 1), (ONE, PARAM))
-    assert term_to_word(t) == ("z1", "z11", "z12_1")
+    # A term determines its word: no two words of one main variable that
+    # end in a non-log letter give the same term.
+    for letters in (("z1", "z11", "z12_1"), ("z2", "z22", "z12_2")):
+        words = [w for n in range(1, 6)
+                 for w in itertools.product(letters, repeat=n)
+                 if w[-1] != letters[0]]
+        assert len({word_to_term(w) for w in words}) == len(words)
     t = word_to_term(("z2", "z2", "z22"))
     assert t == HyperlogTerm(2, (3,), (ONE,))
     assert word_to_term(()) == HyperlogTerm(1, (), ())

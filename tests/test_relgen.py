@@ -5,7 +5,7 @@ import pytest
 
 from barlog import relgen
 from barlog.errors import AlphabetError, ResourceLimitError
-from barlog.hyperlog import ONE, PARAM, HyperlogTerm, term_to_word
+from barlog.hyperlog import ONE, PARAM, HyperlogTerm, word_to_term
 from barlog.ipbenv import DIRECTIONS, _reduce_word, w0_pairs
 from barlog.relgen import (Relation, decompose_check, generate_all,
                            generate_relation, verify_relation)
@@ -70,9 +70,11 @@ def test_reference_relation_depth_three():
 
 def test_verify_relation():
     r = generate_relation(("Z11", "Z12"), ())
-    report = verify_relation(r, [(0.3, 0.4), (0.5, -0.4)], max_n=3000)
-    assert all(entry["passed"] for entry in report)
-    assert all(entry["residual"] < 1e-10 for entry in report)
+    for point in ((0.3, 0.4), (0.5, -0.4)):
+        report = verify_relation(r, point, max_n=3000)
+        assert report["point"] == point
+        assert report["passed"]
+        assert report["residual"] < 1e-10
 
 
 def test_each_term_is_evaluated_once_per_point():
@@ -98,7 +100,8 @@ def test_each_term_is_evaluated_once_per_point():
     relations = generate_all(4)
     points = [(0.3, 0.4), (-0.3, 0.45)]
     eval_series.cache_clear()
-    reports = [verify_relation(r, points, 2000, 1e-8) for r in relations]
+    reports = [[verify_relation(r, point, 2000, 1e-8) for point in points]
+               for r in relations]
     terms = {t for r in relations
              for t in r.lhs + tuple(x for _, t2, t1 in r.rhs
                                     for x in (t2, t1))}
@@ -109,15 +112,15 @@ def test_each_term_is_evaluated_once_per_point():
 
 def test_verify_at_origin():
     r = generate_relation(("Z11", "Z12"), ())
-    report = verify_relation(r, [(0.0, 0.2)], max_n=200)
-    assert abs(report[0]["lhs"]) < 1e-15
-    assert abs(report[0]["rhs"]) < 1e-15
+    report = verify_relation(r, (0.0, 0.2), max_n=200)
+    assert abs(report["lhs"]) < 1e-15
+    assert abs(report["rhs"]) < 1e-15
 
 
 def test_relations_all_valid_numerically():
     for r in generate_all(2):
-        report = verify_relation(r, [(0.3, 0.4)], max_n=2000, tol=1e-8)
-        assert report[0]["passed"], r.render()
+        report = verify_relation(r, (0.3, 0.4), max_n=2000, tol=1e-8)
+        assert report["passed"], r.render()
 
 
 def test_evaluation_points_are_checked_before_any_work(monkeypatch):
@@ -139,18 +142,21 @@ def test_evaluation_points_are_checked_before_any_work(monkeypatch):
             decompose_check(2, point=point)
         assert repr(point) in str(info.value)
         with pytest.raises(ValueError, match="two coordinates"):
-            verify_relation(r, [(0.3, 0.4), point])
+            verify_relation(r, point)
     assert duality._certified_kernel.cache_info().currsize == 0
     # Every number type the series accept is a coordinate.
     monkeypatch.undo()
     for point in ((0, 0), (0.3, -0.4), (0.3j, 0.4 + 0j),
                   (Fraction(3, 10), Fraction(2, 5))):
-        (report,) = verify_relation(r, [point])
-        assert report["passed"], point
-    # No point would be an empty report, which all() reads as a pass.
-    for points in ([], iter(())):
-        with pytest.raises(ValueError, match="no evaluation point"):
+        assert verify_relation(r, point)["passed"], point
+    # A list of points is not a point, whatever its length: it is
+    # rejected before any series is summed.
+    from barlog.hyperlog import eval_series
+    before = eval_series.cache_info()
+    for points in ([], iter(()), [(0.3, 0.4)], [(0.3, 0.4), (0.5, -0.4)]):
+        with pytest.raises(ValueError, match="two coordinates"):
             verify_relation(r, points)
+    assert eval_series.cache_info() == before
 
 
 def test_tolerance_is_checked_before_any_work(monkeypatch):
@@ -159,7 +165,7 @@ def test_tolerance_is_checked_before_any_work(monkeypatch):
     # Five added to every right-hand coefficient: a relation that fails.
     good = generate_relation(("Z11", "Z12"), ())
     bad = good._replace(rhs=tuple((c + 5, t2, t1) for c, t2, t1 in good.rhs))
-    (report,) = verify_relation(bad, [(0.3, 0.4)])
+    report = verify_relation(bad, (0.3, 0.4))
     assert report["residual"] > 1 and not report["passed"]
 
     def forbidden(*args):
@@ -173,7 +179,7 @@ def test_tolerance_is_checked_before_any_work(monkeypatch):
     # negative one fail every check.
     for tol in (float("inf"), float("nan"), 0.0, -1e-8):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            verify_relation(bad, [(0.3, 0.4)], tol=tol)
+            verify_relation(bad, (0.3, 0.4), tol=tol)
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             decompose_check(2, tol=tol)
     assert duality._certified_kernel.cache_info().currsize == 0
@@ -237,8 +243,8 @@ def test_relation_rows_are_in_word_order():
             assert list(row) == sorted(row, key=lambda p: (left(p[0]),
                                                            right(p[1])))
             assert all(type(c) is int and c for c in row.values())
-            assert [(term_to_word(t2), term_to_word(t1))
-                    for _, t2, t1 in r.rhs] == list(row)
+            assert [(t2, t1) for _, t2, t1 in r.rhs] == [
+                (word_to_term(u), word_to_term(v)) for u, v in row]
 
 
 def test_decompose_check_low_degrees():

@@ -16,6 +16,7 @@ reference (mp_series.mp_mzv) and, independently, against that loop.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -24,9 +25,10 @@ from hypothesis import strategies as st
 
 from barlog import hyperlog
 from barlog.errors import DivergentTermError, DomainError
-from barlog.harmonic import all_indices, mzv_truncated
+from barlog.harmonic import mzv_truncated
 from barlog.hyperlog import (ONE, PARAM, EvalResult, HyperlogTerm,
                              eval_series)
+from indices import compositions
 from mp_series import DPS, mp_mzv, mzv_word
 
 
@@ -143,7 +145,7 @@ def test_eval_series_matches_reference_loop(t, main, param, max_n):
 
 
 # Every admissible index of weight <= 7: 63 of them.
-ADMISSIBLE = [idx for w in range(2, 8) for idx in all_indices(w)
+ADMISSIBLE = [idx for w in range(2, 8) for idx in compositions(w)
               if idx[0] >= 2]
 
 
@@ -239,14 +241,30 @@ def test_domain_error_on_every_repeated_call():
     assert_matches_reference_loop(t, 0.5, 0.5, 20)
 
 
-def test_real_and_complex_points_share_an_entry():
+def test_real_and_complex_points_are_two_entries_with_the_same_bits():
+    # The memo's keys carry their types, so the complex point is summed
+    # on its own, in complex arithmetic, and gives the same bits.
     t = HyperlogTerm(1, (2, 1), (ONE, PARAM))
     hyperlog.eval_series.cache_clear()
     a = eval_series(t, 0.3, 0.4, 50)
     b = eval_series(t, 0.3 + 0j, 0.4, 50)
-    assert a == b
+    assert repr(a) == repr(b)
     info = hyperlog.eval_series.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (1, 1, 8192)
+    assert (info.hits, info.misses, info.maxsize) == (0, 2, 8192)
+
+
+def test_a_max_n_equal_to_a_cached_int_is_still_rejected():
+    # 2000.0 == 2000 == Fraction(2000), but only the int is a max_n; the
+    # memo's typed keys never serve the others from the int's entry.
+    t = HyperlogTerm(1, (2, 1), (ONE, PARAM))
+    hyperlog.eval_series.cache_clear()
+    for cached in (False, True):
+        if cached:
+            eval_series(t, 0.3, 0.4, 2000)
+        for max_n in (2000.0, Fraction(2000)):
+            with pytest.raises(ValueError, match="max_n must be an int"):
+                eval_series(t, 0.3, 0.4, max_n)
+    assert hyperlog.eval_series.cache_info().currsize == 1
 
 
 # Real coordinates as eval_series meets them: signs, signed zeros, and a
@@ -262,11 +280,10 @@ _real_params = st.one_of(st.floats(-1.0, 1.0),
 def test_real_point_equals_the_same_point_as_complex(t, main, param, max_n):
     # Real coordinates are summed in floats, complex ones in complex
     # arithmetic; value, bound and length agree bit for bit.  0.3 and
-    # 0.3+0j are one cache key, so the cache is emptied in between.
+    # 0.3+0j are two cache keys, so each is summed.
     z1, z2 = (main, param) if t.main_var == 1 else (param, main)
     hyperlog.eval_series.cache_clear()
     real = eval_series(t, z1, z2, max_n)
-    hyperlog.eval_series.cache_clear()
     as_complex = eval_series(t, complex(z1), complex(z2), max_n)
     assert repr(real) == repr(as_complex)
 
