@@ -18,7 +18,8 @@ from collections.abc import Iterator
 from functools import cache
 from itertools import chain
 
-from .defaults import DEFAULT_DEGREE_CAP, DEFAULT_MAX_N, DEFAULT_TOL
+from .defaults import (DEFAULT_DEGREE_CAP, DEFAULT_MAX_N, DEFAULT_POINT,
+                       DEFAULT_TOL)
 from .errors import BarlogError
 
 
@@ -463,8 +464,8 @@ def _terms_and_tol(p):
 
 
 def _numeric_check(p):
-    p.add_argument("--z1", type=float, default=0.3)
-    p.add_argument("--z2", type=float, default=0.4)
+    p.add_argument("--z1", type=float, default=DEFAULT_POINT[0])
+    p.add_argument("--z2", type=float, default=DEFAULT_POINT[1])
     _terms_and_tol(p)
 
 

@@ -52,7 +52,8 @@ def theta_pair(w1, w2, direction="1x2"):
 def iota(p, direction="1x2"):
     """Tensor splitting of an integrable form polynomial, as
     {(W', W''): coeff}: Chen's condition (DomainError naming the first
-    failing degree and cut), then tensor_split(p, direction)."""
+    failing degree and cut), then tensor_split(p, direction).  Both
+    raise AlphabetError naming a letter outside FORM_BASE."""
     # formspace loads only where a form is checked, not with duality.
     from .formspace import _chen_failure
 
@@ -67,10 +68,12 @@ def tensor_split(p, direction="1x2"):
     """Sum over the deconcatenation cuts of (left projection) x (right
     projection), without the integrability check of iota, as a dict
     {(W', W''): nonzero coeff} whose words are over the direction's
-    left and right alphabets.  Each word is projected once per side;
-    its surviving cuts run from just after the last right-killed
-    letter to the first left-killed one."""
+    left and right alphabets (AlphabetError names a letter outside
+    FORM_BASE).  Each word is projected once per side; its surviving
+    cuts run from just after the last right-killed letter to the first
+    left-killed one."""
     d = _as_direction(direction)
+    _check_letters(FORM_BASE, p.terms)
     acc = {}
     for w, c in p.terms.items():
         left = [d.left_map[x] for x in w] + [None]

@@ -10,8 +10,9 @@ The letters of the base form alphabet are interpreted as one-forms on
 together with the projected letters z12_1 = z2*dz1/(1-z1*z2) and
 z12_2 = z1*dz2/(1-z1*z2), with z12 = z12_1 + z12_2.  Each letter is
 held once, exactly, as its dz1 and dz2 components (a polynomial
-numerator over one atom); the wedge of two letters is the polynomial
-numerator of a1*b2 - a2*b1 over one common denominator.
+numerator over one atom), the one definition of the forms: the wedge
+of two letters is the polynomial numerator of a1*b2 - a2*b1 over one
+common denominator, and the quadrature oracle integrates them.
 
 From these the module derives, by exact linear algebra on polynomial
 numerators, the relation space of the ten wedge products and the
@@ -157,7 +158,9 @@ def relation_space_contains(candidate):
 
 def chen_defect(p, l):
     """Coordinates of the cut-l wedge contraction of a homogeneous
-    iterated form, as {(prefix, slot, suffix): coeff}."""
+    iterated form, as {(prefix, slot, suffix): coeff}.  AlphabetError
+    names a letter outside FORM_BASE."""
+    _check_letters(FORM_BASE, p.terms)
     if not p.terms:
         return {}
     degrees = {len(w) for w in p.terms}
@@ -190,7 +193,9 @@ def _chen_failure(p):
 
 def is_integrable(p):
     """True if every homogeneous part of p satisfies Chen's
-    integrability condition at every cut."""
+    integrability condition at every cut.  AlphabetError names a letter
+    outside FORM_BASE."""
+    _check_letters(FORM_BASE, p.terms)
     return _chen_failure(p) is None
 
 

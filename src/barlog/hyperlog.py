@@ -381,8 +381,8 @@ def eval_quadrature(p, path, tol=1e-10, max_refine=7):
     since every integral accepted there is analytic on the first leg
     (see the quadrature module).  DivergentTermError rejects, before any panel
     is built, the words whose integral from such a start diverges: an
-    innermost letter that is pure-log or singular at the start, or a
-    letter with a double pole there.
+    innermost letter singular at the start, or a letter with a double
+    pole there.
     """
     from .quadrature import iterated_integral
     return iterated_integral(p, path, tol, max_refine)

@@ -1,5 +1,8 @@
 """Adaptive Gauss-Legendre quadrature of form words along polyline
 contours: the oracle behind hyperlog.eval_quadrature, in plain Python.
+The letters are formspace's exact one-forms: the quadrature evaluates
+their polynomial numerators and atoms at its nodes, and expands the
+atoms along each leg to find where they vanish.
 
 The quadrature works level by level.  A level splits every path
 segment into the same number of equal panels of 16 Gauss-Legendre
@@ -32,11 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import mul
+from operator import add, mul
 
-from .errors import (AlphabetError, ContourError, DivergentTermError,
-                     DomainError)
+from .errors import ContourError, DivergentTermError, DomainError
+from .formspace import _ATOMS, _FORM_COMPONENTS
 from .hyperlog import check_point, check_tol
+from .words import _check_letters
 
 _GL_N = 16
 
@@ -87,52 +91,55 @@ def _gl_tables(n=_GL_N):
 
 _GL_X, _GL_W, _GL_CUM = _gl_tables()
 
-# Singular denominators of each letter's coefficient functions.
-_LETTER_ATOMS = {
-    "z1": ("z1",), "z11": ("1-z1",),
-    "z2": ("z2",), "z22": ("1-z2",),
-    "z12": ("1-z1z2",), "z12_1": ("1-z1z2",), "z12_2": ("1-z1z2",),
-}
-
-# Each atom along a leg (z1 + t dz1, z2 + t dz2), as the coefficients
-# (c0, c1, c2) of its polynomial c0 + c1 t + c2 t^2; c0 is its value at
-# the start.
-_ATOM_POLY = {
-    "z1": lambda z1, z2, dz1, dz2: (z1, dz1, 0),
-    "1-z1": lambda z1, z2, dz1, dz2: (1 - z1, -dz1, 0),
-    "z2": lambda z1, z2, dz1, dz2: (z2, dz2, 0),
-    "1-z2": lambda z1, z2, dz1, dz2: (1 - z2, -dz2, 0),
-    "1-z1z2": lambda z1, z2, dz1, dz2: (1 - z1 * z2, -(z1 * dz2 + z2 * dz1),
-                                        -dz1 * dz2),
-}
+_LETTER_ATOMS = {tag: {comp[1] for comp in comps if comp}
+                 for tag, comps in _FORM_COMPONENTS.items()}
 
 
-def _form_pullback(tag, z1, z2, dz1, dz2):
-    """omega(gamma(t)) gamma'(t) for one letter at the point (z1, z2)
-    of a linear leg with derivative (dz1, dz2).  Components with zero
-    derivative are skipped, so axis-riding legs never divide by zero.
-    Plain arithmetic, so z1 and z2 may also be arrays of points.  The
-    letter is a key of _LETTER_ATOMS; iterated_integral checks it."""
-    out = 0.0
-    if tag == "z1":
-        if dz1 != 0:
-            out = dz1 / z1
-    elif tag == "z11":
-        if dz1 != 0:
-            out = dz1 / (1 - z1)
-    elif tag == "z2":
-        if dz2 != 0:
-            out = dz2 / z2
-    elif tag == "z22":
-        if dz2 != 0:
-            out = dz2 / (1 - z2)
-    else:
-        den = 1 - z1 * z2
-        if tag != "z12_2" and dz1 != 0:
-            out = out + z2 * dz1 / den
-        if tag != "z12_1" and dz2 != 0:
-            out = out + z1 * dz2 / den
+def _at_nodes(poly, z1n, z2n):
+    """Values at the nodes (z1n[k], z2n[k]) of a polynomial {(i, j): c},
+    the sum of c z1^i z2^j: its terms are added in exponent order, each
+    c as a float, so that no node value mixes int and float arithmetic."""
+    total = None
+    for (i, j), c in sorted(poly.items()):
+        term = [float(c)] * len(z1n)
+        for nodes in (z1n,) * i + (z2n,) * j:
+            term = list(map(mul, term, nodes))
+        total = term if total is None else list(map(add, total, term))
+    return total
+
+
+def _pullbacks(letters, segments):
+    """Node values of omega(gamma(t)) gamma'(t) for each letter over one
+    level's nodes, in path order: on a segment with derivative
+    (dz1, dz2), the sum of numerator * dz / atom over the letter's
+    dz-components.  Components with zero derivative are skipped, so
+    axis-riding legs never divide by zero."""
+    out = {tag: [] for tag in letters}
+    for z1n, z2n, dz1, dz2 in segments:
+        atoms = {atom: _at_nodes(poly, z1n, z2n)
+                 for atom, poly in _ATOMS.items()}
+        for tag in letters:
+            g = [0.0] * len(z1n)
+            for comp, dz in zip(_FORM_COMPONENTS[tag], (dz1, dz2)):
+                if comp is not None and dz != 0:
+                    g = [x + n * dz / a for x, n, a in zip(
+                        g, _at_nodes(comp[0], z1n, z2n), atoms[comp[1]])]
+            out[tag] += g
     return out
+
+
+def _along_leg(poly, z1, z2, dz1, dz2):
+    """(c0, c1, c2): a polynomial of degree <= 2 along the leg
+    (z1 + t dz1, z2 + t dz2), as c0 + c1 t + c2 t^2; c0 is its value at
+    the start."""
+    out = [0, 0, 0]
+    for (i, j), c in poly.items():
+        term = [c, 0, 0]
+        for z, dz in ((z1, dz1),) * i + ((z2, dz2),) * j:
+            term = [term[0] * z, term[1] * z + term[0] * dz,
+                    term[2] * z + term[1] * dz]
+        out = list(map(add, out, term))
+    return tuple(out)
 
 
 def _build_panels(path, pieces):
@@ -164,7 +171,7 @@ def _level_integrals(words, segments):
     pieces = len(segments[0][0]) // _GL_N
     half = 0.5 / pieces
     proper = {w[i:] for w in words for i in range(1, len(w))}
-    pullbacks = {}
+    pullbacks = _pullbacks({x for w in words for x in w}, segments)
     # chain[j] = (letter, node values or None, integral) of a suffix of
     # length j; the empty suffix has node values 1.
     chain = [(None, None, 1.0)]
@@ -177,12 +184,7 @@ def _level_integrals(words, segments):
         del chain[k + 1:]
         for j in range(len(word) - k - 1, -1, -1):
             tag = word[j]
-            g = pullbacks.get(tag)
-            if g is None:
-                g = pullbacks[tag] = [
-                    _form_pullback(tag, a, b, dz1, dz2)
-                    for z1n, z2n, dz1, dz2 in segments
-                    for a, b in zip(z1n, z2n)]
+            g = pullbacks[tag]
             inner = chain[-1][1]
             if inner is not None:
                 g = list(map(mul, g, inner))
@@ -220,7 +222,7 @@ def _check_contour(path, atoms):
     _check_start."""
     for seg, ((z10, z20), (z11, z21)) in enumerate(zip(path[:-1], path[1:])):
         for atom in atoms:
-            coeffs = _ATOM_POLY[atom](z10, z20, z11 - z10, z21 - z20)
+            coeffs = _along_leg(_ATOMS[atom], z10, z20, z11 - z10, z21 - z20)
             while seg == 0 and coeffs and abs(coeffs[0]) < 1e-9:
                 coeffs = coeffs[1:]
             coeffs += (0,) * (3 - len(coeffs))
@@ -235,31 +237,24 @@ def _check_contour(path, atoms):
                         f"segment {seg}")
 
 
-def _check_start(words, path, vanishing):
-    """Reject the words whose integral from a start where the atoms
-    `vanishing` vanish diverges: a pure-log innermost letter, an
-    innermost letter whose atom vanishes there, and any letter with a
-    pole of order >= 2 there.  Only z12_1 and z12_2 can have one: where
-    1 - z1 z2 has a double zero at the start of the first leg, but their
-    sum z12 has a simple pole."""
-    if not vanishing:
-        return
+def _check_start(words, path):
+    """Reject the words whose integral from the start of the path
+    diverges: an innermost letter whose atom vanishes there, and any
+    letter with a pole of order >= 2 there.  Only z12_1 and z12_2 can
+    have one: where 1 - z1 z2 has a double zero at the start of the
+    first leg, since their sum -d log(1 - z1 z2) has a simple pole."""
     (z1, z2), (e1, e2) = path[0], path[1]
-    double = set()
-    if "1-z1z2" in vanishing and abs(z1 * (e2 - z2) + z2 * (e1 - z1)) < 1e-9:
-        double = {"z12_1", "z12_2"}
+    first_leg = {atom: _along_leg(poly, z1, z2, e1 - z1, e2 - z2)
+                 for atom, poly in _ATOMS.items()}
+    vanishing = {atom for atom, c in first_leg.items() if abs(c[0]) < 1e-9}
+    double = {atom for atom in vanishing if abs(first_leg[atom][1]) < 1e-9}
+    double_pole = {x for x in ("z12_1", "z12_2") if _LETTER_ATOMS[x] & double}
     for w in words:
-        if not w:
-            continue
-        if w[-1] in ("z1", "z2"):
-            raise DivergentTermError(
-                f"word {w} ends in a pure-log letter; its integral "
-                "from a singular base point diverges")
-        if vanishing.intersection(_LETTER_ATOMS[w[-1]]):
+        if w and vanishing & _LETTER_ATOMS[w[-1]]:
             raise DivergentTermError(
                 f"the innermost letter of word {w} is singular at the "
                 "start; its integral diverges")
-        if double.intersection(w):
+        if double_pole.intersection(w):
             raise DivergentTermError(
                 f"word {w} has a letter with a double pole at the "
                 "start; its integral diverges")
@@ -280,17 +275,10 @@ def iterated_integral(p, path, tol, max_refine):
         raise ValueError("path needs at least two points")
     if not all(cmath.isfinite(z) for point in path for z in point):
         raise DomainError(f"path points must be finite: {path}")
-    atoms = set()
-    for w in p.terms:
-        for x in w:
-            if x not in _LETTER_ATOMS:
-                raise AlphabetError(f"unknown form letter {x!r} in word {w}")
-            atoms.update(_LETTER_ATOMS[x])
-    z1s, z2s = path[0]
-    vanishing = {a for a, f in _ATOM_POLY.items()
-                 if abs(f(z1s, z2s, 0, 0)[0]) < 1e-9}
+    _check_letters(tuple(_LETTER_ATOMS), p.terms)
+    atoms = set().union(*(_LETTER_ATOMS[x] for w in p.terms for x in w))
     _check_contour(path, atoms)
-    _check_start(p.terms, path, vanishing)
+    _check_start(p.terms, path)
     prev, diff = None, float("inf")
     pieces = 2
     for _ in range(max_refine + 1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .defaults import DEFAULT_MAX_N, DEFAULT_TOL
+from .defaults import DEFAULT_MAX_N, DEFAULT_POINT, DEFAULT_TOL
 from .duality import certified_kernel, theta_pair
 from .hyperlog import (check_point, check_tol, eval_series, within_bound,
                        word_to_term)
@@ -181,8 +181,8 @@ def _numeric_coeffs(s, direction, z1, z2, max_n):
     return acc, bound
 
 
-def decompose_check(s, point=(0.3, 0.4), max_n=DEFAULT_MAX_N, tol=DEFAULT_TOL,
-                    cap=None):
+def decompose_check(s, point=DEFAULT_POINT, max_n=DEFAULT_MAX_N,
+                    tol=DEFAULT_TOL, cap=None):
     """Consistency of the two contour expansions of the degree-s kernel.
 
     Symbolic part: certified_kernel certifies the kernel in each

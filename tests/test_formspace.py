@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barlog.duality import iota, tensor_split
 from barlog.errors import AlphabetError, BarlogError, ResourceLimitError
 from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
                               _poly_vector, _wedge_numerator,
@@ -12,9 +13,9 @@ from barlog.formspace import (_FORM_COMPONENTS, _WEDGE_DEN_ATOMS,
                               chen_defect, is_integrable,
                               relation_space_contains, wedge_relation_space)
 from barlog.linalg import RowReducer, vec_add_into
-from barlog.quadrature import _form_pullback
-from barlog.words import FORM_BASE, WordPoly, shuffle
+from barlog.words import FORM_BASE, LIE_BASE, WordPoly, shuffle
 from chen_oracle import chen_bar0_basis, chen_bar_basis
+from forms_oracle import form_pullback
 
 # The four relations spanning the kernel of the wedge map: the two
 # mixed-variable quadratic relations and the two same-variable
@@ -82,12 +83,12 @@ ATOM_VALUES = {
                          ids=["real", "complex", "imaginary"])
 def test_wedge_numerator_matches_the_pulled_back_forms(z1, z2):
     """The exact numerator over the common denominator agrees with
-    a1*b2 - a2*b1 built from the quadrature's own table of the forms."""
+    a1*b2 - a2*b1 built from the hand-written forms of forms_oracle."""
     den = math.prod(ATOM_VALUES[atom](z1, z2) for atom in _WEDGE_DEN_ATOMS)
 
     def dz(tag):
-        return (complex(_form_pullback(tag, z1, z2, 1, 0)),
-                complex(_form_pullback(tag, z1, z2, 0, 1)))
+        return (complex(form_pullback(tag, z1, z2, 1, 0)),
+                complex(form_pullback(tag, z1, z2, 0, 1)))
 
     for a in _FORM_COMPONENTS:
         for b in _FORM_COMPONENTS:
@@ -118,6 +119,21 @@ def test_chen_defect_errors():
         chen_defect(word, 2)
     with pytest.raises(ValueError, match="degree >= 2"):
         chen_defect(WordPoly.monomial(FORM_BASE, ("z1",)), 1)
+
+
+@pytest.mark.parametrize("check", [is_integrable, lambda p: chen_defect(p, 1),
+                                   iota, tensor_split],
+                         ids=["is_integrable", "chen_defect", "iota",
+                              "tensor_split"])
+def test_form_entries_name_a_letter_outside_the_form_alphabet(check):
+    # A Lie letter or a projected letter is not a form letter, even in a
+    # degree-1 word, where Chen's condition has no cut to look at.
+    for p, letter in ((WordPoly(("Z1",), {("Z1",): 1}), "Z1"),
+                      (WordPoly(LIE_BASE, {("Z1", "Z2"): 1}), "Z1"),
+                      (WordPoly(FORM_BASE + ("z12_1",),
+                                {("z1", "z12_1"): 1}), "z12_1")):
+        with pytest.raises(AlphabetError, match=repr(letter)):
+            check(p)
 
 
 def test_chen_defect_of_zero_is_empty():

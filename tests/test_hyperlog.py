@@ -155,6 +155,46 @@ def test_partial_derivative_matches_finite_differences(m, var):
     assert abs(fd - an) < 5e-9
 
 
+def test_letter_tables_are_formspace_forms():
+    """hyperlog's own tables of the projected letters, which spare eval
+    and harmonic loading formspace, agree with formspace's forms."""
+    from barlog.formspace import _ATOMS, _FORM_COMPONENTS
+    from barlog.hyperlog import _LOG_LETTER, _MAIN_OF_LETTER, _ONE_LETTER
+
+    # A projected letter has one dz-component: its main variable's.
+    for letter, main in _MAIN_OF_LETTER.items():
+        parts = [k for k, comp in enumerate(_FORM_COMPONENTS[letter], 1)
+                 if comp]
+        assert parts == [main], letter
+    # The log letter is dz/z and the one-letter dz/(1 - z), z the main
+    # variable.
+    for main, z in ((1, (1, 0)), (2, (0, 1))):
+        for letter, atom in ((_LOG_LETTER[main], {z: 1}),
+                             (_ONE_LETTER[main], {(0, 0): 1, z: -1})):
+            num, name = _FORM_COMPONENTS[letter][main - 1]
+            assert num == {(0, 0): 1} and _ATOMS[name] == atom, letter
+
+    # Each coefficient tag is the component of one projected letter.
+    def at(poly, z1, z2):
+        return sum(c * z1 ** i * z2 ** j for (i, j), c in poly.items())
+
+    def component(letter, z1, z2):
+        num, atom = _FORM_COMPONENTS[letter][_MAIN_OF_LETTER[letter] - 1]
+        return at(num, z1, z2) / at(_ATOMS[atom], z1, z2)
+
+    rng = random.Random(11)
+    points = [tuple(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+                    for _ in range(2)) for _ in range(8)]
+    matches = {tag: [letter for letter in _MAIN_OF_LETTER
+                     if all(cmath.isclose(f(z1, z2), component(letter, z1, z2),
+                                          rel_tol=1e-12)
+                            for z1, z2 in points)]
+               for tag, f in COEFF_EVAL.items()}
+    assert all(len(letters) == 1 for letters in matches.values()), matches
+    assert sorted(letters[0] for letters in matches.values()) == sorted(
+        _MAIN_OF_LETTER)
+
+
 def test_quadrature_classical():
     p = WordPoly.monomial(FORM_BASE, ("z11",))
     v = eval_quadrature(p, [(0, 0), (0.5, 0)], tol=1e-12)

@@ -2,13 +2,15 @@
 
 reference_build_panels and reference_word_integral are the numpy code
 that eval_quadrature once ran panel by panel; they read the module's
-Gauss-Legendre tables through np.asarray and share its letter pullback.
+Gauss-Legendre tables through np.asarray and pull the letters back by
+the hand-written forms of forms_oracle.
 reference_panel_breaks keeps that code's geometric grading of a first
 leg from a singular start, and reference_eval_quadrature is its
 refinement loop, reduced to a graded-start flag and a count of the
 levels it built.
 """
 
+import math
 import sys
 
 import mpmath
@@ -22,8 +24,9 @@ from barlog.duality import phi
 from barlog.errors import DivergentTermError, DomainError
 from barlog.hyperlog import eval_quadrature
 from barlog.ipbenv import w0_pairs
-from barlog.quadrature import _GL_CUM, _GL_N, _GL_W, _GL_X, _form_pullback
+from barlog.quadrature import _GL_CUM, _GL_N, _GL_W, _GL_X
 from barlog.words import FORM_BASE, WordPoly
+from forms_oracle import form_pullback
 
 LETTERS = ("z1", "z11", "z2", "z22", "z12", "z12_1", "z12_2")
 GL_X, GL_W, GL_CUM = (np.asarray(t) for t in (_GL_X, _GL_W, _GL_CUM))
@@ -42,7 +45,7 @@ def reference_word_integral(word, panels):
         new_vals = []
         start = 0.0 + 0j
         for (z1n, z2n, dz1, dz2, half), inner in zip(panels, level_vals):
-            g = _form_pullback(tag, z1n, z2n, dz1, dz2) * inner
+            g = form_pullback(tag, z1n, z2n, dz1, dz2) * inner
             new_vals.append(start + half * (GL_CUM @ g))
             start = start + half * np.dot(GL_W, g)
         level_vals = new_vals
@@ -158,6 +161,24 @@ def path_and_words(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(paths(), st.booleans(), st.sampled_from((1, 2)))
+def test_pullback_equals_the_hand_written_forms(case, real, pieces):
+    # formspace's exact table, evaluated a segment at a time, gives the
+    # hand-written forms' values exactly, on real and complex legs and
+    # on legs along an axis, where dz1 or dz2 is 0.
+    path, _ = case
+    if real:
+        path = [(a.real, b.real) for a, b in path]
+    segments = quadrature._build_panels(path, pieces)
+    pullbacks = quadrature._pullbacks(LETTERS, segments)
+    for tag in LETTERS:
+        assert pullbacks[tag] == [
+            form_pullback(tag, a, b, dz1, dz2)
+            for z1n, z2n, dz1, dz2 in segments
+            for a, b in zip(z1n, z2n)], tag
+
+
+@settings(max_examples=60, deadline=None)
 @given(path_and_words(), st.sampled_from((1, 2, 4)))
 def test_batched_kernel_matches_per_panel_loop(case, pieces):
     # The same plain panels on both sides, so only rounding differs.
@@ -258,14 +279,33 @@ def test_non_finite_path_is_a_domain_error(no_panels):
 
 
 def test_innermost_letter_singular_at_the_start_is_divergent(no_panels):
-    # 1 - z1 vanishes at (1, 0) and 1 - z1 z2 at (1, 1): the innermost
-    # integral grows like log t there.
+    # 1 - z1 vanishes at (1, 0), 1 - z1 z2 at (1, 1), z1 and z2 at the
+    # origin and z1 at (0, 0.5): the innermost integral grows like log t
+    # there.
     for word, path in ((("z11",), [(1, 0), (0.5, 0)]),
                        (("z12",), [(1, 1), (0.5, 0.5)]),
-                       (("z1", "z11"), [(1, 0), (0.5, 0.2)])):
+                       (("z1", "z11"), [(1, 0), (0.5, 0.2)]),
+                       (("z2",), [(0, 0), (0.3, 0.4)]),
+                       (("z1",), [(0, 0.5), (0.3, 0.6)])):
         p = WordPoly.monomial(FORM_BASE, word)
         with pytest.raises(DivergentTermError, match="innermost letter"):
             eval_quadrature(p, path)
+
+
+def test_innermost_letter_regular_at_a_singular_start_converges():
+    # z1 vanishes at (0, 0.5) and z2 at (0.5, 0), but the innermost
+    # letter's atom does not: each integral below is analytic on the leg.
+    for word, path in ((("z2",), [(0, 0.5), (0.3, 0.6)]),
+                       (("z1",), [(0.5, 0), (0.6, 0.3)])):
+        value = eval_quadrature(WordPoly.monomial(FORM_BASE, word), path,
+                                tol=1e-12)
+        assert abs(value - math.log(1.2)) < 1e-15, word
+    # z11 after z2 is int_0^1 0.3 log(1 + 0.2 t) / (1 - 0.3 t) dt.
+    value = eval_quadrature(WordPoly.monomial(FORM_BASE, ("z11", "z2")),
+                            [(0, 0.5), (0.3, 0.6)], tol=1e-12)
+    expected = mpmath.quad(
+        lambda t: 0.3 * mpmath.log(1 + 0.2 * t) / (1 - 0.3 * t), [0, 1])
+    assert abs(value - complex(expected)) < 1e-12
 
 
 def test_double_pole_at_the_start_is_divergent(no_panels):
